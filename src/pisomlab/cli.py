@@ -2,14 +2,15 @@
 or the whole pipeline, and emit a certificate as JSON or text.
 
 Exit codes: 0 = analysis completed (whatever the verdict), 2 = input error,
-3 = internal invariant violation.
+3 = internal invariant violation or any other library error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,54 +58,7 @@ class AnalysisRequest:
     input_path: str
     tolerance: ToleranceConfig | None = None
     limits: Limits | None = None
-    output_format: str = "text"
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class Certificate:
-    verdict: str                       # Extendable | NotExtendable | Inconclusive
-    witness_word: tuple[str, ...] | None
-    deviation: float | None
-    limit_hit: str | None
-    provenance: dict
-
-    def to_dict(self) -> dict:
-        out = {"verdict": self.verdict}
-        if self.witness_word is not None:
-            out["witness_word"] = list(self.witness_word)
-        if self.deviation is not None:
-            out["deviation"] = self.deviation
-        if self.limit_hit is not None:
-            out["limit_hit"] = self.limit_hit
-        out["provenance"] = self.provenance
-        return out
-
-
-def _provenance(cfg: ToleranceConfig, limits: Limits, seed: int) -> dict:
-    return {
-        "tool": f"pisomlab {__version__}",
-        "tolerances": {"eq_tol": cfg.eq_tol, "proj_tol": cfg.proj_tol,
-                       "rank_tol": cfg.rank_tol},
-        "limits": {"max_elements": limits.max_elements,
-                   "max_word_length": limits.max_word_length},
-        "seed": seed,
-    }
-
-
-def _verdict_from_closure(result) -> Certificate:
-    if result.status == FAILURE:
-        return Certificate("NotExtendable", result.witness_word,
-                           result.witness_deviation, None, {})
-    if result.status == TRUNCATED:
-        return Certificate("Inconclusive", None, None, result.limit_hit, {})
-    return Certificate("Extendable", None, None, None, {})
-
-
-def _effective(problem: GeneratorProblem, request: AnalysisRequest):
-    cfg = request.tolerance or problem.tolerance or DEFAULT_TOL
-    limits = request.limits or problem.limits or DEFAULT_LIMITS
-    return cfg, limits
 
 
 def _closure_summary(result) -> dict:
@@ -117,11 +71,93 @@ def _closure_summary(result) -> dict:
     return out
 
 
-def _atoms_from_closure(result, cfg):
-    fams = family_projections(result, cfg)
-    if not fams.q_set.is_commuting(cfg):
-        return fams, None
-    return fams, boolean_atoms(fams.q_set, cfg)
+def _error(err: PisomError) -> dict:
+    return {"kind": type(err).__name__, "message": str(err)}
+
+
+class Session:
+    """The analysis stages of one request, each run at most once and only
+    when a command first asks for it."""
+
+    def __init__(self, problem: GeneratorProblem, request: AnalysisRequest):
+        self.problem = problem
+        self.cfg = request.tolerance or problem.tolerance or DEFAULT_TOL
+        self.limits = request.limits or problem.limits or DEFAULT_LIMITS
+        self.seed = request.seed
+
+    @cached_property
+    def base(self):
+        """Monitored closure of the generators."""
+        return close(self.problem.gens, self.limits, monitor_pi=True, cfg=self.cfg)
+
+    @cached_property
+    def extended(self):
+        """Monitored closure of the generators and their adjoints."""
+        return selfadjoint_closure(self.problem.gens, self.limits, self.cfg)
+
+    @cached_property
+    def families(self):
+        return family_projections(self.base, self.cfg)
+
+    @cached_property
+    def q_commuting(self) -> bool:
+        return self.families.q_set.is_commuting(self.cfg)
+
+    @cached_property
+    def atoms(self):
+        """(atoms, None), (None, atoms_error) or (None, None) when the final
+        projections do not commute."""
+        if not self.q_commuting:
+            return None, None
+        try:
+            return boolean_atoms(self.families.q_set, self.cfg), None
+        except PisomError as err:
+            return None, _error(err)
+
+    @cached_property
+    def brandt(self):
+        """(structure, None) or (None, brandt_error)."""
+        try:
+            return brandt_structure(self.base, self.cfg), None
+        except PisomError as err:
+            return None, _error(err)
+
+    def certificate(self, closure) -> dict:
+        """The verdict that closure supports, with the request's provenance."""
+        if closure.status == FAILURE:
+            cert = {"verdict": "NotExtendable", "witness_word": list(closure.witness_word),
+                    "deviation": closure.witness_deviation}
+        elif closure.status == TRUNCATED:
+            cert = {"verdict": "Inconclusive", "limit_hit": closure.limit_hit}
+        else:
+            cert = {"verdict": "Extendable"}
+        cert["provenance"] = {"tool": f"pisomlab {__version__}",
+                              "tolerances": asdict(self.cfg), "limits": asdict(self.limits),
+                              "seed": self.seed}
+        return cert
+
+
+def _atoms_summary(atoms):
+    """-> (report entry, multiplicity profile)."""
+    profile = multiplicity_profile(atoms)
+    out = {"ranks": list(atoms.ranks), "uniform": profile.uniform}
+    if profile.uniform:
+        out["multiplicity"] = profile.multiplicity
+    return out, profile
+
+
+def _atoms_stage(s: Session, command: str, key: str):
+    """Output head shared by the atom-based commands, with `key` (the
+    command's result) set to None, and the atoms it can build on."""
+    out = {"command": command, **_closure_summary(s.base)}
+    atoms = error = None
+    if s.base.status != FAILURE:
+        out["q_commuting"] = s.q_commuting
+        atoms, error = s.atoms
+    out[key] = None
+    if error is not None:
+        out["atoms_error"] = error
+    return out, atoms
 
 
 def cmd_check(request: AnalysisRequest) -> dict:
@@ -148,70 +184,43 @@ def cmd_check(request: AnalysisRequest) -> dict:
             "generators": rows}
 
 
-def cmd_closure(problem, request) -> dict:
-    cfg, limits = _effective(problem, request)
-    result = close(problem.gens, limits, monitor_pi=True, cfg=cfg)
-    out = {"command": "closure", **_closure_summary(result)}
-    if result.status != FAILURE:
-        out["words"] = [word_label(e.word) for e in result.elements[:50]]
+def cmd_closure(s: Session) -> dict:
+    out = {"command": "closure", **_closure_summary(s.base)}
+    if s.base.status != FAILURE:
+        out["words"] = [word_label(e.word) for e in s.base.elements[:50]]
     return out
 
 
-def cmd_extend(problem, request) -> dict:
-    cfg, limits = _effective(problem, request)
-    result = selfadjoint_closure(problem.gens, limits, cfg)
-    cert = _verdict_from_closure(result)
-    cert = Certificate(cert.verdict, cert.witness_word, cert.deviation,
-                       cert.limit_hit, _provenance(cfg, limits, request.seed))
-    return {"command": "extend", **_closure_summary(result),
-            "certificate": cert.to_dict()}
+def cmd_extend(s: Session) -> dict:
+    return {"command": "extend", **_closure_summary(s.extended),
+            "certificate": s.certificate(s.extended)}
 
 
-def cmd_atoms(problem, request) -> dict:
-    cfg, limits = _effective(problem, request)
-    result = close(problem.gens, limits, monitor_pi=True, cfg=cfg)
-    if result.status == FAILURE:
-        return {"command": "atoms", **_closure_summary(result), "atoms": None}
-    fams, atoms = _atoms_from_closure(result, cfg)
-    out = {"command": "atoms", **_closure_summary(result),
-           "q_commuting": fams.q_set.is_commuting(cfg)}
-    out["atoms"] = atoms.to_json_dict() if atoms is not None else None
-    return out
-
-
-def cmd_multiplicity(problem, request) -> dict:
-    cfg, limits = _effective(problem, request)
-    result = close(problem.gens, limits, monitor_pi=True, cfg=cfg)
-    if result.status == FAILURE:
-        return {"command": "multiplicity", **_closure_summary(result), "atoms": None}
-    fams, atoms = _atoms_from_closure(result, cfg)
-    out = {"command": "multiplicity", **_closure_summary(result),
-           "q_commuting": fams.q_set.is_commuting(cfg), "atoms": None}
+def cmd_atoms(s: Session) -> dict:
+    out, atoms = _atoms_stage(s, "atoms", "atoms")
     if atoms is not None:
-        profile = multiplicity_profile(atoms)
-        out["atoms"] = {"ranks": list(atoms.ranks), "uniform": profile.uniform}
-        if profile.uniform:
-            out["atoms"]["multiplicity"] = profile.multiplicity
+        out["atoms"] = atoms.to_json_dict()
+    return out
+
+
+def cmd_multiplicity(s: Session) -> dict:
+    out, atoms = _atoms_stage(s, "multiplicity", "atoms")
+    if atoms is not None:
+        out["atoms"], profile = _atoms_summary(atoms)
         out["counts"] = {str(k): v for k, v in sorted(profile.counts.items())}
     return out
 
 
-def cmd_decompose(problem, request) -> dict:
+def cmd_decompose(s: Session) -> dict:
     from .projlat import OffDiagonalResidual
 
-    cfg, limits = _effective(problem, request)
-    result = close(problem.gens, limits, monitor_pi=True, cfg=cfg)
-    if result.status == FAILURE:
-        return {"command": "decompose", **_closure_summary(result), "operators": None}
-    fams, atoms = _atoms_from_closure(result, cfg)
-    out = {"command": "decompose", **_closure_summary(result),
-           "q_commuting": fams.q_set.is_commuting(cfg), "operators": None}
+    out, atoms = _atoms_stage(s, "decompose", "operators")
     if atoms is None:
         return out
     rows = []
-    for name, mat in problem.gens.named_generators:
+    for name, mat in s.problem.gens.named_generators:
         try:
-            blocks = decompose_by_atoms(mat, atoms, cfg)
+            blocks = decompose_by_atoms(mat, atoms, s.cfg)
             rows.append({"name": name, "decomposable": True,
                          "block_dims": [b.shape[0] for b in blocks]})
         except OffDiagonalResidual as err:
@@ -223,18 +232,16 @@ def cmd_decompose(problem, request) -> dict:
     return out
 
 
-def cmd_brandt(problem, request) -> dict:
-    cfg, limits = _effective(problem, request)
-    result = close(problem.gens, limits, monitor_pi=True, cfg=cfg)
-    out = {"command": "brandt", **_closure_summary(result), "brandt": None}
-    if result.status == FAILURE:
+def cmd_brandt(s: Session) -> dict:
+    out = {"command": "brandt", **_closure_summary(s.base), "brandt": None}
+    if s.base.status == FAILURE:
         return out
-    try:
-        structure = brandt_structure(result, cfg)
+    structure, error = s.brandt
+    if structure is not None:
         out["brandt"] = {"family_ranks": list(structure.family_ranks),
                          "checks": structure.checks}
-    except PisomError as err:
-        out["brandt_error"] = {"kind": type(err).__name__, "message": str(err)}
+    else:
+        out["brandt_error"] = error
     return out
 
 
@@ -247,14 +254,13 @@ def cmd_barnes(request: AnalysisRequest) -> dict:
     if violations:
         return out
     cfg = request.tolerance or DEFAULT_TOL
-    limits = request.limits or DEFAULT_LIMITS
     images = barnes_representation(table, cfg)
     distinct = len({tuple(np.asarray(pi.matrix).ravel().round(9).tolist())
                     for pi in images})
     named = [(table.name_of(i).replace("*", "'") or f"s{i}", pi.matrix)
              for i, pi in enumerate(images)]
     gens = generator_set(named, dim=table.n, include_identity=True, cfg=cfg)
-    closure = selfadjoint_closure(gens, limits, cfg)
+    closure = Session(GeneratorProblem(gens, None, None), request).extended
     out.update({
         "injective": distinct == table.n,
         "all_partial_isometries": True,
@@ -264,59 +270,53 @@ def cmd_barnes(request: AnalysisRequest) -> dict:
     return out
 
 
-def cmd_report(problem, request) -> dict:
-    cfg, limits = _effective(problem, request)
-    base = close(problem.gens, limits, monitor_pi=True, cfg=cfg)
-    report: dict = {"command": "report", "dim": problem.gens.dim}
-    irred = is_irreducible(problem.gens, cfg, seed=request.seed)
+def cmd_report(s: Session) -> dict:
+    base = s.base
+    report: dict = {"command": "report", "dim": s.problem.gens.dim}
+    irred = is_irreducible(s.problem.gens, s.cfg, seed=s.seed)
     report["irreducible"] = irred.irreducible
     report["span_dim"] = irred.span_dim
 
     if base.status == FAILURE:
         # the base semigroup itself produced a non partial isometry
-        report.update({"status": FAILURE, "element_count": len(base.elements),
-                       "witness_word": list(base.witness_word),
-                       "deviation": base.witness_deviation,
-                       "q_commuting": None, "pq_equal": None,
-                       "pq_contained": None, "atoms": None, "brandt": None})
-        cert = Certificate("NotExtendable", base.witness_word, base.witness_deviation,
-                           None, _provenance(cfg, limits, request.seed))
-        report["certificate"] = cert.to_dict()
+        report.update({**_closure_summary(base), "q_commuting": None, "pq_equal": None,
+                       "pq_contained": None, "atoms": None, "brandt": None,
+                       "certificate": s.certificate(base)})
         return report
 
-    fams, atoms = _atoms_from_closure(base, cfg)
     report["base_closure"] = _closure_summary(base)
-    report["q_commuting"] = fams.q_set.is_commuting(cfg)
-    report["pq_equal"] = check_pq_equal(base, cfg)
-    report["pq_contained"] = check_pq_contained(base, cfg)
-    if atoms is not None:
-        profile = multiplicity_profile(atoms)
-        report["atoms"] = {"ranks": list(atoms.ranks), "uniform": profile.uniform}
-        if profile.uniform:
-            report["atoms"]["multiplicity"] = profile.multiplicity
-    else:
-        report["atoms"] = None
+    report["q_commuting"] = s.q_commuting
+    report["pq_equal"] = check_pq_equal(base, s.cfg)
+    report["pq_contained"] = check_pq_contained(base, s.cfg)
+    atoms, error = s.atoms
+    report["atoms"] = _atoms_summary(atoms)[0] if atoms is not None else None
+    if error is not None:
+        report["atoms_error"] = error
 
-    extended = selfadjoint_closure(problem.gens, limits, cfg)
-    report["status"] = extended.status
-    report["element_count"] = len(extended.elements)
-    if extended.status == FAILURE:
-        report["witness_word"] = list(extended.witness_word)
-        report["deviation"] = extended.witness_deviation
+    extended = s.extended
+    summary = _closure_summary(extended)
+    summary.pop("limit_hit", None)  # the certificate names it
+    report.update(summary)
 
     report["brandt"] = None
     if extended.status != FAILURE and base.status == CLOSED:
-        try:
-            structure = brandt_structure(base, cfg)
+        structure, _ = s.brandt
+        if structure is not None:
             report["brandt"] = {"family_ranks": list(structure.family_ranks)}
-        except PisomError:
-            pass
 
-    cert = _verdict_from_closure(extended)
-    cert = Certificate(cert.verdict, cert.witness_word, cert.deviation,
-                       cert.limit_hit, _provenance(cfg, limits, request.seed))
-    report["certificate"] = cert.to_dict()
+    report["certificate"] = s.certificate(extended)
     return report
+
+
+HANDLERS = {
+    "closure": cmd_closure,
+    "extend": cmd_extend,
+    "atoms": cmd_atoms,
+    "multiplicity": cmd_multiplicity,
+    "decompose": cmd_decompose,
+    "brandt": cmd_brandt,
+    "report": cmd_report,
+}
 
 
 def run(request: AnalysisRequest) -> tuple[int, dict]:
@@ -328,16 +328,7 @@ def run(request: AnalysisRequest) -> tuple[int, dict]:
     if request.command == "check":
         return EXIT_OK, cmd_check(request)
     problem = load_generator_problem(request.input_path, request.tolerance)
-    handler = {
-        "closure": cmd_closure,
-        "extend": cmd_extend,
-        "atoms": cmd_atoms,
-        "multiplicity": cmd_multiplicity,
-        "decompose": cmd_decompose,
-        "brandt": cmd_brandt,
-        "report": cmd_report,
-    }[request.command]
-    return EXIT_OK, handler(problem, request)
+    return EXIT_OK, HANDLERS[request.command](Session(problem, request))
 
 
 def _render_text(report: dict, indent: int = 0) -> str:
@@ -375,25 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tolerance = None
-    if args.tol is not None:
-        try:
-            tolerance = ToleranceConfig(args.tol, args.tol, args.tol)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INPUT
-    limits = None
-    if args.max_elements is not None or args.max_word_len is not None:
-        defaults = DEFAULT_LIMITS
-        try:
-            limits = Limits(args.max_elements or defaults.max_elements,
-                            args.max_word_len or defaults.max_word_length)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INPUT
+    try:
+        tolerance = None if args.tol is None else ToleranceConfig(args.tol, args.tol, args.tol)
+        limits = None
+        if args.max_elements is not None or args.max_word_len is not None:
+            limits = Limits(args.max_elements or DEFAULT_LIMITS.max_elements,
+                            args.max_word_len or DEFAULT_LIMITS.max_word_length)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
     request = AnalysisRequest(command=args.command, input_path=args.input,
-                              tolerance=tolerance, limits=limits,
-                              output_format=args.format, seed=args.seed)
+                              tolerance=tolerance, limits=limits, seed=args.seed)
     try:
         code, report = run(request)
     except (ParseError, SchemaError, NotPartialIsometry) as err:
@@ -401,6 +384,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except InvariantViolation as err:
         print(f"internal invariant violation: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except PisomError as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.format == "json":
         print(dump_report(report))

@@ -9,7 +9,7 @@ are always written back in the strict form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -194,11 +194,9 @@ def generator_problem_to_dict(problem: GeneratorProblem) -> dict:
         "include_zero": gens.include_zero,
     }
     if problem.tolerance is not None:
-        t = problem.tolerance
-        out["tolerance"] = {"eq_tol": t.eq_tol, "proj_tol": t.proj_tol, "rank_tol": t.rank_tol}
+        out["tolerance"] = asdict(problem.tolerance)
     if problem.limits is not None:
-        out["limits"] = {"max_elements": problem.limits.max_elements,
-                         "max_word_length": problem.limits.max_word_length}
+        out["limits"] = asdict(problem.limits)
     return out
 
 

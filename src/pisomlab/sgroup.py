@@ -148,27 +148,40 @@ def evaluate_word(name_map: dict[str, np.ndarray], word, dim: int) -> np.ndarray
     return out
 
 
-class _ElementStore:
-    """Growing matrix stack with vectorized tolerance dedup.
+def _square(mat, dim: int) -> np.ndarray:
+    mat = as_matrix(mat)
+    if mat.shape != (dim, dim):
+        raise ShapeMismatch(f"matrix shape {mat.shape}, expected {(dim, dim)}")
+    return mat
 
-    A candidate matches the first retained element within eq_tol (relative);
+
+class _ElementStore:
+    """Growing matrix stack with vectorized tolerance dedup: the one
+    tolerance-aware set behind closures, projection families and adjunction.
+
+    A query matches the first retained element (in insertion order) within
+    eq_tol under the approx_equal rule ||a-b|| <= eq_tol * max(1, ||a||, ||b||);
     retained elements that come within 10x of that band are flagged as
     tolerance-chain risks.
     """
 
-    def __init__(self, dim: int, cfg: ToleranceConfig, capacity: int = 64):
+    def __init__(self, dim: int, cfg: ToleranceConfig, mats=()):
         self.dim = dim
         self.cfg = cfg
-        self._buf = np.zeros((capacity, dim, dim), dtype=np.complex128)
-        self._norms = np.zeros(capacity)
+        self._buf = np.zeros((64, dim, dim), dtype=np.complex128)
+        self._norms = np.zeros(64)
         self.count = 0
+        for mat in mats:
+            self.append(_square(mat, dim))
 
-    def lookup(self, mat: np.ndarray):
-        """-> (match index | None, near-pair (index, distance) | None)."""
+    def lookup(self, mat: np.ndarray, tol: float | None = None):
+        """-> (match index | None, near-pair (index, distance) | None); tol
+        replaces the store's eq_tol for this one query."""
         norm = frobenius(mat)
         if self.count == 0:
             return None, None
-        tol = self.cfg.eq_tol
+        if tol is None:
+            tol = self.cfg.eq_tol
         norms = self._norms[: self.count]
         scale = np.maximum(1.0, np.maximum(norms, norm))
         band = np.abs(norms - norm) <= 10.0 * tol * scale
@@ -199,6 +212,19 @@ class _ElementStore:
         self.count += 1
         return self.count - 1
 
+    def add(self, mat: np.ndarray) -> bool:
+        """Append mat unless a retained element matches it; True if appended."""
+        if self.lookup(mat)[0] is not None:
+            return False
+        self.append(mat)
+        return True
+
+    def find(self, mat, tol: float | None = None) -> int | None:
+        return self.lookup(_square(mat, self.dim), tol)[0]
+
+    def matrices(self) -> list[np.ndarray]:
+        return list(self._buf[: self.count])
+
 
 @dataclass
 class ClosureResult:
@@ -215,11 +241,14 @@ class ClosureResult:
     generators: GeneratorSet
     name_map: dict[str, np.ndarray]
     elements: list[SemigroupElement]
+    store: _ElementStore = field(repr=False, compare=False)
     status: str
     limit_hit: str | None = None
     witness_word: tuple[str, ...] | None = None
     witness_deviation: float | None = None
     near_duplicate_pairs: list[tuple[int, int, float]] = field(default_factory=list)
+    # family_projections memo, keyed by ToleranceConfig
+    families: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -228,11 +257,9 @@ class ClosureResult:
         return [e.matrix for e in self.elements]
 
     def find(self, mat, cfg: ToleranceConfig = DEFAULT_TOL) -> int | None:
-        mat = as_matrix(mat)
-        for i, e in enumerate(self.elements):
-            if approx_equal(e.matrix, mat, cfg):
-                return i
-        return None
+        """Index of the first element, in insertion order, equal to mat under
+        approx_equal with cfg.eq_tol (ShapeMismatch unless mat is dim x dim)."""
+        return self.store.find(mat, cfg.eq_tol)
 
     def evaluate(self, word) -> np.ndarray:
         return evaluate_word(self.name_map, word, self.dim)
@@ -302,7 +329,7 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
             except NotPartialIsometry as err:
                 if monitor_pi:
                     return ClosureResult(
-                        dim, gens, name_map, elements, FAILURE,
+                        dim, gens, name_map, elements, store, FAILURE,
                         witness_word=word, witness_deviation=err.deviation,
                         near_duplicate_pairs=near_pairs)
             if len(elements) >= limits.max_elements:
@@ -314,7 +341,7 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
             break
 
     status = TRUNCATED if limit_hit else CLOSED
-    return ClosureResult(dim, gens, name_map, elements, status,
+    return ClosureResult(dim, gens, name_map, elements, store, status,
                          limit_hit=limit_hit, near_duplicate_pairs=near_pairs)
 
 
@@ -327,14 +354,12 @@ def adjoint_generator_set(gens: GeneratorSet,
     """
     named = list(gens.named_generators)
     pisoms = list(gens.pisoms)
-    mats = [m for _, m in named]
+    known = _ElementStore(gens.dim, cfg, [m for _, m in named])
     for (name, mat), pi in zip(gens.named_generators, gens.pisoms):
         adj = pi.adjoint()
-        if any(approx_equal(adj.matrix, m, cfg) for m in mats):
-            continue
-        named.append((name + "*", adj.matrix))
-        pisoms.append(adj)
-        mats.append(adj.matrix)
+        if known.add(adj.matrix):
+            named.append((name + "*", adj.matrix))
+            pisoms.append(adj)
     # built directly: adjoints of validated partial isometries need no re-check,
     # and the public factory reserves '*' for exactly these names
     return GeneratorSet(gens.dim, tuple(named), gens.include_identity,
@@ -353,33 +378,33 @@ class FamilyProjections:
     q_set: ProjectionFamily
 
 
-def _add_unique(collection: list[np.ndarray], mat: np.ndarray,
-                cfg: ToleranceConfig) -> None:
-    if not any(approx_equal(mat, m, cfg) for m in collection):
-        collection.append(mat)
-
-
 def same_projection_set(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Set equality of two projection lists under approx_equal."""
-    a = list(a)
-    b = list(b)
-    return (all(any(approx_equal(p, q, cfg) for q in b) for p in a)
-            and all(any(approx_equal(q, p, cfg) for p in a) for q in b))
+    a, b = list(a), list(b)
+    if not a or not b:
+        return not a and not b
+    in_a, in_b = (_ElementStore(as_matrix(a[0]).shape[0], cfg, x) for x in (a, b))
+    return (all(in_b.find(p) is not None for p in a)
+            and all(in_a.find(q) is not None for q in b))
 
 
 def family_projections(c: ClosureResult,
                        cfg: ToleranceConfig = DEFAULT_TOL) -> FamilyProjections:
-    """Deduplicated initial and final projection families of all elements."""
+    """Deduplicated initial and final projection families of all elements,
+    built once per closure and tolerance configuration."""
     if c.status == FAILURE:
         raise InvalidState("closure ended in a failure witness; no projection families")
-    ps: list[np.ndarray] = []
-    qs: list[np.ndarray] = []
-    for e in c.elements:
-        pi = e.require_pi(cfg)
-        _add_unique(ps, pi.initial, cfg)
-        _add_unique(qs, pi.final, cfg)
-    return FamilyProjections(projection_family(ps, c.dim, cfg),
-                             projection_family(qs, c.dim, cfg))
+    fams = c.families.get(cfg)
+    if fams is None:
+        ps, qs = _ElementStore(c.dim, cfg), _ElementStore(c.dim, cfg)
+        for e in c.elements:
+            pi = e.require_pi(cfg)
+            ps.add(pi.initial)
+            qs.add(pi.final)
+        fams = c.families[cfg] = FamilyProjections(
+            projection_family(ps.matrices(), c.dim, cfg),
+            projection_family(qs.matrices(), c.dim, cfg))
+    return fams
 
 
 def check_pq_equal(c: ClosureResult, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -404,8 +429,50 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return name.replace("*", "'")
 
 
-def q_family_commuting(c: ClosureResult, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return family_projections(c, cfg).q_set.is_commuting(cfg)
+def _adjoin_until_fixed(c: ClosureResult, propose, limits: Limits,
+                        cfg: ToleranceConfig,
+                        q_atoms: AtomDecomposition | None = None) -> ClosureResult:
+    """Adjoin every proposed matrix that is not yet an element and re-close
+    (monitored) until nothing is missing; c itself when nothing is.
+
+    propose(closure) yields (name, matrix) pairs; names are made fresh.  A
+    failure witness or truncation found along the way is returned as-is.
+    With q_atoms, a closed result must keep that Boolean algebra of Q.
+    """
+    current = c
+    for _ in range(64):
+        taken = set(current.name_map)
+        pending = _ElementStore(current.dim, cfg)
+        missing: list[tuple[str, np.ndarray]] = []
+        for base, mat in propose(current):
+            if current.find(mat, cfg) is not None or not pending.add(mat):
+                continue
+            name = _fresh_name(base, taken)
+            taken.add(name)
+            missing.append((name, np.asarray(mat)))
+        if not missing:
+            break
+        gens = generator_set(list(current.generators.named_generators) + missing,
+                             dim=current.dim,
+                             include_identity=current.generators.include_identity,
+                             include_zero=current.generators.include_zero, cfg=cfg)
+        current = close(gens, limits, monitor_pi=True, cfg=cfg)
+        if current.status != CLOSED:
+            return current
+    else:
+        raise InvariantViolation("projection adjunction did not stabilize")
+    if q_atoms is not None:
+        after = boolean_atoms(family_projections(current, cfg).q_set, cfg)
+        if not same_projection_set(q_atoms.atoms, after.atoms, cfg):
+            raise InvariantViolation("adjunction changed the Boolean algebra of Q")
+    return current
+
+
+def _commuting_q(c: ClosureResult, cfg: ToleranceConfig) -> ProjectionFamily:
+    q_set = family_projections(c, cfg).q_set
+    if not q_set.is_commuting(cfg):
+        raise NonCommutingQ("final projections do not commute")
+    return q_set
 
 
 def adjoin_final_projections(c: ClosureResult, limits: Limits = DEFAULT_LIMITS,
@@ -417,75 +484,28 @@ def adjoin_final_projections(c: ClosureResult, limits: Limits = DEFAULT_LIMITS,
     by recomputing the atoms).  A failure witness or truncation found along
     the way is returned as-is.
     """
-    fams = family_projections(c, cfg)
-    if not fams.q_set.is_commuting(cfg):
-        raise NonCommutingQ("final projections do not commute")
-    atoms_before = boolean_atoms(fams.q_set, cfg)
-
-    current = c
-    for _ in range(64):
-        taken = set(current.name_map)
-        missing: list[tuple[str, np.ndarray]] = []
+    def finals(current):
         for e in current.elements:
-            q = e.require_pi(cfg).final
-            if current.find(q, cfg) is not None:
-                continue
-            if any(approx_equal(q, m, cfg) for _, m in missing):
-                continue
-            name = _fresh_name(f"Q[{word_label(e.word)}]", taken)
-            taken.add(name)
-            missing.append((name, np.asarray(q)))
-        if not missing:
-            break
-        named = list(current.generators.named_generators) + missing
-        gens = generator_set(named, dim=current.dim,
-                             include_identity=current.generators.include_identity,
-                             include_zero=current.generators.include_zero, cfg=cfg)
-        current = close(gens, limits, monitor_pi=True, cfg=cfg)
-        if current.status != CLOSED:
-            return current
-    else:
-        raise InvariantViolation("final-projection adjunction did not stabilize")
+            yield f"Q[{word_label(e.word)}]", e.require_pi(cfg).final
 
-    atoms_after = boolean_atoms(family_projections(current, cfg).q_set, cfg)
-    if not same_projection_set(atoms_before.atoms, atoms_after.atoms, cfg):
-        raise InvariantViolation("adjunction changed the Boolean algebra of Q")
-    return current
+    atoms = boolean_atoms(_commuting_q(c, cfg), cfg)
+    return _adjoin_until_fixed(c, finals, limits, cfg, atoms)
 
 
 def adjoin_algebra_projections(c: ClosureResult, atoms: AtomDecomposition,
                                limits: Limits = DEFAULT_LIMITS,
                                cfg: ToleranceConfig = DEFAULT_TOL) -> ClosureResult:
-    """Adjoin every atom of the Q algebra and re-close, monitored.
+    """Adjoin every atom of the Q algebra that is not yet an element and
+    re-close, monitored; c itself is returned when nothing is missing.
 
     Atoms generate all standard projections multiplicatively, so adjoining
     them realizes adjoining every projection of the algebra.  On a closed
     result the atom set is re-derived and compared; a change would violate
     the algebra-preservation guarantee.
     """
-    fams = family_projections(c, cfg)
-    if not fams.q_set.is_commuting(cfg):
-        raise NonCommutingQ("final projections do not commute")
-    taken = set(c.name_map)
-    named = list(c.generators.named_generators)
-    existing = [m for _, m in named]
-    for i, atom in enumerate(atoms.atoms):
-        if any(approx_equal(atom, m, cfg) for m in existing):
-            continue
-        name = _fresh_name(f"E{i}", taken)
-        taken.add(name)
-        named.append((name, np.asarray(atom)))
-        existing.append(np.asarray(atom))
-    gens = generator_set(named, dim=c.dim,
-                         include_identity=c.generators.include_identity,
-                         include_zero=c.generators.include_zero, cfg=cfg)
-    result = close(gens, limits, monitor_pi=True, cfg=cfg)
-    if result.status != CLOSED:
-        return result
-    atoms_after = boolean_atoms(family_projections(result, cfg).q_set, cfg)
-    if not same_projection_set(atoms.atoms, atoms_after.atoms, cfg):
-        raise InvariantViolation("adjoining algebra projections changed the Q algebra")
-    return result
+    _commuting_q(c, cfg)
+    named_atoms = [(f"E{i}", atom) for i, atom in enumerate(atoms.atoms)]
+    return _adjoin_until_fixed(c, lambda _: named_atoms, limits, cfg, atoms)
 
 
 def enrich_projections(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
@@ -498,32 +518,16 @@ def enrich_projections(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
     adjunction this may enlarge the Q algebra unless the uniform-multiplicity
     hypothesis holds, so no algebra-preservation assertion is made here.
     """
-    named = list(gens.named_generators)
-    include_identity = gens.include_identity
-    include_zero = gens.include_zero
-    for _ in range(64):
-        current_gens = generator_set(named, dim=gens.dim,
-                                     include_identity=include_identity,
-                                     include_zero=include_zero, cfg=cfg)
-        result = close(current_gens, limits, monitor_pi=True, cfg=cfg)
-        if result.status != CLOSED:
-            return result
-        taken = set(result.name_map)
-        missing: list[tuple[str, np.ndarray]] = []
-        for e in result.elements:
+    def projections(current):
+        for e in current.elements:
             pi = e.require_pi(cfg)
-            for tag, proj in (("Q", pi.final), ("P", pi.initial)):
-                if result.find(proj, cfg) is not None:
-                    continue
-                if any(approx_equal(proj, m, cfg) for _, m in missing):
-                    continue
-                name = _fresh_name(f"{tag}[{word_label(e.word)}]", taken)
-                taken.add(name)
-                missing.append((name, np.asarray(proj)))
-        if not missing:
-            return result
-        named.extend(missing)
-    raise InvariantViolation("projection enrichment did not stabilize")
+            yield f"Q[{word_label(e.word)}]", pi.final
+            yield f"P[{word_label(e.word)}]", pi.initial
+
+    result = close(gens, limits, monitor_pi=True, cfg=cfg)
+    if result.status != CLOSED:
+        return result
+    return _adjoin_until_fixed(result, projections, limits, cfg)
 
 
 @dataclass(frozen=True)
@@ -698,11 +702,11 @@ def brandt_structure(c: ClosureResult,
     element must pass the pair condition (MembershipViolation).
     """
     fams = family_projections(c, cfg)
-    union: list[np.ndarray] = []
-    for proj in list(fams.p_set.members) + list(fams.q_set.members):
-        if frobenius(proj) <= cfg.eq_tol:
-            continue
-        _add_unique(union, proj, cfg)
+    distinct = _ElementStore(c.dim, cfg)
+    for proj in fams.p_set.members + fams.q_set.members:
+        if frobenius(proj) > cfg.eq_tol:
+            distinct.add(proj)
+    union = distinct.matrices()
 
     minimal: list[np.ndarray] = []
     for p in union:
@@ -753,10 +757,7 @@ def brandt_membership(w, s: BrandtStructure,
                       cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Pair condition: every E1·w·E2 is zero or a partial isometry moving E2
     exactly onto E1."""
-    mat = as_matrix(w)
-    if mat.shape != (s.dim, s.dim):
-        raise ShapeMismatch(f"matrix shape {mat.shape}, expected {(s.dim, s.dim)}")
-    ok, _ = _brandt_pair_check(mat, [m.projection for m in s.family], cfg)
+    ok, _ = _brandt_pair_check(_square(w, s.dim), [m.projection for m in s.family], cfg)
     return ok
 
 
@@ -775,9 +776,7 @@ def check_intertwining_identity(c: ClosureResult, samples: int,
     Tuples are drawn uniformly from the closure elements with m <= max_factors;
     any residual above eq_tol raises IdentityViolation naming the tuple.
     """
-    fams = family_projections(c, cfg)
-    if not fams.q_set.is_commuting(cfg):
-        raise NonCommutingQ("final projections do not commute")
+    _commuting_q(c, cfg)
     if not c.elements:
         raise InvalidState("closure has no elements to sample")
     rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ import pytest
 
 from pisomlab.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     AnalysisRequest,
     main,
@@ -196,6 +197,39 @@ def test_main_exit_codes(fixtures_dir, tmp_path, capsys):
     assert report["generators"][0]["deviation"] == pytest.approx(12.0)
 
     assert main(["report", str(fixtures_dir / "identity-only.json"), "--tol", "0.5"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("eps,kind", [(1e-9, "IllConditionedSplit"),
+                                       (2e-9, "IllConditionedSplit"),
+                                       (5e-9, "IllConditionedSplit"),
+                                       (1e-8, "NonCommuting")])
+@pytest.mark.parametrize("command", ["report", "atoms", "multiplicity", "decompose"])
+def test_atoms_failure_is_a_result(tmp_path, capsys, eps, kind, command):
+    # A = diag(1,1,0) and B the projection onto (1,0,eps)/||.||: the atom
+    # split of their final projections is too close to call
+    v = np.array([1.0, 0.0, eps]) / np.linalg.norm([1.0, 0.0, eps])
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"dim": 3, "generators": [
+        {"name": "A", "matrix": np.diag([1.0, 1.0, 0.0]).tolist()},
+        {"name": "B", "matrix": np.outer(v, v).tolist()}]}))
+    assert main([command, str(path), "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["atoms_error"]["kind"] == kind
+    assert report["atoms_error"]["message"]
+    assert report.get("atoms") is None
+
+
+def test_library_errors_exit_internal(fixtures_dir, monkeypatch, capsys):
+    from pisomlab import cli
+    from pisomlab.sgroup import NonCommutingQ
+
+    def fail(_session):
+        raise NonCommutingQ("final projections do not commute")
+
+    monkeypatch.setitem(cli.HANDLERS, "closure", fail)
+    assert main(["closure", str(fixtures_dir / "identity-only.json")]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "error: NonCommutingQ: final projections do not commute\n"
 
 
 def test_main_text_format(fixtures_dir, capsys):
