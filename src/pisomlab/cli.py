@@ -33,6 +33,7 @@ from .sgroup import (
     TRUNCATED,
     DEFAULT_LIMITS,
     Limits,
+    _ElementStore,
     brandt_structure,
     close,
     family_projections,
@@ -255,14 +256,15 @@ def cmd_barnes(request: AnalysisRequest) -> dict:
         return out
     cfg = request.tolerance or DEFAULT_TOL
     images = barnes_representation(table, cfg)
-    distinct = len({tuple(np.asarray(pi.matrix).ravel().round(9).tolist())
-                    for pi in images})
+    distinct = _ElementStore(table.n, cfg)
+    for pi in images:
+        distinct.add(pi.matrix)
     named = [(table.name_of(i).replace("*", "'") or f"s{i}", pi.matrix)
              for i, pi in enumerate(images)]
     gens = generator_set(named, dim=table.n, include_identity=True, cfg=cfg)
     closure = Session(GeneratorProblem(gens, None, None), request).extended
     out.update({
-        "injective": distinct == table.n,
+        "injective": distinct.count == table.n,
         "all_partial_isometries": True,
         "closure_status": closure.status,
         "closure_elements": len(closure.elements),

@@ -98,6 +98,32 @@ def make_partial_isometry(m, cfg: ToleranceConfig = DEFAULT_TOL) -> PartialIsome
     return PartialIsometry(frozen(m), frozen(p), frozen(q))
 
 
+def validate_stack(ms: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
+    """make_partial_isometry over a k x n x n stack, for the matrices that
+    pass it with a margin.
+
+    Entry i is the PartialIsometry make_partial_isometry(ms[i]) returns, or
+    None unless each of its three defects lies below half its threshold: the
+    stacked norms can differ from the scalar ones in the last bits, so the
+    scalar call alone decides every other matrix (and names the deviation).
+    """
+    k = ms.shape[0]
+
+    def squared_norms(x):
+        flat = np.ascontiguousarray(x).reshape(k, -1).view(np.float64)
+        return np.einsum("ij,ij->i", flat, flat)
+
+    half = (0.5 * cfg.proj_tol) ** 2
+    adj = ms.conj().transpose(0, 2, 1)
+    p = adj @ ms
+    p_bound = half * np.maximum(1.0, squared_norms(p))
+    ok = squared_norms(p - p.conj().transpose(0, 2, 1)) < p_bound
+    ok &= squared_norms(p @ p - p) < p_bound
+    ok &= squared_norms(ms @ p - ms) < half * np.maximum(1.0, squared_norms(ms))
+    return [PartialIsometry(frozen(ms[i]), frozen(p[i]), frozen(ms[i] @ adj[i]))
+            if ok[i] else None for i in range(k)]
+
+
 @dataclass(frozen=True)
 class HWProductResult:
     is_pi: bool

@@ -28,7 +28,7 @@ from .numlin import (
     kernel_basis,
     range_basis,
 )
-from .pisom import NotPartialIsometry, PartialIsometry, make_partial_isometry
+from .pisom import NotPartialIsometry, PartialIsometry, make_partial_isometry, validate_stack
 from .projlat import AtomDecomposition, ProjectionFamily, boolean_atoms, projection_family
 
 CLOSED = "closed"
@@ -155,6 +155,14 @@ def _square(mat, dim: int) -> np.ndarray:
     return mat
 
 
+# A near ball (radius 10 * eq_tol * max(1, norms)) spans at most two cells of
+# the sketch grid when the cell width is at least twice its radius.  Partial
+# isometry norms come out a few ulps above sqrt(rank), so the width is padded
+# by this factor; members up to 25% above sqrt(dim) still use the grid.
+_CELL_SLACK = 1.25
+_EPS = float(np.finfo(float).eps)
+
+
 class _ElementStore:
     """Growing matrix stack with vectorized tolerance dedup: the one
     tolerance-aware set behind closures, projection families and adjunction.
@@ -163,6 +171,12 @@ class _ElementStore:
     eq_tol under the approx_equal rule ||a-b|| <= eq_tol * max(1, ||a||, ||b||);
     retained elements that come within 10x of that band are flagged as
     tolerance-chain risks.
+
+    Candidates come from a grid over the sketch s(M) = Re<g, vec M> with g a
+    fixed unit vector, so |s(a) - s(b)| <= ||a - b||: every member within the
+    near radius R of a query lies in one of the (at most two) cells that
+    cover [s - R, s + R].  A query whose R exceeds half a cell (a looser tol,
+    or members of large norm) scans every member instead.
     """
 
     def __init__(self, dim: int, cfg: ToleranceConfig, mats=()):
@@ -171,33 +185,75 @@ class _ElementStore:
         self._buf = np.zeros((64, dim, dim), dtype=np.complex128)
         self._norms = np.zeros(64)
         self.count = 0
+        self._max_norm = 0.0
+        # the sketch direction g: fixed per dimension, from its own generator
+        rng = np.random.default_rng([0x5EED, dim])
+        g = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+        self._direction = g / np.linalg.norm(g)
+        self._width = 20.0 * cfg.eq_tol * max(1.0, np.sqrt(dim)) * _CELL_SLACK
+        self._cells: dict[int, list[int]] = {}
         for mat in mats:
             self.append(_square(mat, dim))
 
     def lookup(self, mat: np.ndarray, tol: float | None = None):
         """-> (match index | None, near-pair (index, distance) | None); tol
         replaces the store's eq_tol for this one query."""
-        norm = frobenius(mat)
-        if self.count == 0:
+        return self._lookup_from(mat, self.cfg.eq_tol if tol is None else tol, 0)
+
+    def _lookup_from(self, mat: np.ndarray, tol: float, start: int):
+        """lookup among the members with index >= start."""
+        if self.count <= start:
             return None, None
-        if tol is None:
-            tol = self.cfg.eq_tol
-        norms = self._norms[: self.count]
+        norm = frobenius(mat)
+        idxs = self._candidates(mat, norm, tol)
+        if idxs is None:
+            idxs = range(start, self.count)
+        elif start:
+            idxs = [j for j in idxs if j >= start]
+        if not idxs:
+            return None, None
+        return self._scan(mat, norm, tol, idxs)
+
+    def _candidates(self, mat: np.ndarray, norm: float, tol: float) -> list[int] | None:
+        """Ascending indices of every member that can lie within the near
+        radius of mat, or None when that radius exceeds half a cell."""
+        scale = max(1.0, norm, self._max_norm)
+        # padded for the rounding of both sketches and of the distances
+        reach = scale * (10.0 * tol * (1.0 + 1e-6) + 8.0 * self.dim ** 2 * _EPS)
+        if 2.0 * reach > self._width:
+            return None
+        s = self._sketch(mat)
+        lo = int((s - reach) // self._width)
+        hi = int((s + reach) // self._width)
+        found = self._cells.get(lo, [])
+        if hi != lo and hi in self._cells:
+            found = sorted(found + self._cells[hi])
+        return found
+
+    def _scan(self, mat: np.ndarray, norm: float, tol: float, idxs):
+        """The matching rule over the members idxs (ascending): the first
+        match, else the nearest member within 10x the band, ties to the
+        lower index."""
+        idxs = np.asarray(idxs, dtype=np.intp)
+        norms = self._norms[idxs]
         scale = np.maximum(1.0, np.maximum(norms, norm))
         band = np.abs(norms - norm) <= 10.0 * tol * scale
-        idxs = np.nonzero(band)[0]
+        idxs, scale = idxs[band], scale[band]
         if idxs.size == 0:
             return None, None
         diffs = self._buf[idxs] - mat
         dists = np.linalg.norm(diffs.reshape(idxs.size, -1), axis=1)
-        matches = dists <= tol * scale[idxs]
+        matches = dists <= tol * scale
         if np.any(matches):
             return int(idxs[np.argmax(matches)]), None
-        near = dists <= 10.0 * tol * scale[idxs]
+        near = dists <= 10.0 * tol * scale
         if np.any(near):
             pos = int(np.argmin(np.where(near, dists, np.inf)))
             return None, (int(idxs[pos]), float(dists[pos]))
         return None, None
+
+    def _sketch(self, mat: np.ndarray) -> float:
+        return float(np.vdot(self._direction, mat).real)
 
     def append(self, mat: np.ndarray) -> int:
         if self.count == self._buf.shape[0]:
@@ -207,8 +263,11 @@ class _ElementStore:
             norms = np.zeros(2 * self.count)
             norms[: self.count] = self._norms
             self._norms = norms
-        self._buf[self.count] = mat
-        self._norms[self.count] = frobenius(mat)
+        stored = self._buf[self.count]
+        stored[...] = mat
+        norm = self._norms[self.count] = frobenius(mat)
+        self._max_norm = max(self._max_norm, norm)
+        self._cells.setdefault(int(self._sketch(stored) // self._width), []).append(self.count)
         self.count += 1
         return self.count - 1
 
@@ -312,33 +371,55 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
                 limit_hit = "max_elements"
                 break
             queue.append(retain(mat, (name,), pi, near))
+    gen_stack = np.array([mat for _, mat, _ in gen_items],
+                         dtype=np.complex128).reshape(-1, dim, dim)
     while queue and limit_hit != "max_elements":
         elem = elements[queue.popleft()]
         if len(elem.word) >= limits.max_word_length:
             limit_hit = limit_hit or "max_word_length"
             continue
-        for name, gmat, _ in gen_items:
-            prod = elem.matrix @ gmat
-            match, near = store.lookup(prod)
-            if match is not None:
+        # the products of one parent form a batch: each is looked up once in
+        # the store as it stands, the misses are validated together, and then
+        # each miss is checked, in generator order, against the elements this
+        # batch added.  A batch ends at the first miss beyond the room left
+        # under max_elements, since that miss ends the closure unless an
+        # earlier one was a duplicate.
+        prods = elem.matrix @ gen_stack
+        looked = 0
+        while looked < len(prods) and limit_hit != "max_elements":
+            room = limits.max_elements - len(elements)
+            misses, nears = [], []
+            while looked < len(prods) and len(misses) <= room:
+                match, near = store.lookup(prods[looked])
+                if match is None:
+                    misses.append(looked)
+                    nears.append(near)
+                looked += 1
+            if not misses:
                 continue
-            word = elem.word + (name,)
-            pi = None
-            try:
-                pi = make_partial_isometry(prod, cfg)
-            except NotPartialIsometry as err:
-                if monitor_pi:
-                    return ClosureResult(
-                        dim, gens, name_map, elements, store, FAILURE,
-                        witness_word=word, witness_deviation=err.deviation,
-                        near_duplicate_pairs=near_pairs)
-            if len(elements) >= limits.max_elements:
-                limit_hit = "max_elements"
-                queue.clear()
-                break
-            queue.append(retain(prod, word, pi, near))
-        if limit_hit == "max_elements":
-            break
+            first_new = len(elements)
+            for i, near, pi in zip(misses, nears, validate_stack(prods[misses], cfg)):
+                prod = prods[i]
+                match, own_near = store._lookup_from(prod, cfg.eq_tol, first_new)
+                if match is not None:
+                    continue
+                if own_near is not None and (near is None or own_near[1] < near[1]):
+                    near = own_near
+                word = elem.word + (gen_items[i][0],)
+                if pi is None:
+                    try:
+                        pi = make_partial_isometry(prod, cfg)
+                    except NotPartialIsometry as err:
+                        if monitor_pi:
+                            return ClosureResult(
+                                dim, gens, name_map, elements, store, FAILURE,
+                                witness_word=word, witness_deviation=err.deviation,
+                                near_duplicate_pairs=near_pairs)
+                if len(elements) >= limits.max_elements:
+                    limit_hit = "max_elements"
+                    queue.clear()
+                    break
+                queue.append(retain(prod, word, pi, near))
 
     status = TRUNCATED if limit_hit else CLOSED
     return ClosureResult(dim, gens, name_map, elements, store, status,
@@ -549,23 +630,27 @@ def is_irreducible(gens: GeneratorSet, cfg: ToleranceConfig = DEFAULT_TOL,
     """
     n = gens.dim
     gen_mats = [m for _, m in gens.named_generators]
-    rows = np.zeros((0, n * n), dtype=np.complex128)
+    # orthonormal rows of the span found so far: rows[:span_dim]
+    rows = np.zeros((n * n, n * n), dtype=np.complex128)
+    span_dim = 0
     span_mats: list[np.ndarray] = []
 
     def grow(mat: np.ndarray) -> bool:
-        nonlocal rows
+        nonlocal span_dim
         v = mat.reshape(-1)
         nv = float(np.linalg.norm(v))
         if nv <= cfg.eq_tol:
             return False
         resid = v.astype(np.complex128)
+        basis = rows[:span_dim]
         for _ in range(2):
-            if rows.shape[0]:
-                resid = resid - rows.T @ (rows.conj() @ resid)
+            if span_dim:
+                resid = resid - basis.T @ (basis @ resid.conj()).conj()
         rn = float(np.linalg.norm(resid))
         if rn <= cfg.rank_tol * max(1.0, nv):
             return False
-        rows = np.vstack([rows, (resid / rn)[None, :]])
+        rows[span_dim] = resid / rn
+        span_dim += 1
         span_mats.append(mat)
         return True
 
@@ -573,20 +658,19 @@ def is_irreducible(gens: GeneratorSet, cfg: ToleranceConfig = DEFAULT_TOL,
     for mat in [np.eye(n, dtype=np.complex128)] + gen_mats:
         if grow(mat):
             frontier.append(mat)
-    while frontier and rows.shape[0] < n * n:
+    while frontier and span_dim < n * n:
         fresh: list[np.ndarray] = []
         for mat in frontier:
             for g in gen_mats:
                 cand = mat @ g
                 if grow(cand):
                     fresh.append(cand)
-                    if rows.shape[0] == n * n:
+                    if span_dim == n * n:
                         break
-            if rows.shape[0] == n * n:
+            if span_dim == n * n:
                 break
         frontier = fresh
 
-    span_dim = rows.shape[0]
     if span_dim == n * n:
         return IrreducibilityResult(True, span_dim, None)
 
