@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -97,12 +97,8 @@ class Session:
         return selfadjoint_closure(self.problem.gens, self.limits, self.cfg)
 
     @cached_property
-    def families(self):
-        return family_projections(self.base, self.cfg)
-
-    @cached_property
     def q_commuting(self) -> bool:
-        return self.families.q_set.is_commuting(self.cfg)
+        return family_projections(self.base, self.cfg).q_set.is_commuting(self.cfg)
 
     @cached_property
     def atoms(self):
@@ -111,7 +107,8 @@ class Session:
         if not self.q_commuting:
             return None, None
         try:
-            return boolean_atoms(self.families.q_set, self.cfg), None
+            return boolean_atoms(family_projections(self.base, self.cfg).q_set,
+                                 self.cfg), None
         except PisomError as err:
             return None, _error(err)
 
@@ -370,10 +367,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         tolerance = None if args.tol is None else ToleranceConfig(args.tol, args.tol, args.tol)
-        limits = None
-        if args.max_elements is not None or args.max_word_len is not None:
-            limits = Limits(args.max_elements or DEFAULT_LIMITS.max_elements,
-                            args.max_word_len or DEFAULT_LIMITS.max_word_length)
+        given = {"max_elements": args.max_elements, "max_word_length": args.max_word_len}
+        given = {key: value for key, value in given.items() if value is not None}
+        limits = replace(DEFAULT_LIMITS, **given) if given else None
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

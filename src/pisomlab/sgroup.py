@@ -28,7 +28,8 @@ from .numlin import (
     kernel_basis,
     range_basis,
 )
-from .pisom import NotPartialIsometry, PartialIsometry, make_partial_isometry, validate_stack
+from .pisom import (NotPartialIsometry, PartialIsometry, make_partial_isometry,
+                    partial_isometry_defect, validate_stack)
 from .projlat import AtomDecomposition, ProjectionFamily, boolean_atoms, projection_family
 
 CLOSED = "closed"
@@ -198,18 +199,11 @@ class _ElementStore:
     def lookup(self, mat: np.ndarray, tol: float | None = None):
         """-> (match index | None, near-pair (index, distance) | None); tol
         replaces the store's eq_tol for this one query."""
-        return self._lookup_from(mat, self.cfg.eq_tol if tol is None else tol, 0)
-
-    def _lookup_from(self, mat: np.ndarray, tol: float, start: int):
-        """lookup among the members with index >= start."""
-        if self.count <= start:
-            return None, None
+        tol = self.cfg.eq_tol if tol is None else tol
         norm = frobenius(mat)
         idxs = self._candidates(mat, norm, tol)
         if idxs is None:
-            idxs = range(start, self.count)
-        elif start:
-            idxs = [j for j in idxs if j >= start]
+            idxs = range(self.count)
         if not idxs:
             return None, None
         return self._scan(mat, norm, tol, idxs)
@@ -271,6 +265,13 @@ class _ElementStore:
         self.count += 1
         return self.count - 1
 
+    def truncate(self, count: int) -> None:
+        """Drop the members appended after the first count; each is the last
+        index of its cell.  The largest member norm stays an upper bound."""
+        while self.count > count:
+            self.count -= 1
+            self._cells[int(self._sketch(self._buf[self.count]) // self._width)].pop()
+
     def add(self, mat: np.ndarray) -> bool:
         """Append mat unless a retained element matches it; True if appended."""
         if self.lookup(mat)[0] is not None:
@@ -330,11 +331,12 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
     """Breadth-first product closure of the generator set.
 
     Expansion is by right multiplication with generators, which enumerates
-    every word shortest-first; duplicates are merged by approx_equal against
-    all retained elements.  With monitor_pi every genuinely new product is
-    validated and the first failure aborts with a FAILURE status carrying a
-    minimal-length witness word.  Hitting a limit yields TRUNCATED; limits
-    are results, not errors.
+    every word shortest-first; each product is looked up, in generator
+    order, against every element kept before it and merged by approx_equal.
+    The new products of one parent are validated in one validate_stack call.
+    With monitor_pi the first that fails aborts with a FAILURE status
+    carrying a minimal-length witness word and its partial_isometry_defect.
+    Hitting a limit yields TRUNCATED; limits are results, not errors.
     """
     dim = gens.dim
     name_map: dict[str, np.ndarray] = {}
@@ -353,24 +355,26 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
     near_pairs: list[tuple[int, int, float]] = []
     queue: deque[int] = deque()
 
-    def retain(mat, word, pi, near) -> int:
+    def retain(mat, word, pi, near) -> None:
+        """Keep the store's member len(elements) as the next element."""
         if near is not None:
             near_pairs.append((near[0], len(elements), near[1]))
-        store.append(mat)
         elements.append(SemigroupElement(frozen(mat), word, pi))
-        return len(elements) - 1
+        queue.append(len(elements) - 1)
 
     limit_hit: str | None = None
     if gens.include_identity:
         identity = np.eye(dim, dtype=np.complex128)
-        queue.append(retain(identity, (), make_partial_isometry(identity, cfg), None))
+        store.append(identity)
+        retain(identity, (), make_partial_isometry(identity, cfg), None)
     for name, mat, pi in gen_items:
         match, near = store.lookup(mat)
         if match is None:
             if len(elements) >= limits.max_elements:
                 limit_hit = "max_elements"
                 break
-            queue.append(retain(mat, (name,), pi, near))
+            store.append(mat)
+            retain(mat, (name,), pi, near)
     gen_stack = np.array([mat for _, mat, _ in gen_items],
                          dtype=np.complex128).reshape(-1, dim, dim)
     while queue and limit_hit != "max_elements":
@@ -378,48 +382,34 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
         if len(elem.word) >= limits.max_word_length:
             limit_hit = limit_hit or "max_word_length"
             continue
-        # the products of one parent form a batch: each is looked up once in
-        # the store as it stands, the misses are validated together, and then
-        # each miss is checked, in generator order, against the elements this
-        # batch added.  A batch ends at the first miss beyond the room left
-        # under max_elements, since that miss ends the closure unless an
-        # earlier one was a duplicate.
+        # each product of this parent is looked up in generator order and a
+        # new one joins the store at once; the new ones are then validated
+        # together.  The first new product beyond max_elements is validated
+        # but not stored, since a failure witness outranks the limit.
         prods = elem.matrix @ gen_stack
-        looked = 0
-        while looked < len(prods) and limit_hit != "max_elements":
-            room = limits.max_elements - len(elements)
-            misses, nears = [], []
-            while looked < len(prods) and len(misses) <= room:
-                match, near = store.lookup(prods[looked])
-                if match is None:
-                    misses.append(looked)
-                    nears.append(near)
-                looked += 1
-            if not misses:
-                continue
-            first_new = len(elements)
-            for i, near, pi in zip(misses, nears, validate_stack(prods[misses], cfg)):
-                prod = prods[i]
-                match, own_near = store._lookup_from(prod, cfg.eq_tol, first_new)
-                if match is not None:
-                    continue
-                if own_near is not None and (near is None or own_near[1] < near[1]):
-                    near = own_near
-                word = elem.word + (gen_items[i][0],)
-                if pi is None:
-                    try:
-                        pi = make_partial_isometry(prod, cfg)
-                    except NotPartialIsometry as err:
-                        if monitor_pi:
-                            return ClosureResult(
-                                dim, gens, name_map, elements, store, FAILURE,
-                                witness_word=word, witness_deviation=err.deviation,
-                                near_duplicate_pairs=near_pairs)
-                if len(elements) >= limits.max_elements:
-                    limit_hit = "max_elements"
-                    queue.clear()
+        new: list[tuple[int, tuple[int, float] | None]] = []
+        for i, prod in enumerate(prods):
+            match, near = store.lookup(prod)
+            if match is None:
+                new.append((i, near))
+                if store.count >= limits.max_elements:
                     break
-                queue.append(retain(prod, word, pi, near))
+                store.append(prod)
+        if not new:
+            continue
+        pis = validate_stack(prods[[i for i, _ in new]], cfg)
+        for (i, near), pi in zip(new, pis):
+            word = elem.word + (gen_items[i][0],)
+            if pi is None and monitor_pi:
+                store.truncate(len(elements))
+                return ClosureResult(
+                    dim, gens, name_map, elements, store, FAILURE,
+                    witness_word=word, witness_deviation=partial_isometry_defect(prods[i]),
+                    near_duplicate_pairs=near_pairs)
+            if len(elements) >= limits.max_elements:
+                limit_hit = "max_elements"
+                break
+            retain(prods[i], word, pi, near)
 
     status = TRUNCATED if limit_hit else CLOSED
     return ClosureResult(dim, gens, name_map, elements, store, status,

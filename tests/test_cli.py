@@ -199,6 +199,12 @@ def test_main_exit_codes(fixtures_dir, tmp_path, capsys):
     assert main(["report", str(fixtures_dir / "identity-only.json"), "--tol", "0.5"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("flag", ["--max-elements", "--max-word-len"])
+def test_zero_limit_is_an_input_error(fixtures_dir, capsys, flag):
+    assert main(["closure", str(fixtures_dir / "identity-only.json"), flag, "0"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: limits must be positive\n"
+
+
 @pytest.mark.parametrize("eps,kind", [(1e-9, "IllConditionedSplit"),
                                        (2e-9, "IllConditionedSplit"),
                                        (5e-9, "IllConditionedSplit"),

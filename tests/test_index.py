@@ -21,7 +21,7 @@ from pisomlab.sgroup import (
     same_projection_set,
     selfadjoint_closure,
 )
-from conftest import matrix_unit
+from conftest import golden_generators, matrix_unit
 from factories import random_unitary
 
 CFG = ToleranceConfig()
@@ -114,6 +114,32 @@ def test_adjoin_algebra_projections_keeps_closure_when_atoms_are_elements():
     atoms = boolean_atoms(family_projections(c).q_set)
     assert all(c.find(atom) is not None for atom in atoms.atoms)
     assert adjoin_algebra_projections(c, atoms) is c
+
+
+@pytest.mark.parametrize("order", (1, -1))
+def test_near_pair_tie_goes_to_the_lower_index(order):
+    # exact binary entries: both members lie exactly t from q, with
+    # eq_tol < t <= 10 eq_tol
+    q = np.diag([1.0, 0.0])
+    d = np.array([[0.0, 1.0], [0.0, 0.0]])
+    t = 2.0 ** -26
+    store = _ElementStore(2, CFG)
+    for sign in (order, -order):
+        store.append(q + sign * t * d)
+    assert store.lookup(q) == (None, (0, t))
+
+
+def assert_store_holds_the_elements(c):
+    assert c.store.count == len(c)
+    for i, e in enumerate(c.elements):
+        assert c.find(e.matrix) == i
+    assert c.find(c.evaluate(c.witness_word)) is None
+
+
+def test_failure_closure_store_holds_the_elements():
+    c = selfadjoint_closure(generator_set(zip("ABC", golden_generators()), dim=8))
+    assert c.status == FAILURE
+    assert_store_holds_the_elements(c)
 
 
 def scan_reference(mats, q, cfg):
@@ -240,6 +266,7 @@ def test_batched_validation_matches_make_partial_isometry(monitor):
             with pytest.raises(NotPartialIsometry) as err:
                 make_partial_isometry(c.evaluate(c.witness_word))
             assert c.witness_deviation == err.value.deviation
+            assert_store_holds_the_elements(c)
     # the sweep crosses proj_tol: both outcomes occur
     assert (FAILURE in statuses) if monitor else unvalidated > 0
     assert statuses - {FAILURE}
