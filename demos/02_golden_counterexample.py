@@ -7,6 +7,8 @@ concrete word over the generators and their adjoints that evaluates to an
 operator failing the partial isometry test by 1/4.
 """
 
+import pathlib
+
 from pisomlab.jsonio import load_generator_problem
 from pisomlab.projlat import boolean_atoms, multiplicity_profile
 from pisomlab.sgroup import (
@@ -17,7 +19,9 @@ from pisomlab.sgroup import (
     word_label,
 )
 
-problem = load_generator_problem("fixtures/example-1-3.json")
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+problem = load_generator_problem(str(FIXTURES / "example-1-3.json"))
 gens = problem.gens
 
 base = close(gens, monitor_pi=True)

@@ -7,6 +7,8 @@ multiplicity guarantees that the selfadjoint closure stays inside the partial
 isometries; this script shows both a uniform and a non-uniform family.
 """
 
+import pathlib
+
 import numpy as np
 
 from pisomlab.jsonio import load_generator_problem
@@ -20,6 +22,8 @@ from pisomlab.projlat import (
 )
 from pisomlab.sgroup import close, family_projections, selfadjoint_closure
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
 print("== a diagonal family on C^4 ==")
 d1 = np.diag([1.0, 1.0, 0.0, 0.0])
 d2 = np.diag([1.0, 0.0, 1.0, 0.0])
@@ -32,7 +36,7 @@ e01 = standard_projection(atoms, [0, 1])
 print("standard projection over atoms {0,1} has trace", np.trace(e01).real)
 
 print("\n== the uniform multiplicity two fixture on C^2 (x) C^3 ==")
-problem = load_generator_problem("fixtures/pauli-tensor-units.json")
+problem = load_generator_problem(str(FIXTURES / "pauli-tensor-units.json"))
 base = close(problem.gens, monitor_pi=True)
 atoms = boolean_atoms(family_projections(base).q_set)
 profile = multiplicity_profile(atoms)

@@ -246,6 +246,24 @@ def intersect_with_projection(s: Subspace, p, take_range: bool,
     return range_basis(target, cfg, ambiguity_factor)
 
 
+def frame_blocks(stack: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conjugate a matrix (or a k x n x n stack) by the frame U = [B_0 ... B_{F-1}]
+    of orthonormal column bases.
+
+    -> (X = U* M U, the F + 1 block offsets o of X, the Frobenius norms of
+    the (i, j) blocks X[o_i:o_(i+1), o_j:o_(j+1)], F x F per matrix).  When
+    the bases are mutually orthogonal and span C^n, U is unitary and block
+    (i, j) is B_i* M B_j: the compression of M from range(B_j) to range(B_i),
+    with the same norms as E_i M E_j for E_i = B_i B_i*.
+    """
+    u = np.hstack(bases)
+    offsets = np.cumsum([0] + [b.shape[1] for b in bases])
+    x = adjoint(u) @ stack @ u
+    starts = offsets[:-1]
+    sq = np.add.reduceat(x.real ** 2 + x.imag ** 2, starts, axis=-2)
+    return x, offsets, np.sqrt(np.add.reduceat(sq, starts, axis=-1))
+
+
 def dominant_index(a: np.ndarray) -> int:
     """Index of the dominant coordinate: argmax of |diag| for square matrices,
     argmax of |entries| for vectors.  First maximum wins (deterministic)."""

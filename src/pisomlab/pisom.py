@@ -94,6 +94,25 @@ def make_partial_isometry(m, cfg: ToleranceConfig = DEFAULT_TOL) -> PartialIsome
     return pi
 
 
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack."""
+    flat = np.ascontiguousarray(x).reshape(x.shape[0], -1).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def partial_isometry_rule(ms: np.ndarray,
+                          cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """validate_stack's rule over a k x a x b stack: -> (mask of the members
+    that pass, the stack of their P = V*V)."""
+    tol2 = cfg.proj_tol ** 2
+    p = ms.conj().transpose(0, 2, 1) @ ms
+    p_bound = tol2 * np.maximum(1.0, _squared_norms(p))
+    ok = _squared_norms(p - p.conj().transpose(0, 2, 1)) <= p_bound
+    ok &= _squared_norms(p @ p - p) <= p_bound
+    ok &= _squared_norms(ms @ p - ms) <= tol2 * np.maximum(1.0, _squared_norms(ms))
+    return ok, p
+
+
 def validate_stack(ms: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
     """The partial isometry rule over a k x n x n stack.
 
@@ -102,21 +121,10 @@ def validate_stack(ms: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
     proj_tol * max(1, ||P||), and ||VP - V|| <= proj_tol * max(1, ||V||)
     (Frobenius norms); otherwise None.
     """
-    k = ms.shape[0]
-
-    def squared_norms(x):
-        flat = np.ascontiguousarray(x).reshape(k, -1).view(np.float64)
-        return np.einsum("ij,ij->i", flat, flat)
-
-    tol2 = cfg.proj_tol ** 2
+    ok, p = partial_isometry_rule(ms, cfg)
     adj = ms.conj().transpose(0, 2, 1)
-    p = adj @ ms
-    p_bound = tol2 * np.maximum(1.0, squared_norms(p))
-    ok = squared_norms(p - p.conj().transpose(0, 2, 1)) <= p_bound
-    ok &= squared_norms(p @ p - p) <= p_bound
-    ok &= squared_norms(ms @ p - ms) <= tol2 * np.maximum(1.0, squared_norms(ms))
     return [PartialIsometry(frozen(ms[i]), frozen(p[i]), frozen(ms[i] @ adj[i]))
-            if ok[i] else None for i in range(k)]
+            if ok[i] else None for i in range(ms.shape[0])]
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ from .numlin import (
     ShapeMismatch,
     Subspace,
     ToleranceConfig,
-    adjoint,
     approx_equal,
     as_matrix,
     commutator_norm,
     dominant_index,
+    frame_blocks,
     frobenius,
     frozen,
     full_subspace,
@@ -233,20 +233,16 @@ def decompose_by_atoms(t, atoms: AtomDecomposition,
     t = as_matrix(t)
     if t.shape != (atoms.dim, atoms.dim):
         raise ShapeMismatch(f"operator shape {t.shape}, expected {(atoms.dim,) * 2}")
-    scale = max(1.0, frobenius(t))
-    worst = (0.0, None)
-    for i in range(len(atoms)):
-        for j in range(len(atoms)):
-            if i == j:
-                continue
-            residual = frobenius(adjoint(atoms.bases[i]) @ t @ atoms.bases[j])
-            if residual > worst[0]:
-                worst = (residual, (i, j))
-    if worst[0] > cfg.eq_tol * scale:
+    x, offsets, norms = frame_blocks(t, atoms.bases)
+    np.fill_diagonal(norms, 0.0)
+    # the first maximum in (i, j) order names the worst pair
+    i, j = (int(k) for k in np.unravel_index(np.argmax(norms), norms.shape))
+    residual = float(norms[i, j])
+    if residual > cfg.eq_tol * max(1.0, frobenius(t)):
         raise OffDiagonalResidual(
-            f"atoms {worst[1]} are coupled with residual {worst[0]:.3e}",
-            worst[1], worst[0])
-    return [adjoint(b) @ t @ b for b in atoms.bases]
+            f"atoms {(i, j)} are coupled with residual {residual:.3e}",
+            (i, j), residual)
+    return [x[a:b, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def membership_in_span(p, atoms: AtomDecomposition,
@@ -262,17 +258,15 @@ def membership_in_span(p, atoms: AtomDecomposition,
 def _as_atom_subset(p: np.ndarray, atoms: AtomDecomposition,
                     cfg: ToleranceConfig) -> frozenset[int] | None:
     """Express p as a subset of atoms, or None when it is not standard."""
-    scale = max(1.0, frobenius(p))
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            if frobenius(adjoint(atoms.bases[i]) @ p @ atoms.bases[j]) > cfg.eq_tol * scale:
-                return None
+    tol = cfg.eq_tol * max(1.0, frobenius(p))
+    x, offsets, norms = frame_blocks(p, atoms.bases)
+    if np.any(np.triu(norms, 1) > tol):
+        return None
     chosen = []
-    for i, basis in enumerate(atoms.bases):
-        block = adjoint(basis) @ p @ basis
-        if frobenius(block) <= cfg.eq_tol * scale:
+    for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        if norms[i, i] <= tol:
             continue
-        if frobenius(block - np.eye(atoms.ranks[i])) <= cfg.eq_tol * scale:
+        if frobenius(x[a:b, a:b] - np.eye(b - a)) <= tol:
             chosen.append(i)
             continue
         return None

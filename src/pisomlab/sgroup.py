@@ -23,13 +23,15 @@ from .numlin import (
     adjoint,
     approx_equal,
     as_matrix,
+    dominant_index,
+    frame_blocks,
     frobenius,
     frozen,
     kernel_basis,
     range_basis,
 )
-from .pisom import (NotPartialIsometry, PartialIsometry, make_partial_isometry,
-                    partial_isometry_defect, validate_stack)
+from .pisom import (PartialIsometry, make_partial_isometry, partial_isometry_defect,
+                    partial_isometry_rule, validate_stack)
 from .projlat import AtomDecomposition, ProjectionFamily, boolean_atoms, projection_family
 
 CLOSED = "closed"
@@ -282,8 +284,12 @@ class _ElementStore:
     def find(self, mat, tol: float | None = None) -> int | None:
         return self.lookup(_square(mat, self.dim), tol)[0]
 
+    def stack(self) -> np.ndarray:
+        """The members as one count x dim x dim array (a view)."""
+        return self._buf[: self.count]
+
     def matrices(self) -> list[np.ndarray]:
-        return list(self._buf[: self.count])
+        return list(self.stack())
 
 
 @dataclass
@@ -723,9 +729,13 @@ def check_asb_nonzero(gens: GeneratorSet, a, b,
 
 @dataclass(frozen=True)
 class BrandtFamilyMember:
+    """A minimal projection E, its loop (P = Q = E) and an orthonormal basis
+    of its range."""
+
     projection: np.ndarray
     rank: int
     loop: SemigroupElement
+    basis: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -748,32 +758,77 @@ def _is_subprojection(small: np.ndarray, big: np.ndarray,
     return frobenius(big @ small - small) <= cfg.proj_tol * scale
 
 
-def _brandt_pair_check(mat: np.ndarray, projections, cfg: ToleranceConfig):
-    scale = max(1.0, frobenius(mat))
-    for i, e1 in enumerate(projections):
-        for j, e2 in enumerate(projections):
-            block = e1 @ mat @ e2
-            if frobenius(block) <= cfg.eq_tol * scale:
-                continue
-            try:
-                pi = make_partial_isometry(block, cfg)
-            except NotPartialIsometry:
-                return False, f"E{i}·w·E{j} is neither zero nor a partial isometry"
-            if not approx_equal(pi.initial, e2, cfg):
-                return False, f"initial projection of E{i}·w·E{j} is not E{j}"
-            if not approx_equal(pi.final, e1, cfg):
-                return False, f"final projection of E{i}·w·E{j} is not E{i}"
-    return True, None
+# matrix entries per conjugated chunk of elements, which bounds the memory
+# of the pair check on large closures
+_BRANDT_CHUNK = 1 << 14
+_BRANDT_REASONS = ("E{i}·w·E{j} is neither zero nor a partial isometry",
+                   "initial projection of E{i}·w·E{j} is not E{j}",
+                   "final projection of E{i}·w·E{j} is not E{i}")
+
+
+def _brandt_pair_failure(mats: np.ndarray, bases,
+                         cfg: ToleranceConfig) -> tuple[int, str] | None:
+    """The pair condition over a k x n x n stack: (index, reason) of the
+    first element that fails it, or None.
+
+    The family bases B_i form a unitary frame U, so E_i·W·E_j = B_i X B_j*
+    for the block X = B_i* W B_j of U*WU, with the same norms.  Each block
+    is zero (||X|| <= eq_tol * max(1, ||W||)), or it passes the partial
+    isometry rule with X*X = I (initial projection E_j) and XX* = I (final
+    projection E_i), both under approx_equal.  The first failing element,
+    its first failing (i, j) and that block's first failing test name the
+    violation.
+    """
+    step = max(1, _BRANDT_CHUNK // (mats.shape[1] * mats.shape[2]))
+    for start in range(0, len(mats), step):
+        chunk = mats[start:start + step]
+        x, offsets, norms = frame_blocks(chunk, bases)
+        scale = np.maximum(1.0, np.linalg.norm(chunk.reshape(len(chunk), -1), axis=1))
+        nonzero = norms > cfg.eq_tol * scale[:, None, None]
+        ranks = np.diff(offsets)
+        shapes = sorted(set(ranks.tolist()))
+        # 0: the block passes; else 1 + the index of its failing test
+        code = np.zeros(norms.shape, dtype=np.int8)
+        for a in shapes:
+            for b in shapes:
+                ks, rows, cols = np.nonzero(
+                    nonzero & (ranks[:, None] == a) & (ranks[None, :] == b))
+                if not ks.size:
+                    continue
+                blocks = x[ks[:, None, None],
+                           offsets[rows][:, None, None] + np.arange(a)[:, None],
+                           offsets[cols][:, None, None] + np.arange(b)]
+                ok, initial = partial_isometry_rule(blocks, cfg)
+                final = blocks @ blocks.conj().transpose(0, 2, 1)
+                code[ks, rows, cols] = np.select(
+                    [~ok, ~_near_identity(initial, cfg), ~_near_identity(final, cfg)],
+                    [1, 2, 3], 0)
+        failing = np.flatnonzero(code)
+        if failing.size:
+            k, i, j = np.unravel_index(failing[0], code.shape)
+            reason = _BRANDT_REASONS[code[k, i, j] - 1].format(i=i, j=j)
+            return start + int(k), reason
+    return None
+
+
+def _near_identity(stack: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """approx_equal(M, I) for each r x r member M of a stack."""
+    k, r = stack.shape[:2]
+    norms = np.linalg.norm(stack.reshape(k, -1), axis=1)
+    defects = np.linalg.norm((stack - np.eye(r)).reshape(k, -1), axis=1)
+    return defects <= cfg.eq_tol * np.maximum(max(1.0, np.sqrt(r)), norms)
 
 
 def brandt_structure(c: ClosureResult,
                      cfg: ToleranceConfig = DEFAULT_TOL) -> BrandtStructure:
     """Extract and verify the family of minimal projections with loops.
 
-    Verification only: minimal members of the P/Q union are located, a loop
-    element with P = Q = E is required for each (NoMinimalWithLoop), the
-    family must be orthogonal and cover the space (CoverageGap), and every
-    element must pass the pair condition (MembershipViolation).
+    Verification only: minimal members of the P/Q union are located, in
+    order of their dominant coordinate and then of the union; a loop element
+    with P = Q = E, the first in closure order, is required for each
+    (NoMinimalWithLoop); the family must be orthogonal and cover the space
+    (CoverageGap), and every element must pass the pair condition
+    (MembershipViolation).
     """
     fams = family_projections(c, cfg)
     distinct = _ElementStore(c.dim, cfg)
@@ -789,23 +844,32 @@ def brandt_structure(c: ClosureResult,
             for q in union)
         if not strictly_below:
             minimal.append(p)
-    minimal.sort(key=lambda p: (int(np.argmax(np.abs(np.diag(p)))),
-                                tuple(np.round(np.diag(p).real, 9).tolist())))
+    minimal.sort(key=dominant_index)
 
+    family = _ElementStore(c.dim, cfg, minimal)
+    loops: list[SemigroupElement | None] = [None] * len(minimal)
+    for e in c.elements:
+        if all(loops):
+            break
+        pi = e.require_pi(cfg)
+        # P and Q of a loop both match one E under approx_equal, so they lie
+        # within 3 eq_tol * max(1, ||P||, ||Q||) <= 3 eq_tol * max(1, ||W||^2)
+        # of each other; that test skips most elements before any lookup
+        apart = frobenius(pi.initial - pi.final)
+        if apart > 3.0 * cfg.eq_tol * max(1.0, frobenius(e.matrix) ** 2):
+            continue
+        k = family.lookup(pi.initial)[0]
+        if k is not None and loops[k] is None and family.lookup(pi.final)[0] == k:
+            loops[k] = e
     members: list[BrandtFamilyMember] = []
-    for proj in minimal:
-        loop = None
-        for e in c.elements:
-            pi = e.require_pi(cfg)
-            if approx_equal(pi.initial, proj, cfg) and approx_equal(pi.final, proj, cfg):
-                loop = e
-                break
+    for proj, loop in zip(minimal, loops):
         if loop is None:
             raise NoMinimalWithLoop(
                 f"no element has initial = final = the minimal projection with "
-                f"dominant coordinate {int(np.argmax(np.abs(np.diag(proj))))}")
+                f"dominant coordinate {dominant_index(proj)}")
         members.append(BrandtFamilyMember(frozen(proj),
-                                          int(round(float(np.trace(proj).real))), loop))
+                                          int(round(float(np.trace(proj).real))), loop,
+                                          range_basis(proj, cfg).basis))
 
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -817,11 +881,10 @@ def brandt_structure(c: ClosureResult,
         raise CoverageGap(
             f"family ranks sum to {total_rank}, not the dimension {c.dim}")
 
-    projections = [m.projection for m in members]
-    for e in c.elements:
-        ok, reason = _brandt_pair_check(e.matrix, projections, cfg)
-        if not ok:
-            raise MembershipViolation(f"element {word_label(e.word)}: {reason}")
+    failure = _brandt_pair_failure(c.store.stack(), [m.basis for m in members], cfg)
+    if failure is not None:
+        k, reason = failure
+        raise MembershipViolation(f"element {word_label(c.elements[k].word)}: {reason}")
 
     checks = {"loops": True, "orthogonal": True, "coverage": True, "membership": True}
     return BrandtStructure(c.dim, tuple(members), checks)
@@ -831,8 +894,8 @@ def brandt_membership(w, s: BrandtStructure,
                       cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Pair condition: every E1·w·E2 is zero or a partial isometry moving E2
     exactly onto E1."""
-    ok, _ = _brandt_pair_check(_square(w, s.dim), [m.projection for m in s.family], cfg)
-    return ok
+    mats = _square(w, s.dim)[None]
+    return _brandt_pair_failure(mats, [m.basis for m in s.family], cfg) is None
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Every demo script runs to completion.  Their output is not compared: it
-prints round-off digits that depend on the BLAS build."""
+"""Every demo script runs to completion, from the repo root and from any
+other directory.  Their output is not compared: it prints round-off digits
+that depend on the BLAS build."""
 
 import os
 import pathlib
@@ -16,11 +17,20 @@ def test_demos_are_found():
     assert DEMOS
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo):
+def run_demo(demo, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    run_demo(demo, ROOT)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs_from_another_directory(demo, tmp_path):
+    run_demo(demo, tmp_path)
