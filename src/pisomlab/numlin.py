@@ -3,10 +3,15 @@
 Every other module builds on the predicates and subspace primitives here.
 All matrices are numpy complex128 arrays; all comparisons are relative to a
 :class:`ToleranceConfig`.
+
+Each tolerance rule lives once, over stacks, and scalar predicates apply it
+to one matrix: equal_rule (approx_equal), projection_rule (is_projection,
+projection_family) and pisom.partial_isometry_rule (make_partial_isometry).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +97,31 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack."""
+    x = np.ascontiguousarray(x)
+    flat = x.reshape(x.shape[0], math.prod(x.shape[1:])).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def equal_rule(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """approx_equal's rule over stacks (b broadcasts against a): a mask of
+    the members with ||a-b|| <= eq_tol * max(1, ||a||, ||b||)."""
+    a, b = np.broadcast_arrays(a, b)
+    bound = cfg.eq_tol ** 2 * np.maximum(1.0, np.maximum(_squared_norms(a), _squared_norms(b)))
+    return _squared_norms(a - b) <= bound
+
+
+def projection_rule(ps: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """is_projection's rule over a k x n x n stack: a mask of the members
+    whose hermiticity and idempotency defects are both within
+    proj_tol * max(1, ||P||)."""
+    bound = cfg.proj_tol ** 2 * np.maximum(1.0, _squared_norms(ps))
+    ok = _squared_norms(ps - ps.conj().transpose(0, 2, 1)) <= bound
+    ok &= _squared_norms(ps @ ps - ps) <= bound
+    return ok
+
+
 def approx_equal(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Relative Frobenius equality: ||a-b|| <= eq_tol * max(1, ||a||, ||b||).
 
@@ -101,8 +131,7 @@ def approx_equal(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     b = as_matrix(b)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    scale = max(1.0, frobenius(a), frobenius(b))
-    return frobenius(a - b) <= cfg.eq_tol * scale
+    return bool(equal_rule(a[None], b[None], cfg)[0])
 
 
 def is_projection(a, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -110,10 +139,7 @@ def is_projection(a, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise NotSquare(f"projection test needs a square matrix, got {a.shape}")
-    scale = max(1.0, frobenius(a))
-    if frobenius(a - adjoint(a)) > cfg.proj_tol * scale:
-        return False
-    return frobenius(a @ a - a) <= cfg.proj_tol * scale
+    return bool(projection_rule(a[None], cfg)[0])
 
 
 def commutator_norm(a, b) -> float:

@@ -31,6 +31,7 @@ from .numlin import (
     full_subspace,
     intersect_with_projection,
     is_projection,
+    projection_rule,
 )
 from .pisom import PartialIsometry, make_partial_isometry
 
@@ -87,8 +88,10 @@ def projection_family(members, dim: int | None = None,
     for i, p in enumerate(mats):
         if p.shape != (dim, dim):
             raise ShapeMismatch(f"member {i} has shape {p.shape}, expected {(dim, dim)}")
-        if not is_projection(p, cfg):
-            raise NotProjection(f"member {i} is not a projection")
+    stack = np.array(mats, dtype=np.complex128).reshape(len(mats), dim, dim)
+    failing = np.flatnonzero(~projection_rule(stack, cfg))
+    if failing.size:
+        raise NotProjection(f"member {failing[0]} is not a projection")
     worst = 0.0
     worst_pair = None
     for i in range(len(mats)):
@@ -96,7 +99,7 @@ def projection_family(members, dim: int | None = None,
             c = commutator_norm(mats[i], mats[j])
             if c > worst:
                 worst, worst_pair = c, (i, j)
-    return ProjectionFamily(dim, tuple(frozen(p) for p in mats), worst, worst_pair)
+    return ProjectionFamily(dim, tuple(frozen(stack)), worst, worst_pair)
 
 
 @dataclass(frozen=True)

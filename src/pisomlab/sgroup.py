@@ -9,7 +9,9 @@ never silently promoted to Closed.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .numlin import (
     approx_equal,
     as_matrix,
     dominant_index,
+    equal_rule,
     frame_blocks,
     frobenius,
     frozen,
@@ -365,7 +368,8 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
         """Keep the store's member len(elements) as the next element."""
         if near is not None:
             near_pairs.append((near[0], len(elements), near[1]))
-        elements.append(SemigroupElement(frozen(mat), word, pi))
+        elements.append(SemigroupElement(frozen(mat) if pi is None else pi.matrix,
+                                         word, pi))
         queue.append(len(elements) - 1)
 
     limit_hit: str | None = None
@@ -611,7 +615,12 @@ def enrich_projections(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
 class IrreducibilityResult:
     irreducible: bool
     span_dim: int
-    witness: Subspace | None
+    _search: Callable[[], Subspace | None] = field(repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> Subspace | None:
+        """An invariant subspace, searched for on the first read."""
+        return self._search()
 
 
 def is_irreducible(gens: GeneratorSet, cfg: ToleranceConfig = DEFAULT_TOL,
@@ -668,10 +677,10 @@ def is_irreducible(gens: GeneratorSet, cfg: ToleranceConfig = DEFAULT_TOL,
         frontier = fresh
 
     if span_dim == n * n:
-        return IrreducibilityResult(True, span_dim, None)
-
-    witness = _invariant_subspace_witness(gen_mats, span_mats, n, cfg, seed)
-    return IrreducibilityResult(False, span_dim, witness)
+        return IrreducibilityResult(True, span_dim, lambda: None)
+    return IrreducibilityResult(
+        False, span_dim,
+        lambda: _invariant_subspace_witness(gen_mats, span_mats, n, cfg, seed))
 
 
 def _is_invariant(basis: np.ndarray, gen_mats, n: int, cfg: ToleranceConfig) -> bool:
@@ -801,7 +810,8 @@ def _brandt_pair_failure(mats: np.ndarray, bases,
                 ok, initial = partial_isometry_rule(blocks, cfg)
                 final = blocks @ blocks.conj().transpose(0, 2, 1)
                 code[ks, rows, cols] = np.select(
-                    [~ok, ~_near_identity(initial, cfg), ~_near_identity(final, cfg)],
+                    [~ok, ~equal_rule(initial, np.eye(b), cfg),
+                     ~equal_rule(final, np.eye(a), cfg)],
                     [1, 2, 3], 0)
         failing = np.flatnonzero(code)
         if failing.size:
@@ -809,14 +819,6 @@ def _brandt_pair_failure(mats: np.ndarray, bases,
             reason = _BRANDT_REASONS[code[k, i, j] - 1].format(i=i, j=j)
             return start + int(k), reason
     return None
-
-
-def _near_identity(stack: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """approx_equal(M, I) for each r x r member M of a stack."""
-    k, r = stack.shape[:2]
-    norms = np.linalg.norm(stack.reshape(k, -1), axis=1)
-    defects = np.linalg.norm((stack - np.eye(r)).reshape(k, -1), axis=1)
-    return defects <= cfg.eq_tol * np.maximum(max(1.0, np.sqrt(r)), norms)
 
 
 def brandt_structure(c: ClosureResult,
@@ -932,7 +934,7 @@ def check_intertwining_identity(c: ClosureResult, samples: int,
             rhs = rhs @ (sr @ adjoint(sr))
         residual = frobenius(lhs - rhs)
         worst = max(worst, residual)
-        if residual > cfg.eq_tol * max(1.0, frobenius(lhs), frobenius(rhs)):
+        if not approx_equal(lhs, rhs, cfg):
             raise IdentityViolation(
                 f"identity fails for S = {word_label(s_el.word)}, "
                 f"R = {[word_label(r.word) for r in r_els]} "

@@ -18,7 +18,7 @@ from pisomlab.invsg import (
     symmetric_inverse_table,
 )
 from pisomlab.jsonio import load_generator_problem
-from pisomlab.numlin import approx_equal, operator_norm
+from pisomlab.numlin import DEFAULT_TOL, approx_equal, operator_norm
 from pisomlab.pisom import (
     NotPartialIsometry,
     hw_decompose,
@@ -149,7 +149,11 @@ def test_criterion_02_product_criterion_fuzz():
             direct = True
         except NotPartialIsometry:
             direct = False
-        assert hw_product_test(v, w).is_pi == direct
+        result = hw_product_test(v, w)
+        assert result.is_pi == direct
+        # the paper's criterion: [Q_w, P_v] = 0, within proj_tol
+        scale = max(1.0, np.linalg.norm(w.final), np.linalg.norm(v.initial))
+        assert (result.commutator <= DEFAULT_TOL.proj_tol * scale) == direct
         agreements += 1
     assert agreements == 1000
     budget.done("1000/1000 agree")
