@@ -20,10 +20,10 @@ from .numlin import (
     ToleranceConfig,
     approx_equal,
     commutator_norm,
-    intersect_with_projection,
     is_projection,
     range_basis,
     rank,
+    split_by_projection,
 )
 from .pisom import (
     HWDecomposition,

@@ -62,38 +62,35 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
+def _typed_dataclass(cls, obj: dict, kind: str, types, convert, where: str):
+    """cls from its defaults and the fields of obj, each of which must be an
+    instance of types and not a boolean."""
+    fields = asdict(cls())
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise SchemaError(f"{where}: unknown {kind} fields {sorted(unknown)}")
+    for key, value in obj.items():
+        if isinstance(value, bool) or not isinstance(value, types):
+            expected = "an integer" if types is int else "a number"
+            raise SchemaError(f"{where}.{key}: expected {expected}, got {json.dumps(value)}")
+    try:
+        return cls(**{key: convert(value) for key, value in {**fields, **obj}.items()})
+    except (ValueError, OverflowError) as err:
+        raise SchemaError(f"{where}: {err}") from err
+
+
 def _parse_tolerance(obj, where: str) -> ToleranceConfig:
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return ToleranceConfig(eq_tol=float(obj), proj_tol=float(obj), rank_tol=float(obj))
     if isinstance(obj, dict):
-        allowed = {"eq_tol", "proj_tol", "rank_tol"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise SchemaError(f"{where}: unknown tolerance fields {sorted(unknown)}")
-        defaults = ToleranceConfig()
-        try:
-            return ToleranceConfig(
-                eq_tol=float(obj.get("eq_tol", defaults.eq_tol)),
-                proj_tol=float(obj.get("proj_tol", defaults.proj_tol)),
-                rank_tol=float(obj.get("rank_tol", defaults.rank_tol)))
-        except ValueError as err:
-            raise SchemaError(f"{where}: {err}") from err
+        return _typed_dataclass(ToleranceConfig, obj, "tolerance", (int, float), float, where)
     raise SchemaError(f"{where}: expected a number or an object of tolerances")
 
 
 def _parse_limits(obj, where: str) -> Limits:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
-    allowed = {"max_elements", "max_word_length"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SchemaError(f"{where}: unknown limit fields {sorted(unknown)}")
-    defaults = Limits()
-    try:
-        return Limits(max_elements=int(obj.get("max_elements", defaults.max_elements)),
-                      max_word_length=int(obj.get("max_word_length", defaults.max_word_length)))
-    except ValueError as err:
-        raise SchemaError(f"{where}: {err}") from err
+    return _typed_dataclass(Limits, obj, "limit", int, int, where)
 
 
 @dataclass(frozen=True)
@@ -139,9 +136,9 @@ def parse_generator_file(data) -> RawGeneratorFile:
     unknown = set(data) - allowed
     if unknown:
         raise SchemaError(f"top level: unknown fields {sorted(unknown)}")
-    if "dim" not in data or not isinstance(data["dim"], int) or data["dim"] < 1:
+    dim = data.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError("dim: expected a positive integer")
-    dim = data["dim"]
     tolerance = _parse_tolerance(data["tolerance"], "tolerance") if "tolerance" in data else None
     limits = _parse_limits(data["limits"], "limits") if "limits" in data else None
     raw_gens = data.get("generators", [])

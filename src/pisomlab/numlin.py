@@ -7,6 +7,8 @@ All matrices are numpy complex128 arrays; all comparisons are relative to a
 Each tolerance rule lives once, over stacks, and scalar predicates apply it
 to one matrix: equal_rule (approx_equal), projection_rule (is_projection,
 projection_family) and pisom.partial_isometry_rule (make_partial_isometry).
+Each family relation lives once too: pair_table (every pair's product and
+commutator norm) and split_by_projection (an atom cell's two halves).
 """
 
 from __future__ import annotations
@@ -151,11 +153,6 @@ def commutator_norm(a, b) -> float:
     return frobenius(a @ b - b @ a)
 
 
-def commutes(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    scale = max(1.0, frobenius(a), frobenius(b))
-    return commutator_norm(a, b) <= cfg.proj_tol * scale
-
-
 def _rank_from_singular_values(s: np.ndarray, cfg: ToleranceConfig,
                                ambiguity_factor: float | None = None) -> int:
     # everything here is a contraction, so a top singular value below
@@ -213,12 +210,6 @@ class Subspace:
             return np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
         return self.basis @ adjoint(self.basis)
 
-    def validate(self, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-        if self.dim == 0:
-            return True
-        gram = adjoint(self.basis) @ self.basis
-        return frobenius(gram - np.eye(self.dim)) <= cfg.proj_tol * max(1.0, frobenius(gram))
-
 
 def zero_subspace(n: int) -> Subspace:
     return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
@@ -250,26 +241,41 @@ def kernel_basis(a, cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     return Subspace(n, frozen(adjoint(vh[r:, :])))
 
 
-def intersect_with_projection(s: Subspace, p, take_range: bool,
-                              cfg: ToleranceConfig = DEFAULT_TOL,
-                              ambiguity_factor: float | None = None) -> Subspace:
-    """Intersect s with range(p) (take_range) or ker(p).
-
-    Requires p to be a projection commuting, within proj_tol, with the
-    orthogonal projection onto s; under that hypothesis the intersection is
-    the range of proj(s) @ p resp. proj(s) @ (I - p).
-    """
+def split_by_projection(s: Subspace, p, cfg: ToleranceConfig = DEFAULT_TOL,
+                        ambiguity_factor: float | None = None) -> tuple[Subspace, Subspace]:
+    """Split s into (s ∩ range(p), s ∩ ker(p)): the ranges of proj(s) @ p and
+    proj(s) @ (I - p), which requires p to be a projection commuting, within
+    proj_tol, with proj(s); their dimensions must add up to dim(s)."""
     p = as_matrix(p)
     if p.shape != (s.ambient_dim, s.ambient_dim):
         raise ShapeMismatch(
             f"projection shape {p.shape} does not match ambient dim {s.ambient_dim}")
     ps = s.projection()
-    if not commutes(ps, p, cfg):
+    commutator = commutator_norm(ps, p)
+    if commutator > cfg.proj_tol * max(1.0, frobenius(ps), frobenius(p)):
         raise NonCommuting(
             f"projection does not commute with the subspace projection "
-            f"(commutator norm {commutator_norm(ps, p):.3e})")
-    target = ps @ p if take_range else ps @ (np.eye(s.ambient_dim) - p)
-    return range_basis(target, cfg, ambiguity_factor)
+            f"(commutator norm {commutator:.3e})")
+    inside = range_basis(ps @ p, cfg, ambiguity_factor)
+    outside = range_basis(ps @ (np.eye(s.ambient_dim) - p), cfg, ambiguity_factor)
+    if inside.dim + outside.dim != s.dim:
+        raise InvariantViolation(
+            f"cell of dimension {s.dim} split into {inside.dim} + {outside.dim}")
+    return inside, outside
+
+
+def pair_table(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k x k tables of ||P_i P_j|| and ||P_i P_j - P_j P_i|| over a k x n x n
+    stack for i < j, zero elsewhere; a table's first maximum in row-major
+    order is the first pair a loop over i and then j > i finds."""
+    k = len(stack)
+    products = np.zeros((k, k))
+    commutators = np.zeros((k, k))
+    for i in range(k - 1):
+        ab = stack[i] @ stack[i + 1:]
+        products[i, i + 1:] = np.sqrt(_squared_norms(ab))
+        commutators[i, i + 1:] = np.sqrt(_squared_norms(ab - stack[i + 1:] @ stack[i]))
+    return products, commutators
 
 
 def frame_blocks(stack: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -21,17 +21,17 @@ from .numlin import (
     ShapeMismatch,
     Subspace,
     ToleranceConfig,
-    approx_equal,
     as_matrix,
-    commutator_norm,
     dominant_index,
+    equal_rule,
     frame_blocks,
     frobenius,
     frozen,
     full_subspace,
-    intersect_with_projection,
     is_projection,
+    pair_table,
     projection_rule,
+    split_by_projection,
 )
 from .pisom import PartialIsometry, make_partial_isometry
 
@@ -92,13 +92,11 @@ def projection_family(members, dim: int | None = None,
     failing = np.flatnonzero(~projection_rule(stack, cfg))
     if failing.size:
         raise NotProjection(f"member {failing[0]} is not a projection")
-    worst = 0.0
-    worst_pair = None
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            c = commutator_norm(mats[i], mats[j])
-            if c > worst:
-                worst, worst_pair = c, (i, j)
+    commutators = pair_table(stack)[1]
+    worst, worst_pair = 0.0, None
+    if commutators.any():
+        i, j = np.unravel_index(np.argmax(commutators), commutators.shape)
+        worst, worst_pair = float(commutators[i, j]), (int(i), int(j))
     return ProjectionFamily(dim, tuple(frozen(stack)), worst, worst_pair)
 
 
@@ -158,12 +156,7 @@ def boolean_atoms(fam: ProjectionFamily,
     for p in fam.members:
         split: list[tuple[Subspace, tuple[bool, ...]]] = []
         for sub, pattern in cells:
-            inside = intersect_with_projection(sub, p, True, cfg, ambiguity_factor=10.0)
-            outside = intersect_with_projection(sub, p, False, cfg, ambiguity_factor=10.0)
-            if inside.dim + outside.dim != sub.dim:
-                raise InvariantViolation(
-                    f"cell of dimension {sub.dim} split into "
-                    f"{inside.dim} + {outside.dim}")
+            inside, outside = split_by_projection(sub, p, cfg, ambiguity_factor=10.0)
             if inside.dim > 0:
                 split.append((inside, pattern + (True,)))
             if outside.dim > 0:
@@ -185,19 +178,20 @@ def boolean_atoms(fam: ProjectionFamily,
 
 def _validate_atoms(dec: AtomDecomposition, fam: ProjectionFamily,
                     cfg: ToleranceConfig) -> None:
-    total = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    for i, a in enumerate(dec.atoms):
-        total += a
-        for j in range(i + 1, len(dec.atoms)):
-            if frobenius(a @ dec.atoms[j]) > cfg.proj_tol * dec.dim:
-                raise InvariantViolation(f"atoms {i} and {j} are not orthogonal")
-    if not approx_equal(total, np.eye(dec.dim), cfg):
-        raise InvariantViolation("atoms do not sum to the identity")
-    for k, member in enumerate(fam.members):
-        recon = sum((dec.atoms[i] for i in range(len(dec)) if dec.generator_masks[k][i]),
-                    start=np.zeros((dec.dim, dec.dim), dtype=np.complex128))
-        if not approx_equal(recon, member, cfg):
-            raise InvariantViolation(f"family member {k} is not the sum of its atoms")
+    atoms = np.array(dec.atoms)
+    overlapping = pair_table(atoms)[0] > cfg.proj_tol * dec.dim
+    if overlapping.any():
+        i, j = np.unravel_index(np.argmax(overlapping), overlapping.shape)
+        raise InvariantViolation(f"atoms {i} and {j} are not orthogonal")
+    # row 0 sums every atom to the identity, row k + 1 sums member k's atoms
+    masks = np.array([(True,) * len(dec)] + list(dec.generator_masks), dtype=np.complex128)
+    sums = np.tensordot(masks, atoms, axes=1)
+    targets = np.array([np.eye(dec.dim)] + list(fam.members), dtype=np.complex128)
+    failing = np.flatnonzero(~equal_rule(sums, targets, cfg))
+    if failing.size:
+        k = failing[0] - 1
+        raise InvariantViolation("atoms do not sum to the identity" if k < 0
+                                 else f"family member {k} is not the sum of its atoms")
 
 
 def standard_projection(atoms: AtomDecomposition, subset) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +22,7 @@ from .numlin import (
     ShapeMismatch,
     Subspace,
     ToleranceConfig,
+    _squared_norms,
     adjoint,
     approx_equal,
     as_matrix,
@@ -31,6 +32,7 @@ from .numlin import (
     frobenius,
     frozen,
     kernel_basis,
+    pair_table,
     range_basis,
 )
 from .pisom import (PartialIsometry, make_partial_isometry, partial_isometry_defect,
@@ -502,12 +504,13 @@ def check_pq_contained(c: ClosureResult, cfg: ToleranceConfig = DEFAULT_TOL) -> 
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
+    base = base.replace("*", "'")
     name = base
     k = 1
-    while name in taken or "*" in name:
+    while name in taken:
         name = f"{base}#{k}"
         k += 1
-    return name.replace("*", "'")
+    return name
 
 
 def _adjoin_until_fixed(c: ClosureResult, propose, limits: Limits,
@@ -533,10 +536,11 @@ def _adjoin_until_fixed(c: ClosureResult, propose, limits: Limits,
             missing.append((name, np.asarray(mat)))
         if not missing:
             break
-        gens = generator_set(list(current.generators.named_generators) + missing,
-                             dim=current.dim,
-                             include_identity=current.generators.include_identity,
-                             include_zero=current.generators.include_zero, cfg=cfg)
+        # validate only the new ones: current generators may be adjoints 'NAME*'
+        added = generator_set(missing, dim=current.dim, cfg=cfg)
+        gens = replace(current.generators,
+                       named_generators=current.generators.named_generators + added.named_generators,
+                       pisoms=current.generators.pisoms + added.pisoms)
         current = close(gens, limits, monitor_pi=True, cfg=cfg)
         if current.status != CLOSED:
             return current
@@ -761,10 +765,17 @@ class BrandtStructure:
         return tuple(m.rank for m in self.family)
 
 
-def _is_subprojection(small: np.ndarray, big: np.ndarray,
-                      cfg: ToleranceConfig) -> bool:
-    scale = max(1.0, frobenius(small), frobenius(big))
-    return frobenius(big @ small - small) <= cfg.proj_tol * scale
+def _minimal_projections(union: np.ndarray, cfg: ToleranceConfig) -> list[np.ndarray]:
+    """The members p of a k x n x n stack with no member q strictly below:
+    pq = q within proj_tol * max(1, ||q||, ||p||) and q != p by equal_rule."""
+    norms = np.sqrt(_squared_norms(union))
+    minimal = []
+    for p, norm in zip(union, norms):
+        below = (np.sqrt(_squared_norms(p @ union - union))
+                 <= cfg.proj_tol * np.maximum(max(1.0, norm), norms))
+        if not np.any(below & ~equal_rule(union, p, cfg)):
+            minimal.append(p)
+    return minimal
 
 
 # matrix entries per conjugated chunk of elements, which bounds the memory
@@ -837,16 +848,7 @@ def brandt_structure(c: ClosureResult,
     for proj in fams.p_set.members + fams.q_set.members:
         if frobenius(proj) > cfg.eq_tol:
             distinct.add(proj)
-    union = distinct.matrices()
-
-    minimal: list[np.ndarray] = []
-    for p in union:
-        strictly_below = any(
-            _is_subprojection(q, p, cfg) and not approx_equal(q, p, cfg)
-            for q in union)
-        if not strictly_below:
-            minimal.append(p)
-    minimal.sort(key=dominant_index)
+    minimal = sorted(_minimal_projections(distinct.stack(), cfg), key=dominant_index)
 
     family = _ElementStore(c.dim, cfg, minimal)
     loops: list[SemigroupElement | None] = [None] * len(minimal)
@@ -873,11 +875,11 @@ def brandt_structure(c: ClosureResult,
                                           int(round(float(np.trace(proj).real))), loop,
                                           range_basis(proj, cfg).basis))
 
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            prod = members[i].projection @ members[j].projection
-            if frobenius(prod) > cfg.proj_tol * c.dim:
-                raise CoverageGap(f"minimal projections {i} and {j} are not orthogonal")
+    projections = np.array([m.projection for m in members]).reshape(-1, c.dim, c.dim)
+    overlapping = pair_table(projections)[0] > cfg.proj_tol * c.dim
+    if overlapping.any():
+        i, j = np.unravel_index(np.argmax(overlapping), overlapping.shape)
+        raise CoverageGap(f"minimal projections {i} and {j} are not orthogonal")
     total_rank = sum(m.rank for m in members)
     if total_rank != c.dim:
         raise CoverageGap(

@@ -205,6 +205,44 @@ def test_zero_limit_is_an_input_error(fixtures_dir, capsys, flag):
     assert capsys.readouterr().err == "error: limits must be positive\n"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("dim", True),
+    ("limits", {"max_elements": None}),
+    ("limits", {"max_elements": [3]}),
+    ("limits", {"max_elements": 2.5}),
+    ("limits", {"max_elements": True}),
+    ("limits", {"max_elements": "7"}),
+    ("limits", {"max_word_length": 4.0}),
+    ("tolerance", {"eq_tol": None}),
+    ("tolerance", {"eq_tol": "1e-6"}),
+    ("tolerance", {"proj_tol": False}),
+], ids=repr)
+def test_badly_typed_field_is_an_input_error(tmp_path, capsys, field, value):
+    # dim and limits must be JSON integers, tolerances JSON numbers, and
+    # neither may be a boolean
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"dim": 2, "generators": [], field: value}))
+    assert main(["report", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+
+def test_well_typed_fields_are_accepted(tmp_path):
+    # an integer is a JSON number: proj_tol = 1 fails the range check, not the type check
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"dim": 2, "generators": [],
+                                "limits": {"max_elements": 7, "max_word_length": 3},
+                                "tolerance": {"eq_tol": 1e-6, "proj_tol": 1}}))
+    with pytest.raises(SchemaError, match=r"proj_tol must lie in \(0, 1e-2\], got 1\.0"):
+        load_generator_problem(str(path))
+    path.write_text(json.dumps({"dim": 2, "generators": [],
+                                "limits": {"max_elements": 7, "max_word_length": 3},
+                                "tolerance": {"eq_tol": 1e-6}}))
+    problem = load_generator_problem(str(path))
+    assert (problem.limits.max_elements, problem.limits.max_word_length) == (7, 3)
+    assert (problem.tolerance.eq_tol, problem.tolerance.proj_tol) == (1e-6, 1e-8)
+
+
 @pytest.mark.parametrize("eps,kind", [(1e-9, "IllConditionedSplit"),
                                        (2e-9, "IllConditionedSplit"),
                                        (5e-9, "IllConditionedSplit"),

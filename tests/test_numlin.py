@@ -14,11 +14,11 @@ from pisomlab.numlin import (
     approx_equal,
     commutator_norm,
     full_subspace,
-    intersect_with_projection,
     is_projection,
     kernel_basis,
     range_basis,
     rank,
+    split_by_projection,
     zero_subspace,
 )
 from conftest import coord_projection, golden_generators, half_projection
@@ -117,40 +117,41 @@ def test_kernel_basis_complements_range():
 
 def test_subspace_validation():
     sub = full_subspace(3)
-    assert sub.validate()
+    assert np.array_equal(sub.basis.conj().T @ sub.basis, np.eye(3))
     assert zero_subspace(3).dim == 0
     with pytest.raises(ShapeMismatch):
         Subspace(2, np.zeros((3, 1)))
 
 
-def test_intersect_with_projection_coordinate():
+def test_split_by_projection_coordinate():
     F = coord_projection()
     full = full_subspace(2)
-    inside = intersect_with_projection(full, F, True)
+    inside, outside = split_by_projection(full, F)
     assert inside.dim == 1
     assert abs(abs(inside.basis[0, 0]) - 1.0) < 1e-12
+    assert outside.dim == 1
     e1 = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
-    outside = intersect_with_projection(e1, F, False)
-    assert outside.dim == 0
+    inside, outside = split_by_projection(e1, F)
+    assert (inside.dim, outside.dim) == (1, 0)
 
 
-def test_intersect_with_projection_golden_block():
+def test_split_by_projection_golden_block():
     # final projection of B is the identity on the first 2x2 block
     _, B, _ = golden_generators()
     QB = B @ B.conj().T
-    sub = intersect_with_projection(full_subspace(8), QB, True)
-    assert sub.dim == 2
+    sub, rest = split_by_projection(full_subspace(8), QB)
+    assert (sub.dim, rest.dim) == (2, 6)
     proj = sub.projection()
     expected = np.zeros((8, 8))
     expected[0, 0] = expected[1, 1] = 1.0
     assert np.allclose(proj, expected)
 
 
-def test_intersect_with_projection_noncommuting():
+def test_split_by_projection_noncommuting():
     E = half_projection()
     e1 = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
     with pytest.raises(NonCommuting):
-        intersect_with_projection(e1, E, True)
+        split_by_projection(e1, E)
 
 
 def test_intersect_dimension_additivity():
@@ -158,10 +159,9 @@ def test_intersect_dimension_additivity():
     for _ in range(10):
         n = 6
         d = np.diag(rng.integers(0, 2, size=n).astype(complex))
-        sub = full_subspace(n)
-        inside = intersect_with_projection(sub, d, True)
-        outside = intersect_with_projection(sub, d, False)
+        inside, outside = split_by_projection(full_subspace(n), d)
         assert inside.dim + outside.dim == n
+        assert inside.dim == rank(d)
 
 
 def test_commutator_norm_examples():

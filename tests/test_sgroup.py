@@ -1,5 +1,10 @@
 """Unit and property tests for the semigroup engine."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,6 +43,8 @@ from factories import (
     pq_equal_instance,
     uniform_multiplicity_instance,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def golden_gens():
@@ -211,6 +218,31 @@ def test_adjoin_final_projections_fixed_point():
     # identity alone: unchanged
     ident = close(generator_set([], dim=2))
     assert len(adjoin_final_projections(ident).elements) == 1
+
+
+ADJOIN_AFTER_ADJOINTS = """
+import numpy as np
+from pisomlab.sgroup import Limits, adjoin_final_projections, generator_set, selfadjoint_closure
+e21, e32 = np.zeros((3, 3)), np.zeros((3, 3))
+e21[1, 0] = e32[2, 1] = 1.0
+c = selfadjoint_closure(generator_set([("A", e21), ("B", e32)]), Limits(5, 16))
+print(" ".join(adjoin_final_projections(c, Limits(5, 16)).generators.names))
+"""
+
+
+def test_adjoin_after_adjoints_names_fresh_generators():
+    # the selfadjoint closure holds generators named 'A*'; adjoining Q[A*]
+    # must name it Q[A'] and return (a child process, so that a hang fails)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    try:
+        proc = subprocess.run([sys.executable, "-c", ADJOIN_AFTER_ADJOINTS], env=env,
+                              capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("adjoin_final_projections did not return within 60 s")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["A", "B", "A*", "B*", "Q[A]", "Q[B]", "Q[A']"]
 
 
 def test_adjoin_algebra_projections_golden():
