@@ -82,23 +82,22 @@ class Session:
 
     def __init__(self, problem: GeneratorProblem, request: AnalysisRequest):
         self.problem = problem
-        self.cfg = request.tolerance or problem.tolerance or DEFAULT_TOL
         self.limits = request.limits or problem.limits or DEFAULT_LIMITS
         self.seed = request.seed
 
     @cached_property
     def base(self):
         """Monitored closure of the generators."""
-        return close(self.problem.gens, self.limits, monitor_pi=True, cfg=self.cfg)
+        return close(self.problem.gens, self.limits, monitor_pi=True)
 
     @cached_property
     def extended(self):
         """Monitored closure of the generators and their adjoints."""
-        return selfadjoint_closure(self.problem.gens, self.limits, self.cfg)
+        return selfadjoint_closure(self.problem.gens, self.limits)
 
     @cached_property
     def q_commuting(self) -> bool:
-        return family_projections(self.base, self.cfg).q_set.is_commuting(self.cfg)
+        return family_projections(self.base).q_set.is_commuting()
 
     @cached_property
     def atoms(self):
@@ -107,8 +106,7 @@ class Session:
         if not self.q_commuting:
             return None, None
         try:
-            return boolean_atoms(family_projections(self.base, self.cfg).q_set,
-                                 self.cfg), None
+            return boolean_atoms(family_projections(self.base).q_set), None
         except PisomError as err:
             return None, _error(err)
 
@@ -116,7 +114,7 @@ class Session:
     def brandt(self):
         """(structure, None) or (None, brandt_error)."""
         try:
-            return brandt_structure(self.base, self.cfg), None
+            return brandt_structure(self.base), None
         except PisomError as err:
             return None, _error(err)
 
@@ -130,7 +128,8 @@ class Session:
         else:
             cert = {"verdict": "Extendable"}
         cert["provenance"] = {"tool": f"pisomlab {__version__}",
-                              "tolerances": asdict(self.cfg), "limits": asdict(self.limits),
+                              "tolerances": asdict(self.problem.gens.cfg),
+                              "limits": asdict(self.limits),
                               "seed": self.seed}
         return cert
 
@@ -218,7 +217,7 @@ def cmd_decompose(s: Session) -> dict:
     rows = []
     for name, mat in s.problem.gens.named_generators:
         try:
-            blocks = decompose_by_atoms(mat, atoms, s.cfg)
+            blocks = decompose_by_atoms(mat, atoms)
             rows.append({"name": name, "decomposable": True,
                          "block_dims": [b.shape[0] for b in blocks]})
         except OffDiagonalResidual as err:
@@ -256,10 +255,9 @@ def cmd_barnes(request: AnalysisRequest) -> dict:
     distinct = _ElementStore(table.n, cfg)
     for pi in images:
         distinct.add(pi.matrix)
-    named = [(table.name_of(i).replace("*", "'") or f"s{i}", pi.matrix)
-             for i, pi in enumerate(images)]
-    gens = generator_set(named, dim=table.n, include_identity=True, cfg=cfg)
-    closure = Session(GeneratorProblem(gens, None, None), request).extended
+    gens = generator_set([(f"s{i}", pi.matrix) for i, pi in enumerate(images)],
+                         dim=table.n, include_identity=True, cfg=cfg)
+    closure = selfadjoint_closure(gens, request.limits or DEFAULT_LIMITS)
     out.update({
         "injective": distinct.count == table.n,
         "all_partial_isometries": True,
@@ -272,7 +270,7 @@ def cmd_barnes(request: AnalysisRequest) -> dict:
 def cmd_report(s: Session) -> dict:
     base = s.base
     report: dict = {"command": "report", "dim": s.problem.gens.dim}
-    irred = is_irreducible(s.problem.gens, s.cfg, seed=s.seed)
+    irred = is_irreducible(s.problem.gens, seed=s.seed)
     report["irreducible"] = irred.irreducible
     report["span_dim"] = irred.span_dim
 
@@ -285,8 +283,8 @@ def cmd_report(s: Session) -> dict:
 
     report["base_closure"] = _closure_summary(base)
     report["q_commuting"] = s.q_commuting
-    report["pq_equal"] = check_pq_equal(base, s.cfg)
-    report["pq_contained"] = check_pq_contained(base, s.cfg)
+    report["pq_equal"] = check_pq_equal(base)
+    report["pq_contained"] = check_pq_contained(base)
     atoms, error = s.atoms
     report["atoms"] = _atoms_summary(atoms)[0] if atoms is not None else None
     if error is not None:

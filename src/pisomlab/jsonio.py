@@ -197,13 +197,33 @@ def generator_problem_to_dict(problem: GeneratorProblem) -> dict:
     return out
 
 
+def _integers(obj, depth: int) -> bool:
+    """Is obj an integer (depth 0), or an array of depth-1 such values?"""
+    if depth == 0:
+        return isinstance(obj, int) and not isinstance(obj, bool)
+    return isinstance(obj, list) and all(_integers(x, depth - 1) for x in obj)
+
+
 def load_table_file(path: str) -> InverseSemigroupTable:
+    """Parse {n, mult, star, names?}: n and every mult and star entry are
+    integers, names an array of strings, and no other field is allowed."""
     data = load_json(path)
     if not isinstance(data, dict):
         raise SchemaError("top level: expected an object")
+    unknown = set(data) - {"n", "mult", "star", "names"}
+    if unknown:
+        raise SchemaError(f"top level: unknown fields {sorted(unknown)}")
+    for key, depth, expected in (("n", 0, "an integer"),
+                                 ("mult", 2, "an array of arrays of integers"),
+                                 ("star", 1, "an array of integers")):
+        if key in data and not _integers(data[key], depth):
+            raise SchemaError(f"{key}: expected {expected}")
+    names = data.get("names", [])
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise SchemaError("names: expected an array of strings")
     try:
         return table_from_dict(data)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise SchemaError(str(err)) from err
 
 

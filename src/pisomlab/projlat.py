@@ -68,18 +68,20 @@ class ProjectionFamily:
     members: tuple[np.ndarray, ...]
     max_pairwise_commutator: float
     worst_pair: tuple[int, int] | None
+    cfg: ToleranceConfig
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def is_commuting(self, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+    def is_commuting(self) -> bool:
         scale = max([1.0] + [frobenius(p) for p in self.members])
-        return self.max_pairwise_commutator <= cfg.proj_tol * scale
+        return self.max_pairwise_commutator <= self.cfg.proj_tol * scale
 
 
 def projection_family(members, dim: int | None = None,
                       cfg: ToleranceConfig = DEFAULT_TOL) -> ProjectionFamily:
-    """Validate a list of projections and record the worst pairwise commutator."""
+    """Validate a list of projections and record the worst pairwise
+    commutator; cfg is the tolerance of every analysis of the family."""
     mats = [as_matrix(p) for p in members]
     if dim is None:
         if not mats:
@@ -97,7 +99,7 @@ def projection_family(members, dim: int | None = None,
     if commutators.any():
         i, j = np.unravel_index(np.argmax(commutators), commutators.shape)
         worst, worst_pair = float(commutators[i, j]), (int(i), int(j))
-    return ProjectionFamily(dim, tuple(frozen(stack)), worst, worst_pair)
+    return ProjectionFamily(dim, tuple(frozen(stack)), worst, worst_pair, cfg)
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,7 @@ class AtomDecomposition:
     ranks: tuple[int, ...]
     generator_masks: tuple[tuple[bool, ...], ...]
     bases: tuple[np.ndarray, ...]
+    cfg: ToleranceConfig
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -135,8 +138,7 @@ def _atom_sort_key(sub: Subspace) -> tuple:
             tuple(rounded.imag.ravel().tolist()))
 
 
-def boolean_atoms(fam: ProjectionFamily,
-                  cfg: ToleranceConfig = DEFAULT_TOL) -> AtomDecomposition:
+def boolean_atoms(fam: ProjectionFamily) -> AtomDecomposition:
     """Split the space into joint eigenspaces of the family.
 
     Starting from the full space, each member splits every surviving cell
@@ -147,7 +149,7 @@ def boolean_atoms(fam: ProjectionFamily,
 
     The empty family yields the single atom I (the algebra C·I).
     """
-    if not fam.is_commuting(cfg):
+    if not fam.is_commuting():
         raise NonCommutingFamily(
             f"family members {fam.worst_pair} have commutator norm "
             f"{fam.max_pairwise_commutator:.3e}",
@@ -156,7 +158,7 @@ def boolean_atoms(fam: ProjectionFamily,
     for p in fam.members:
         split: list[tuple[Subspace, tuple[bool, ...]]] = []
         for sub, pattern in cells:
-            inside, outside = split_by_projection(sub, p, cfg, ambiguity_factor=10.0)
+            inside, outside = split_by_projection(sub, p, fam.cfg, ambiguity_factor=10.0)
             if inside.dim > 0:
                 split.append((inside, pattern + (True,)))
             if outside.dim > 0:
@@ -171,15 +173,14 @@ def boolean_atoms(fam: ProjectionFamily,
         tuple(pattern[k] for _, pattern in cells)
         for k in range(len(fam.members)))
 
-    decomposition = AtomDecomposition(fam.dim, atoms, ranks, masks, bases)
-    _validate_atoms(decomposition, fam, cfg)
+    decomposition = AtomDecomposition(fam.dim, atoms, ranks, masks, bases, fam.cfg)
+    _validate_atoms(decomposition, fam)
     return decomposition
 
 
-def _validate_atoms(dec: AtomDecomposition, fam: ProjectionFamily,
-                    cfg: ToleranceConfig) -> None:
+def _validate_atoms(dec: AtomDecomposition, fam: ProjectionFamily) -> None:
     atoms = np.array(dec.atoms)
-    overlapping = pair_table(atoms)[0] > cfg.proj_tol * dec.dim
+    overlapping = pair_table(atoms)[0] > dec.cfg.proj_tol * dec.dim
     if overlapping.any():
         i, j = np.unravel_index(np.argmax(overlapping), overlapping.shape)
         raise InvariantViolation(f"atoms {i} and {j} are not orthogonal")
@@ -187,7 +188,7 @@ def _validate_atoms(dec: AtomDecomposition, fam: ProjectionFamily,
     masks = np.array([(True,) * len(dec)] + list(dec.generator_masks), dtype=np.complex128)
     sums = np.tensordot(masks, atoms, axes=1)
     targets = np.array([np.eye(dec.dim)] + list(fam.members), dtype=np.complex128)
-    failing = np.flatnonzero(~equal_rule(sums, targets, cfg))
+    failing = np.flatnonzero(~equal_rule(sums, targets, dec.cfg))
     if failing.size:
         k = failing[0] - 1
         raise InvariantViolation("atoms do not sum to the identity" if k < 0
@@ -220,8 +221,7 @@ def multiplicity_profile(atoms: AtomDecomposition) -> MultiplicityProfile:
                                next(iter(counts)) if uniform else None)
 
 
-def decompose_by_atoms(t, atoms: AtomDecomposition,
-                       cfg: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+def decompose_by_atoms(t, atoms: AtomDecomposition) -> list[np.ndarray]:
     """Diagonal blocks of t in the atom bases; fails when t couples atoms.
 
     Succeeds iff every off-diagonal compression a_i t a_j (i != j) vanishes
@@ -235,27 +235,25 @@ def decompose_by_atoms(t, atoms: AtomDecomposition,
     # the first maximum in (i, j) order names the worst pair
     i, j = (int(k) for k in np.unravel_index(np.argmax(norms), norms.shape))
     residual = float(norms[i, j])
-    if residual > cfg.eq_tol * max(1.0, frobenius(t)):
+    if residual > atoms.cfg.eq_tol * max(1.0, frobenius(t)):
         raise OffDiagonalResidual(
             f"atoms {(i, j)} are coupled with residual {residual:.3e}",
             (i, j), residual)
     return [x[a:b, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 
-def membership_in_span(p, atoms: AtomDecomposition,
-                       cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+def membership_in_span(p, atoms: AtomDecomposition) -> bool:
     """Is the projection p a sum of atoms (i.e. in the span algebra)?"""
     p = as_matrix(p)
-    if not is_projection(p, cfg):
+    if not is_projection(p, atoms.cfg):
         raise NotProjection("membership_in_span expects a projection")
-    subset = _as_atom_subset(p, atoms, cfg)
+    subset = _as_atom_subset(p, atoms)
     return subset is not None
 
 
-def _as_atom_subset(p: np.ndarray, atoms: AtomDecomposition,
-                    cfg: ToleranceConfig) -> frozenset[int] | None:
+def _as_atom_subset(p: np.ndarray, atoms: AtomDecomposition) -> frozenset[int] | None:
     """Express p as a subset of atoms, or None when it is not standard."""
-    tol = cfg.eq_tol * max(1.0, frobenius(p))
+    tol = atoms.cfg.eq_tol * max(1.0, frobenius(p))
     x, offsets, norms = frame_blocks(p, atoms.bases)
     if np.any(np.triu(norms, 1) > tol):
         return None
@@ -270,8 +268,7 @@ def _as_atom_subset(p: np.ndarray, atoms: AtomDecomposition,
     return frozenset(chosen)
 
 
-def induced_atom_map(t: PartialIsometry, atoms: AtomDecomposition,
-                     cfg: ToleranceConfig = DEFAULT_TOL) -> dict[int, frozenset[int]]:
+def induced_atom_map(t: PartialIsometry, atoms: AtomDecomposition) -> dict[int, frozenset[int]]:
     """Atom image map: atom index i -> subset Y with final(t·a_i) = sum of Y.
 
     Each product t·a_i must validate as a partial isometry and its final
@@ -282,8 +279,8 @@ def induced_atom_map(t: PartialIsometry, atoms: AtomDecomposition,
         raise ShapeMismatch(f"operator dim {t.dim}, atoms dim {atoms.dim}")
     mapping: dict[int, frozenset[int]] = {}
     for i, a in enumerate(atoms.atoms):
-        product = make_partial_isometry(t.matrix @ a, cfg)
-        subset = _as_atom_subset(np.asarray(product.final), atoms, cfg)
+        product = make_partial_isometry(t.matrix @ a, atoms.cfg)
+        subset = _as_atom_subset(np.asarray(product.final), atoms)
         if subset is None:
             raise NotStandard(
                 f"final projection of t·atom[{i}] is not a standard projection")

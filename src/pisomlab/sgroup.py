@@ -92,6 +92,7 @@ class GeneratorSet:
     include_identity: bool
     include_zero: bool
     pisoms: tuple[PartialIsometry, ...]
+    cfg: ToleranceConfig
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -104,7 +105,8 @@ def generator_set(named, dim: int | None = None, include_identity: bool = True,
     """Validate named generator matrices (each must be a partial isometry).
 
     Names must be unique and must not contain '*', which is reserved for
-    adjoints in witness words.
+    adjoints in witness words; with include_zero the name '0' is reserved for
+    the zero matrix.  cfg is the tolerance of every analysis of the set.
     """
     pairs = []
     pisoms = []
@@ -114,6 +116,8 @@ def generator_set(named, dim: int | None = None, include_identity: bool = True,
             raise ValueError("generator names must be non-empty strings")
         if "*" in name:
             raise ValueError(f"generator name {name!r} contains reserved character '*'")
+        if include_zero and name == "0":
+            raise ValueError("generator name '0' is reserved for the zero matrix")
         if name in seen:
             raise ValueError(f"duplicate generator name {name!r}")
         seen.add(name)
@@ -127,7 +131,7 @@ def generator_set(named, dim: int | None = None, include_identity: bool = True,
     for name, mat in pairs:
         if mat.shape != (dim, dim):
             raise ShapeMismatch(f"generator {name!r} has shape {mat.shape}, expected {(dim, dim)}")
-    return GeneratorSet(dim, tuple(pairs), include_identity, include_zero, tuple(pisoms))
+    return GeneratorSet(dim, tuple(pairs), include_identity, include_zero, tuple(pisoms), cfg)
 
 
 @dataclass(frozen=True)
@@ -183,8 +187,8 @@ class _ElementStore:
     Candidates come from a grid over the sketch s(M) = Re<g, vec M> with g a
     fixed unit vector, so |s(a) - s(b)| <= ||a - b||: every member within the
     near radius R of a query lies in one of the (at most two) cells that
-    cover [s - R, s + R].  A query whose R exceeds half a cell (a looser tol,
-    or members of large norm) scans every member instead.
+    cover [s - R, s + R].  A query whose R exceeds half a cell (members or a
+    query of large norm, or an eq_tol near rounding) scans every member.
     """
 
     def __init__(self, dim: int, cfg: ToleranceConfig, mats=()):
@@ -203,24 +207,22 @@ class _ElementStore:
         for mat in mats:
             self.append(_square(mat, dim))
 
-    def lookup(self, mat: np.ndarray, tol: float | None = None):
-        """-> (match index | None, near-pair (index, distance) | None); tol
-        replaces the store's eq_tol for this one query."""
-        tol = self.cfg.eq_tol if tol is None else tol
+    def lookup(self, mat: np.ndarray):
+        """-> (match index | None, near-pair (index, distance) | None)."""
         norm = frobenius(mat)
-        idxs = self._candidates(mat, norm, tol)
+        idxs = self._candidates(mat, norm)
         if idxs is None:
             idxs = range(self.count)
         if not idxs:
             return None, None
-        return self._scan(mat, norm, tol, idxs)
+        return self._scan(mat, norm, idxs)
 
-    def _candidates(self, mat: np.ndarray, norm: float, tol: float) -> list[int] | None:
+    def _candidates(self, mat: np.ndarray, norm: float) -> list[int] | None:
         """Ascending indices of every member that can lie within the near
         radius of mat, or None when that radius exceeds half a cell."""
         scale = max(1.0, norm, self._max_norm)
         # padded for the rounding of both sketches and of the distances
-        reach = scale * (10.0 * tol * (1.0 + 1e-6) + 8.0 * self.dim ** 2 * _EPS)
+        reach = scale * (10.0 * self.cfg.eq_tol * (1.0 + 1e-6) + 8.0 * self.dim ** 2 * _EPS)
         if 2.0 * reach > self._width:
             return None
         s = self._sketch(mat)
@@ -231,10 +233,11 @@ class _ElementStore:
             found = sorted(found + self._cells[hi])
         return found
 
-    def _scan(self, mat: np.ndarray, norm: float, tol: float, idxs):
+    def _scan(self, mat: np.ndarray, norm: float, idxs):
         """The matching rule over the members idxs (ascending): the first
         match, else the nearest member within 10x the band, ties to the
         lower index."""
+        tol = self.cfg.eq_tol
         idxs = np.asarray(idxs, dtype=np.intp)
         norms = self._norms[idxs]
         scale = np.maximum(1.0, np.maximum(norms, norm))
@@ -286,8 +289,8 @@ class _ElementStore:
         self.append(mat)
         return True
 
-    def find(self, mat, tol: float | None = None) -> int | None:
-        return self.lookup(_square(mat, self.dim), tol)[0]
+    def find(self, mat) -> int | None:
+        return self.lookup(_square(mat, self.dim))[0]
 
     def stack(self) -> np.ndarray:
         """The members as one count x dim x dim array (a view)."""
@@ -318,27 +321,30 @@ class ClosureResult:
     witness_word: tuple[str, ...] | None = None
     witness_deviation: float | None = None
     near_duplicate_pairs: list[tuple[int, int, float]] = field(default_factory=list)
-    # family_projections memo, keyed by ToleranceConfig
-    families: dict = field(default_factory=dict, repr=False, compare=False)
+    # family_projections memo
+    families: FamilyProjections | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    @property
+    def cfg(self) -> ToleranceConfig:
+        return self.generators.cfg
+
     def matrices(self) -> list[np.ndarray]:
         return [e.matrix for e in self.elements]
 
-    def find(self, mat, cfg: ToleranceConfig = DEFAULT_TOL) -> int | None:
+    def find(self, mat) -> int | None:
         """Index of the first element, in insertion order, equal to mat under
-        approx_equal with cfg.eq_tol (ShapeMismatch unless mat is dim x dim)."""
-        return self.store.find(mat, cfg.eq_tol)
+        approx_equal (ShapeMismatch unless mat is dim x dim)."""
+        return self.store.find(mat)
 
     def evaluate(self, word) -> np.ndarray:
         return evaluate_word(self.name_map, word, self.dim)
 
 
 def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
-          monitor_pi: bool = False,
-          cfg: ToleranceConfig = DEFAULT_TOL) -> ClosureResult:
+          monitor_pi: bool = False) -> ClosureResult:
     """Breadth-first product closure of the generator set.
 
     Expansion is by right multiplication with generators, which enumerates
@@ -349,7 +355,7 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
     carrying a minimal-length witness word and its partial_isometry_defect.
     Hitting a limit yields TRUNCATED; limits are results, not errors.
     """
-    dim = gens.dim
+    dim, cfg = gens.dim, gens.cfg
     name_map: dict[str, np.ndarray] = {}
     gen_items: list[tuple[str, np.ndarray, PartialIsometry]] = []
     for (name, mat), pi in zip(gens.named_generators, gens.pisoms):
@@ -428,8 +434,7 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
                          limit_hit=limit_hit, near_duplicate_pairs=near_pairs)
 
 
-def adjoint_generator_set(gens: GeneratorSet,
-                          cfg: ToleranceConfig = DEFAULT_TOL) -> GeneratorSet:
+def adjoint_generator_set(gens: GeneratorSet) -> GeneratorSet:
     """Generators plus their adjoints, the adjoint of NAME named 'NAME*'.
 
     Adjoints already present among the generators (projections, or pairs that
@@ -437,7 +442,7 @@ def adjoint_generator_set(gens: GeneratorSet,
     """
     named = list(gens.named_generators)
     pisoms = list(gens.pisoms)
-    known = _ElementStore(gens.dim, cfg, [m for _, m in named])
+    known = _ElementStore(gens.dim, gens.cfg, [m for _, m in named])
     for (name, mat), pi in zip(gens.named_generators, gens.pisoms):
         adj = pi.adjoint()
         if known.add(adj.matrix):
@@ -445,14 +450,12 @@ def adjoint_generator_set(gens: GeneratorSet,
             pisoms.append(adj)
     # built directly: adjoints of validated partial isometries need no re-check,
     # and the public factory reserves '*' for exactly these names
-    return GeneratorSet(gens.dim, tuple(named), gens.include_identity,
-                        gens.include_zero, tuple(pisoms))
+    return replace(gens, named_generators=tuple(named), pisoms=tuple(pisoms))
 
 
-def selfadjoint_closure(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
-                        cfg: ToleranceConfig = DEFAULT_TOL) -> ClosureResult:
+def selfadjoint_closure(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
     """Monitored closure of the generators together with their adjoints."""
-    return close(adjoint_generator_set(gens, cfg), limits, monitor_pi=True, cfg=cfg)
+    return close(adjoint_generator_set(gens), limits, monitor_pi=True)
 
 
 @dataclass(frozen=True)
@@ -471,34 +474,32 @@ def same_projection_set(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
             and all(in_a.find(q) is not None for q in b))
 
 
-def family_projections(c: ClosureResult,
-                       cfg: ToleranceConfig = DEFAULT_TOL) -> FamilyProjections:
+def family_projections(c: ClosureResult) -> FamilyProjections:
     """Deduplicated initial and final projection families of all elements,
-    built once per closure and tolerance configuration."""
+    built once per closure."""
     if c.status == FAILURE:
         raise InvalidState("closure ended in a failure witness; no projection families")
-    fams = c.families.get(cfg)
-    if fams is None:
+    if c.families is None:
+        cfg = c.cfg
         ps, qs = _ElementStore(c.dim, cfg), _ElementStore(c.dim, cfg)
         for e in c.elements:
             pi = e.require_pi(cfg)
             ps.add(pi.initial)
             qs.add(pi.final)
-        fams = c.families[cfg] = FamilyProjections(
-            projection_family(ps.matrices(), c.dim, cfg),
-            projection_family(qs.matrices(), c.dim, cfg))
-    return fams
+        c.families = FamilyProjections(projection_family(ps.matrices(), c.dim, cfg),
+                                       projection_family(qs.matrices(), c.dim, cfg))
+    return c.families
 
 
-def check_pq_equal(c: ClosureResult, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    fams = family_projections(c, cfg)
-    return same_projection_set(fams.p_set.members, fams.q_set.members, cfg)
+def check_pq_equal(c: ClosureResult) -> bool:
+    fams = family_projections(c)
+    return same_projection_set(fams.p_set.members, fams.q_set.members, c.cfg)
 
 
-def check_pq_contained(c: ClosureResult, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    fams = family_projections(c, cfg)
+def check_pq_contained(c: ClosureResult) -> bool:
+    fams = family_projections(c)
     for proj in list(fams.p_set.members) + list(fams.q_set.members):
-        if c.find(proj, cfg) is None:
+        if c.find(proj) is None:
             return False
     return True
 
@@ -514,7 +515,6 @@ def _fresh_name(base: str, taken: set[str]) -> str:
 
 
 def _adjoin_until_fixed(c: ClosureResult, propose, limits: Limits,
-                        cfg: ToleranceConfig,
                         q_atoms: AtomDecomposition | None = None) -> ClosureResult:
     """Adjoin every proposed matrix that is not yet an element and re-close
     (monitored) until nothing is missing; c itself when nothing is.
@@ -526,10 +526,10 @@ def _adjoin_until_fixed(c: ClosureResult, propose, limits: Limits,
     current = c
     for _ in range(64):
         taken = set(current.name_map)
-        pending = _ElementStore(current.dim, cfg)
+        pending = _ElementStore(current.dim, current.cfg)
         missing: list[tuple[str, np.ndarray]] = []
         for base, mat in propose(current):
-            if current.find(mat, cfg) is not None or not pending.add(mat):
+            if current.find(mat) is not None or not pending.add(mat):
                 continue
             name = _fresh_name(base, taken)
             taken.add(name)
@@ -537,31 +537,31 @@ def _adjoin_until_fixed(c: ClosureResult, propose, limits: Limits,
         if not missing:
             break
         # validate only the new ones: current generators may be adjoints 'NAME*'
-        added = generator_set(missing, dim=current.dim, cfg=cfg)
+        added = generator_set(missing, dim=current.dim, cfg=current.cfg)
         gens = replace(current.generators,
                        named_generators=current.generators.named_generators + added.named_generators,
                        pisoms=current.generators.pisoms + added.pisoms)
-        current = close(gens, limits, monitor_pi=True, cfg=cfg)
+        current = close(gens, limits, monitor_pi=True)
         if current.status != CLOSED:
             return current
     else:
         raise InvariantViolation("projection adjunction did not stabilize")
     if q_atoms is not None:
-        after = boolean_atoms(family_projections(current, cfg).q_set, cfg)
-        if not same_projection_set(q_atoms.atoms, after.atoms, cfg):
+        after = boolean_atoms(family_projections(current).q_set)
+        if not same_projection_set(q_atoms.atoms, after.atoms, current.cfg):
             raise InvariantViolation("adjunction changed the Boolean algebra of Q")
     return current
 
 
-def _commuting_q(c: ClosureResult, cfg: ToleranceConfig) -> ProjectionFamily:
-    q_set = family_projections(c, cfg).q_set
-    if not q_set.is_commuting(cfg):
+def _commuting_q(c: ClosureResult) -> ProjectionFamily:
+    q_set = family_projections(c).q_set
+    if not q_set.is_commuting():
         raise NonCommutingQ("final projections do not commute")
     return q_set
 
 
-def adjoin_final_projections(c: ClosureResult, limits: Limits = DEFAULT_LIMITS,
-                             cfg: ToleranceConfig = DEFAULT_TOL) -> ClosureResult:
+def adjoin_final_projections(c: ClosureResult,
+                             limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
     """Adjoin Q_T for every element and re-close, iterated to a fixed point.
 
     On success every element's final projection is itself an element and the
@@ -571,15 +571,14 @@ def adjoin_final_projections(c: ClosureResult, limits: Limits = DEFAULT_LIMITS,
     """
     def finals(current):
         for e in current.elements:
-            yield f"Q[{word_label(e.word)}]", e.require_pi(cfg).final
+            yield f"Q[{word_label(e.word)}]", e.require_pi(current.cfg).final
 
-    atoms = boolean_atoms(_commuting_q(c, cfg), cfg)
-    return _adjoin_until_fixed(c, finals, limits, cfg, atoms)
+    atoms = boolean_atoms(_commuting_q(c))
+    return _adjoin_until_fixed(c, finals, limits, atoms)
 
 
 def adjoin_algebra_projections(c: ClosureResult, atoms: AtomDecomposition,
-                               limits: Limits = DEFAULT_LIMITS,
-                               cfg: ToleranceConfig = DEFAULT_TOL) -> ClosureResult:
+                               limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
     """Adjoin every atom of the Q algebra that is not yet an element and
     re-close, monitored; c itself is returned when nothing is missing.
 
@@ -588,13 +587,12 @@ def adjoin_algebra_projections(c: ClosureResult, atoms: AtomDecomposition,
     result the atom set is re-derived and compared; a change would violate
     the algebra-preservation guarantee.
     """
-    _commuting_q(c, cfg)
+    _commuting_q(c)
     named_atoms = [(f"E{i}", atom) for i, atom in enumerate(atoms.atoms)]
-    return _adjoin_until_fixed(c, lambda _: named_atoms, limits, cfg, atoms)
+    return _adjoin_until_fixed(c, lambda _: named_atoms, limits, atoms)
 
 
-def enrich_projections(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
-                       cfg: ToleranceConfig = DEFAULT_TOL) -> ClosureResult:
+def enrich_projections(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
     """Fixed point of adjoining both initial and final projections.
 
     Constructive stand-in for the maximal extensions produced by transfinite
@@ -605,14 +603,14 @@ def enrich_projections(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
     """
     def projections(current):
         for e in current.elements:
-            pi = e.require_pi(cfg)
+            pi = e.require_pi(current.cfg)
             yield f"Q[{word_label(e.word)}]", pi.final
             yield f"P[{word_label(e.word)}]", pi.initial
 
-    result = close(gens, limits, monitor_pi=True, cfg=cfg)
+    result = close(gens, limits, monitor_pi=True)
     if result.status != CLOSED:
         return result
-    return _adjoin_until_fixed(result, projections, limits, cfg)
+    return _adjoin_until_fixed(result, projections, limits)
 
 
 @dataclass(frozen=True)
@@ -627,8 +625,7 @@ class IrreducibilityResult:
         return self._search()
 
 
-def is_irreducible(gens: GeneratorSet, cfg: ToleranceConfig = DEFAULT_TOL,
-                   seed: int = 0) -> IrreducibilityResult:
+def is_irreducible(gens: GeneratorSet, seed: int = 0) -> IrreducibilityResult:
     """Burnside test: the unital algebra spanned by the semigroup is the full
     matrix algebra iff its linear span has dimension n^2.
 
@@ -637,7 +634,7 @@ def is_irreducible(gens: GeneratorSet, cfg: ToleranceConfig = DEFAULT_TOL,
     orthocomplement trick applied to the adjoint algebra.  Absence of a
     witness never weakens the dimension-based verdict.
     """
-    n = gens.dim
+    n, cfg = gens.dim, gens.cfg
     gen_mats = [m for _, m in gens.named_generators]
     # orthonormal rows of the span found so far: rows[:span_dim]
     rows = np.zeros((n * n, n * n), dtype=np.complex128)
@@ -722,18 +719,18 @@ def _invariant_subspace_witness(gen_mats, span_mats, n: int,
 
 
 def check_asb_nonzero(gens: GeneratorSet, a, b,
-                      cfg: ToleranceConfig = DEFAULT_TOL,
                       limits: Limits = Limits(2000, 8)) -> bool:
     """Does some word w (up to the limits) satisfy a·w·b != 0?
 
     A False answer only certifies absence up to the searched word length.
     """
+    cfg = gens.cfg
     a = as_matrix(a)
     b = as_matrix(b)
     if frobenius(a) <= cfg.eq_tol or frobenius(b) <= cfg.eq_tol:
         raise NonzeroRequired("a and b must both be nonzero")
     scale = max(1.0, frobenius(a), frobenius(b))
-    result = close(gens, limits, monitor_pi=False, cfg=cfg)
+    result = close(gens, limits, monitor_pi=False)
     for e in result.elements:
         if frobenius(a @ e.matrix @ b) > cfg.eq_tol * scale:
             return True
@@ -759,6 +756,7 @@ class BrandtStructure:
     dim: int
     family: tuple[BrandtFamilyMember, ...]
     checks: dict[str, bool]
+    cfg: ToleranceConfig
 
     @property
     def family_ranks(self) -> tuple[int, ...]:
@@ -832,8 +830,7 @@ def _brandt_pair_failure(mats: np.ndarray, bases,
     return None
 
 
-def brandt_structure(c: ClosureResult,
-                     cfg: ToleranceConfig = DEFAULT_TOL) -> BrandtStructure:
+def brandt_structure(c: ClosureResult) -> BrandtStructure:
     """Extract and verify the family of minimal projections with loops.
 
     Verification only: minimal members of the P/Q union are located, in
@@ -843,7 +840,8 @@ def brandt_structure(c: ClosureResult,
     (CoverageGap), and every element must pass the pair condition
     (MembershipViolation).
     """
-    fams = family_projections(c, cfg)
+    cfg = c.cfg
+    fams = family_projections(c)
     distinct = _ElementStore(c.dim, cfg)
     for proj in fams.p_set.members + fams.q_set.members:
         if frobenius(proj) > cfg.eq_tol:
@@ -891,15 +889,14 @@ def brandt_structure(c: ClosureResult,
         raise MembershipViolation(f"element {word_label(c.elements[k].word)}: {reason}")
 
     checks = {"loops": True, "orthogonal": True, "coverage": True, "membership": True}
-    return BrandtStructure(c.dim, tuple(members), checks)
+    return BrandtStructure(c.dim, tuple(members), checks, cfg)
 
 
-def brandt_membership(w, s: BrandtStructure,
-                      cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+def brandt_membership(w, s: BrandtStructure) -> bool:
     """Pair condition: every E1·w·E2 is zero or a partial isometry moving E2
     exactly onto E1."""
     mats = _square(w, s.dim)[None]
-    return _brandt_pair_failure(mats, [m.basis for m in s.family], cfg) is None
+    return _brandt_pair_failure(mats, [m.basis for m in s.family], s.cfg) is None
 
 
 @dataclass(frozen=True)
@@ -908,16 +905,15 @@ class IntertwiningReport:
     max_residual: float
 
 
-def check_intertwining_identity(c: ClosureResult, samples: int,
-                                cfg: ToleranceConfig = DEFAULT_TOL,
-                                seed: int = 0,
+def check_intertwining_identity(c: ClosureResult, samples: int, seed: int = 0,
                                 max_factors: int = 4) -> IntertwiningReport:
     """Sample the conjugation identity S (Q_R1 ... Q_Rm) S* = Q_SR1 ... Q_SRm.
 
     Tuples are drawn uniformly from the closure elements with m <= max_factors;
     any residual above eq_tol raises IdentityViolation naming the tuple.
     """
-    _commuting_q(c, cfg)
+    cfg = c.cfg
+    _commuting_q(c)
     if not c.elements:
         raise InvalidState("closure has no elements to sample")
     rng = np.random.default_rng(seed)

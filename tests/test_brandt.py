@@ -71,8 +71,8 @@ def structure_of(kind, m, rng, cfg):
     n = named[0][1].shape[0]
     w = random_unitary(rng, n)
     gens = generator_set([(name, w @ g @ w.conj().T) for name, g in named], dim=n, cfg=cfg)
-    c = close(gens, monitor_pi=True, cfg=cfg)
-    return c, brandt_structure(c, cfg)
+    c = close(gens, monitor_pi=True)
+    return c, brandt_structure(c)
 
 
 def unit_vector(rng, basis):
@@ -134,7 +134,7 @@ def test_frame_check_agrees_with_the_scalar_loop(seed, kind, m, cfg, shift, whic
     if violation is not None and shift == 0.0:
         assert expected is not None
     for w in perturbed:
-        assert brandt_membership(w, s, cfg) == reference_pair_check(w, projections, cfg)[0]
+        assert brandt_membership(w, s) == reference_pair_check(w, projections, cfg)[0]
 
 
 def test_frame_check_reports_the_first_element_across_chunks(monkeypatch):

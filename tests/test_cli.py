@@ -227,6 +227,56 @@ def test_badly_typed_field_is_an_input_error(tmp_path, capsys, field, value):
     assert err.startswith(f"error: {field}") and err.count("\n") == 1
 
 
+# the semilattice {0, 1}
+TABLE = {"n": 2, "mult": [[0, 0], [0, 1]], "star": [0, 1]}
+
+
+@pytest.mark.parametrize("changes", [
+    {"mult": None},
+    {"n": 2.7},
+    {"n": True, "mult": [[0]], "star": [0]},
+    {"mult": [[0, 0], [0, 1.9]]},
+    {"star": [0.4, 1.2]},
+    {"mult": [[False, False], [False, True]]},
+    {"mult": [["0", "0"], ["0", "1"]]},
+    {"star": [0, "1"]},
+    {"mult": [[0, 0], [0, 10 ** 30]]},
+    {"names": [1, 2]},
+    {"names": "ab"},
+    {"names": None},
+    {"extra": 1},
+], ids=repr)
+def test_badly_typed_table_is_an_input_error(tmp_path, capsys, changes):
+    # n and every mult and star entry must be JSON integers and not booleans,
+    # names an array of strings, and no other field is allowed
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({**TABLE, **changes}))
+    assert main(["barnes", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("names", [["a*", "a'"], ["", "s0"]])
+def test_barnes_output_does_not_depend_on_names(tmp_path, names):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(TABLE))
+    _, plain = run(AnalysisRequest("barnes", str(path)))
+    path.write_text(json.dumps({**TABLE, "names": names}))
+    code, report = run(AnalysisRequest("barnes", str(path)))
+    assert code == EXIT_OK
+    assert report == plain
+    assert report["closure_status"] == "closed"
+
+
+def test_generator_named_zero_is_reserved_with_include_zero(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dim": 2, "include_zero": True, "generators": [
+        {"name": "0", "matrix": [[0, 1], [1, 0]]}, {"name": "A", "matrix": [[0, 0], [1, 0]]}]}))
+    assert main(["closure", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: generators: generator name '0' is reserved for the zero matrix\n")
+
+
 def test_well_typed_fields_are_accepted(tmp_path):
     # an integer is a JSON number: proj_tol = 1 fails the range check, not the type check
     path = tmp_path / "typed.json"

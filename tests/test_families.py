@@ -3,6 +3,8 @@ the worst commuting pair of a projection family, the orthogonality of atoms
 and of Brandt families, the sum and reconstruction checks of an atom
 decomposition, the Brandt minimal search and the split of an atom cell."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,6 @@ from pisomlab.numlin import (
 from pisomlab.projlat import (
     AtomDecomposition,
     NonCommutingFamily,
-    ProjectionFamily,
     _atom_sort_key,
     _validate_atoms,
     boolean_atoms,
@@ -68,9 +69,10 @@ def reference_first_overlap(mats, bound):
     return None
 
 
-def reference_validate_atoms(dec, fam, cfg):
+def reference_validate_atoms(dec, fam):
     """_validate_atoms as a loop: orthogonality, then the sum, then the
     reconstruction of each member from its atoms."""
+    cfg = dec.cfg
     total = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
     for i, a in enumerate(dec.atoms):
         total += a
@@ -124,9 +126,10 @@ def reference_split(s, p, cfg=DEFAULT_TOL, ambiguity_factor=None):
     return inside, outside
 
 
-def reference_atoms(fam, cfg=DEFAULT_TOL):
+def reference_atoms(fam):
     """boolean_atoms over reference_split and reference_validate_atoms."""
-    if not fam.is_commuting(cfg):
+    cfg = fam.cfg
+    if not fam.is_commuting():
         raise NonCommutingFamily(
             f"family members {fam.worst_pair} have commutator norm "
             f"{fam.max_pairwise_commutator:.3e}",
@@ -146,8 +149,8 @@ def reference_atoms(fam, cfg=DEFAULT_TOL):
         fam.dim, tuple(frozen(sub.projection()) for sub, _ in cells),
         tuple(sub.dim for sub, _ in cells),
         tuple(tuple(pattern[k] for _, pattern in cells) for k in range(len(fam.members))),
-        tuple(frozen(sub.basis) for sub, _ in cells))
-    reference_validate_atoms(dec, fam, cfg)
+        tuple(frozen(sub.basis) for sub, _ in cells), cfg)
+    reference_validate_atoms(dec, fam)
     return dec
 
 
@@ -209,7 +212,7 @@ def coupled(dec, pairs, c):
     for i, j in pairs:
         x, y = dec.bases[i][:, 0], dec.bases[j][:, 0]
         atoms[i] += c * (np.outer(x, y.conj()) + np.outer(y, x.conj()))
-    return AtomDecomposition(dec.dim, tuple(atoms), dec.ranks, dec.generator_masks, dec.bases)
+    return replace(dec, atoms=tuple(atoms))
 
 
 def conjugated_diagonals(rng, n, k):
@@ -256,7 +259,7 @@ def test_family_relations_answer_as_the_pair_loops(seed, n, k, factor, cfg, nonc
         return
     fam = fam_outcome[1]
     assert_same_worst_pair(mats, fam)
-    assert_same_outcome(outcome(boolean_atoms, fam, cfg), outcome(reference_atoms, fam, cfg),
+    assert_same_outcome(outcome(boolean_atoms, fam), outcome(reference_atoms, fam),
                         same_atoms)
 
     cell = full_subspace(n)
@@ -278,7 +281,7 @@ def test_atom_validation_answers_as_the_loops(seed, n, factor, target, cfg):
     # equality scale, so that every check can fail
     rng = np.random.default_rng(seed)
     fam = projection_family(conjugated_diagonals(rng, n, 3), n, cfg)
-    dec = boolean_atoms(fam, cfg)
+    dec = boolean_atoms(fam)
     if target == "atoms":
         pairs = [rng.permutation(len(dec))[:2] for _ in range(3 if len(dec) > 1 else 0)]
         dec = coupled(dec, pairs, factor * cfg.proj_tol * n)
@@ -287,9 +290,9 @@ def test_atom_validation_answers_as_the_loops(seed, n, factor, target, cfg):
         k = rng.integers(len(fam))
         members = tuple(perturbed(rng, p, factor * cfg.eq_tol * max(1.0, frobenius(p)))
                         if i == k else p for i, p in enumerate(fam.members))
-        fam = ProjectionFamily(n, members, fam.max_pairwise_commutator, fam.worst_pair)
-    assert_same_outcome(outcome(_validate_atoms, dec, fam, cfg),
-                        outcome(reference_validate_atoms, dec, fam, cfg),
+        fam = replace(fam, members=members)
+    assert_same_outcome(outcome(_validate_atoms, dec, fam),
+                        outcome(reference_validate_atoms, dec, fam),
                         lambda a, b: None)
 
 
@@ -299,7 +302,7 @@ def test_first_overlapping_atoms_in_loop_order():
     dec = coupled(boolean_atoms(fam), [(1, 2), (0, 3)], 1e-6)
     for check in (_validate_atoms, reference_validate_atoms):
         with pytest.raises(InvariantViolation, match=r"^atoms 0 and 3 are not orthogonal$"):
-            check(dec, fam, DEFAULT_TOL)
+            check(dec, fam)
 
 
 @pytest.mark.parametrize("eps", (1e-9, 1e-8, 1e-7))

@@ -72,8 +72,9 @@ def cases() -> dict:
             for monitor in (True, False):
                 out[f"rotation-{theta:g}-tol{eq_tol:g}-{'mon' if monitor else 'raw'}"] = (
                     lambda theta=theta, eq_tol=eq_tol, monitor=monitor: close(
-                        generator_set([("R", rotation(theta)), ("P", P)], dim=2),
-                        SMALL, monitor_pi=monitor, cfg=ToleranceConfig(eq_tol=eq_tol)))
+                        generator_set([("R", rotation(theta)), ("P", P)], dim=2,
+                                      cfg=ToleranceConfig(eq_tol=eq_tol)),
+                        SMALL, monitor_pi=monitor))
     for d in OFFSETS:
         for monitor in (True, False):
             out[f"pq-{d:g}-{'mon' if monitor else 'raw'}"] = (

@@ -34,9 +34,9 @@ def first_match(mats, q, cfg):
     return next((i for i, m in enumerate(mats) if approx_equal(m, q, cfg)), None)
 
 
-def units_closure(n=3):
+def units_closure(n=3, cfg=CFG):
     named = [(f"E{i}{j}", matrix_unit(n, i, j)) for i in range(n) for j in range(n) if i != j]
-    return close(generator_set(named, dim=n), monitor_pi=True)
+    return close(generator_set(named, dim=n, cfg=cfg), monitor_pi=True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -53,10 +53,8 @@ def test_store_agrees_with_first_match_scan(seed, dim, size, gaps, shifts):
     d /= np.linalg.norm(d)
     offsets = np.cumsum([0.0] + gaps)
     mats = [x + t * CFG.eq_tol * max(1.0, size) * d for t in offsets]
-    store = _ElementStore(dim, CFG)
-    for m in mats:
-        store.append(m)
     for cfg in (CFG,) + OTHER_CFGS:
+        store = _ElementStore(dim, cfg, mats)
         unit = cfg.eq_tol * max(1.0, size)
         for pos in offsets * CFG.eq_tol / cfg.eq_tol:
             for shift in shifts:
@@ -66,14 +64,13 @@ def test_store_agrees_with_first_match_scan(seed, dim, size, gaps, shifts):
                     continue  # a distance exactly at the threshold is a coin flip
                 q = x + t * unit * d
                 want = first_match(mats, q, cfg)
-                assert store.find(q, cfg.eq_tol) == want
-                if cfg is CFG:
-                    assert store.lookup(q)[0] == want
+                assert store.find(q) == want
+                assert store.lookup(q)[0] == want
 
 
 @pytest.mark.parametrize("cfg", (CFG,) + OTHER_CFGS)
 def test_closure_find_answers_under_the_given_cfg(cfg):
-    c = units_closure()
+    c = units_closure(cfg=cfg)
     mats = c.matrices()
     rng = np.random.default_rng(1)
     d = rng.standard_normal((3, 3))
@@ -81,7 +78,7 @@ def test_closure_find_answers_under_the_given_cfg(cfg):
     for m in mats:
         for factor in (0.5, 1 - 1e-3, 1 + 1e-3, 2.0):
             q = m + factor * cfg.eq_tol * max(1.0, np.linalg.norm(m)) * d
-            assert c.find(q, cfg) == first_match(mats, q, cfg)
+            assert c.find(q) == first_match(mats, q, cfg)
 
 
 def test_closure_find_checks_its_input():
@@ -106,7 +103,9 @@ def test_family_projections_built_once_per_closure():
     c = units_closure()
     fams = family_projections(c)
     assert family_projections(c) is fams
-    assert family_projections(c, ToleranceConfig(eq_tol=1e-6)) is not fams
+    loose = units_closure(cfg=ToleranceConfig(eq_tol=1e-6))
+    fams = family_projections(loose)
+    assert fams.p_set.cfg == fams.q_set.cfg == ToleranceConfig(eq_tol=1e-6)
 
 
 def test_adjoin_algebra_projections_keeps_closure_when_atoms_are_elements():
@@ -188,7 +187,7 @@ def test_grid_across_a_cell_boundary_agrees_with_the_scan(seed, dim, size, along
             if any(abs(abs(t - o) - edge) < 1e-6 for o in offsets for edge in (1.0, 10.0)):
                 continue  # a distance exactly at a threshold is a coin flip
             q = x + t * unit * d
-            assert store._candidates(q, np.linalg.norm(q), CFG.eq_tol) is not None
+            assert store._candidates(q, np.linalg.norm(q)) is not None
             match, near = store.lookup(q)
             want_match, want_near = scan_reference(mats, q, CFG)
             assert match == want_match
@@ -210,8 +209,8 @@ def record_candidates(monkeypatch):
     seen = []
     original = _ElementStore._candidates
 
-    def recording(self, mat, norm, tol):
-        idxs = original(self, mat, norm, tol)
+    def recording(self, mat, norm):
+        idxs = original(self, mat, norm)
         seen.append(None if idxs is None else len(idxs))
         return idxs
 
@@ -229,18 +228,19 @@ def test_unitary_closure_lookups_take_few_candidates(dim, monkeypatch):
     assert max(seen) <= 8
 
 
-def test_looser_find_scans_everything_and_agrees(monkeypatch):
-    c = units_closure()
-    mats = c.matrices()
-    loose = ToleranceConfig(eq_tol=3e-8)
+def test_large_norm_find_scans_everything_and_agrees(monkeypatch):
+    # members of norm 10 sqrt(dim) put the near radius beyond half a cell
+    mats = [10.0 * np.sqrt(3) * m / np.linalg.norm(m) for m in units_closure().matrices()
+            if m.any()]
+    store = _ElementStore(3, CFG, mats)
     rng = np.random.default_rng(2)
     d = rng.standard_normal((3, 3))
     d /= np.linalg.norm(d)
     seen = record_candidates(monkeypatch)
     for m in mats:
         for factor in (0.5, 1 - 1e-3, 1 + 1e-3, 2.0):
-            q = m + factor * loose.eq_tol * max(1.0, np.linalg.norm(m)) * d
-            assert c.find(q, loose) == first_match(mats, q, loose)
+            q = m + factor * CFG.eq_tol * max(1.0, np.linalg.norm(m)) * d
+            assert store.find(q) == first_match(mats, q, CFG)
     assert seen and all(s is None for s in seen)
 
 
@@ -277,8 +277,8 @@ def test_truncated_closure_looks_up_nothing_past_the_limit(dim, monkeypatch):
     outcomes = []
     original = _ElementStore.lookup
 
-    def recording(self, mat, tol=None):
-        found = original(self, mat, tol)
+    def recording(self, mat):
+        found = original(self, mat)
         outcomes.append(found[0] is not None)
         return found
 

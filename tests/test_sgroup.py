@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pisomlab.numlin import approx_equal
+from pisomlab.numlin import ToleranceConfig, approx_equal
 from pisomlab.pisom import partial_isometry_defect
 from pisomlab.projlat import boolean_atoms, multiplicity_profile
 from pisomlab.sgroup import (
@@ -23,6 +23,7 @@ from pisomlab.sgroup import (
     NonzeroRequired,
     adjoin_algebra_projections,
     adjoin_final_projections,
+    adjoint_generator_set,
     brandt_membership,
     brandt_structure,
     check_asb_nonzero,
@@ -95,6 +96,29 @@ def test_close_include_zero():
     idx = result.find(np.zeros((2, 2)))
     assert idx is not None
     assert result.elements[idx].word == ("0",)
+
+
+def test_include_zero_reserves_the_name_zero():
+    # a generator named "0" would be shadowed by the adjoined zero matrix, so
+    # words naming it would replay to the wrong element
+    named = [("0", np.array([[0.0, 1.0], [1.0, 0.0]])), ("A", matrix_unit(2, 1, 0))]
+    with pytest.raises(ValueError, match=r"^generator name '0' is reserved for the zero matrix$"):
+        generator_set(named, include_zero=True)
+    c = close(generator_set(named), monitor_pi=True)
+    assert all(approx_equal(c.evaluate(e.word), e.matrix) for e in c.elements)
+
+
+def test_every_result_keeps_the_generators_tolerance():
+    cfg = ToleranceConfig(eq_tol=1e-6, proj_tol=1e-7, rank_tol=1e-7)
+    named = [(f"E{i}{i + 1}", matrix_unit(3, i - 1, i)) for i in (1, 2)]
+    gens = generator_set(named + [("E31", matrix_unit(3, 2, 0))], dim=3, cfg=cfg)
+    c = close(gens, monitor_pi=True)
+    fams = family_projections(c)
+    atoms = boolean_atoms(fams.q_set)
+    results = [adjoint_generator_set(gens), c, fams.p_set, fams.q_set, atoms,
+               brandt_structure(c), selfadjoint_closure(gens),
+               adjoin_final_projections(c), adjoin_algebra_projections(c, atoms)]
+    assert [r.cfg for r in results] == [cfg] * len(results)
 
 
 def test_close_respects_element_limit():

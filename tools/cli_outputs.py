@@ -7,10 +7,14 @@ can be compared with one `diff -r`:
 The inputs are the shipped fixtures and tables, the benchmark's corpus and
 units inputs for seeds 1-3 (built by perfbench/inputs.py, which is imported
 without writing anything next to it), pairs of projections on either side
-of the tolerances, and generator files with badly typed fields.  Each input
-is written to OUTDIR/inputs/ and every run reads it from there by a relative
-path, so no output depends on where OUTDIR is.  Generator files run every
-generator command in json and text format, tables run `barnes`.
+of the tolerances (also with a tolerance in the file), generator and table
+files with badly typed fields, and a generator named "0" next to
+include_zero.  Each input is written to OUTDIR/inputs/ and every run reads
+it from there by a relative path, so no output depends on where OUTDIR is.
+Generator files run every generator command in json and text format, tables
+run `barnes`.  The fixtures and the near-threshold pairs also run with
+`--tol 1e-6`, and the pairs that carry a tolerance also with `--tol 1e-8`,
+which covers the flag > file > default rule for the tolerance.
 
 Runs are in-process, through `pisomlab.cli.main`; an exception that escapes
 it (exit 1 and a traceback at the command line) is recorded as exit 1 with
@@ -62,6 +66,39 @@ def near_threshold_inputs() -> dict[str, dict]:
             for label, a, b in pairs}
 
 
+def file_tolerance_inputs() -> dict[str, dict]:
+    """The near-threshold pairs with a tolerance of 1e-6 in the file."""
+    return {f"{label}-file-tol": {**doc, "tolerance": 1e-6}
+            for label, doc in near_threshold_inputs().items()}
+
+
+def zero_name_input() -> dict[str, dict]:
+    """A generator named "0" while include_zero adjoins the zero matrix."""
+    return {"schema-zero-name": {"dim": 2, "include_zero": True, "generators": [
+        {"name": "0", "matrix": [[0, 1], [1, 0]]}, {"name": "A", "matrix": [[0, 0], [1, 0]]}]}}
+
+
+def badly_typed_tables() -> dict[str, dict]:
+    """Table files with a wrongly typed or unknown field, and two with names
+    that would collide as generator names."""
+    base = {"n": 2, "mult": [[0, 0], [0, 1]], "star": [0, 1]}
+    changes = {
+        "mult-null": {"mult": None},
+        "n-float": {"n": 2.7},
+        "n-true": {"n": True, "mult": [[0]], "star": [0]},
+        "mult-float": {"mult": [[0, 0], [0, 1.9]]},
+        "star-float": {"star": [0.4, 1.2]},
+        "mult-bool": {"mult": [[False, False], [False, True]]},
+        "mult-string": {"mult": [["0", "0"], ["0", "1"]]},
+        "names-ints": {"names": [1, 2]},
+        "names-string": {"names": "ab"},
+        "names-star": {"names": ["a*", "a'"]},
+        "names-empty": {"names": ["", "s0"]},
+        "unknown-field": {"extra": 1},
+    }
+    return {f"schema-table-{label}": {**base, **change} for label, change in changes.items()}
+
+
 def badly_typed_inputs() -> dict[str, dict]:
     """Generator files whose dim, limit or tolerance field has the wrong JSON type."""
     base = {"dim": 2, "generators": [{"name": "A", "matrix": [[1, 0], [0, 0]]}]}
@@ -87,8 +124,20 @@ def collect_inputs() -> tuple[dict[str, dict], dict[str, dict]]:
             target = tables if item.kind == "barnes" else gens
             target[f"bench-s{seed}-{item.label}"] = item.document
     gens.update(near_threshold_inputs())
+    gens.update(file_tolerance_inputs())
     gens.update(badly_typed_inputs())
+    gens.update(zero_name_input())
+    tables.update(badly_typed_tables())
     return gens, tables
+
+
+def tol_values(label: str) -> tuple[str, ...]:
+    """The --tol values an input also runs with."""
+    if label.endswith("-file-tol"):
+        return ("1e-6", "1e-8")
+    if label.startswith(("fixture-", "near-")):
+        return ("1e-6",)
+    return ()
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -111,12 +160,14 @@ def write_outputs(outdir: pathlib.Path) -> int:
     os.chdir(outdir)
     for label, doc in {**gens, **tables}.items():
         pathlib.Path("inputs", f"{label}.json").write_text(json.dumps(doc))
-    runs = [(label, command) for label in gens for command in GENERATOR_COMMANDS]
-    runs += [(label, "barnes") for label in tables]
-    for label, command in runs:
+    runs = [(label, command, tol) for label in gens for command in GENERATOR_COMMANDS
+            for tol in (None, *tol_values(label))]
+    runs += [(label, "barnes", None) for label in tables]
+    for label, command, tol in runs:
+        flags, suffix = ([], "") if tol is None else (["--tol", tol], f"__tol{tol}")
         for fmt in FORMATS:
-            code, out, err = run_cli([command, f"inputs/{label}.json", "--format", fmt])
-            pathlib.Path("runs", f"{label}__{command}__{fmt}.txt").write_text(
+            code, out, err = run_cli([command, f"inputs/{label}.json", "--format", fmt, *flags])
+            pathlib.Path("runs", f"{label}__{command}{suffix}__{fmt}.txt").write_text(
                 f"exit: {code}\n--- stdout\n{out}--- stderr\n{err}")
     return len(runs) * len(FORMATS)
 
