@@ -21,6 +21,7 @@ from .jsonio import (
     ParseError,
     SchemaError,
     dump_report,
+    load_generator_check,
     load_generator_problem,
     load_table_file,
 )
@@ -160,10 +161,7 @@ def _atoms_stage(s: Session, command: str, key: str):
 def cmd_check(request: AnalysisRequest) -> dict:
     """Per-generator validation report; invalid generators are results here,
     not input errors."""
-    from .jsonio import load_json, parse_generator_file
-
-    raw = parse_generator_file(load_json(request.input_path))
-    cfg = request.tolerance or raw.tolerance or DEFAULT_TOL
+    raw, cfg = load_generator_check(request.input_path, request.tolerance)
     rows = []
     all_valid = True
     for name, mat in raw.named:
@@ -253,8 +251,7 @@ def cmd_barnes(request: AnalysisRequest) -> dict:
     cfg = request.tolerance or DEFAULT_TOL
     images = barnes_representation(table, cfg)
     distinct = _ElementStore(table.n, cfg)
-    for pi in images:
-        distinct.add(pi.matrix)
+    distinct.add_batch([pi.matrix for pi in images])
     gens = generator_set([(f"s{i}", pi.matrix) for i, pi in enumerate(images)],
                          dim=table.n, include_identity=True, cfg=cfg)
     closure = selfadjoint_closure(gens, request.limits or DEFAULT_LIMITS)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .numlin import PisomError, ToleranceConfig
-from .sgroup import GeneratorSet, Limits, generator_set
+from .sgroup import GeneratorSet, Limits, check_generator_name, generator_set
 from .invsg import InverseSemigroupTable, table_from_dict
 
 
@@ -163,15 +163,19 @@ def parse_generator_file(data) -> RawGeneratorFile:
     return RawGeneratorFile(dim, named, include_identity, include_zero, tolerance, limits)
 
 
+def _tolerance(raw: RawGeneratorFile, cfg: ToleranceConfig | None) -> ToleranceConfig:
+    """An explicit cfg overrides a tolerance given in the file, which
+    overrides the default."""
+    return cfg or raw.tolerance or ToleranceConfig()
+
+
 def parse_generator_problem(data, cfg: ToleranceConfig | None = None) -> GeneratorProblem:
-    """Parse and validate a generator file.  An explicit cfg overrides a
-    tolerance given in the file."""
+    """Parse and validate a generator file."""
     raw = parse_generator_file(data)
-    effective = cfg or raw.tolerance or ToleranceConfig()
     try:
         gens = generator_set(raw.named, dim=raw.dim,
                              include_identity=raw.include_identity,
-                             include_zero=raw.include_zero, cfg=effective)
+                             include_zero=raw.include_zero, cfg=_tolerance(raw, cfg))
     except ValueError as err:
         raise SchemaError(f"generators: {err}") from err
     return GeneratorProblem(gens, raw.tolerance, raw.limits)
@@ -179,6 +183,20 @@ def parse_generator_problem(data, cfg: ToleranceConfig | None = None) -> Generat
 
 def load_generator_problem(path: str, cfg: ToleranceConfig | None = None) -> GeneratorProblem:
     return parse_generator_problem(load_json(path), cfg)
+
+
+def load_generator_check(path: str, cfg: ToleranceConfig | None = None
+                         ) -> tuple[RawGeneratorFile, ToleranceConfig]:
+    """A generator file checked as parse_generator_problem checks it, except
+    that its matrices need not be partial isometries, and its tolerance."""
+    raw = parse_generator_file(load_json(path))
+    taken: set[str] = set()
+    try:
+        for name, _ in raw.named:
+            check_generator_name(name, taken, raw.include_zero)
+    except ValueError as err:
+        raise SchemaError(f"generators: {err}") from err
+    return raw, _tolerance(raw, cfg)
 
 
 def generator_problem_to_dict(problem: GeneratorProblem) -> dict:

@@ -8,7 +8,6 @@ never silently promoted to Closed.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -35,6 +34,7 @@ from .numlin import (
     pair_table,
     range_basis,
 )
+from .index import _HELD, _ElementStore, _chunks, _square, _stack
 from .pisom import (PartialIsometry, make_partial_isometry, partial_isometry_defect,
                     partial_isometry_rule, validate_stack)
 from .projlat import AtomDecomposition, ProjectionFamily, boolean_atoms, projection_family
@@ -112,15 +112,7 @@ def generator_set(named, dim: int | None = None, include_identity: bool = True,
     pisoms = []
     seen: set[str] = set()
     for name, mat in named:
-        if not isinstance(name, str) or not name:
-            raise ValueError("generator names must be non-empty strings")
-        if "*" in name:
-            raise ValueError(f"generator name {name!r} contains reserved character '*'")
-        if include_zero and name == "0":
-            raise ValueError("generator name '0' is reserved for the zero matrix")
-        if name in seen:
-            raise ValueError(f"duplicate generator name {name!r}")
-        seen.add(name)
+        check_generator_name(name, seen, include_zero)
         pi = make_partial_isometry(mat, cfg)
         pairs.append((name, pi.matrix))
         pisoms.append(pi)
@@ -132,6 +124,21 @@ def generator_set(named, dim: int | None = None, include_identity: bool = True,
         if mat.shape != (dim, dim):
             raise ShapeMismatch(f"generator {name!r} has shape {mat.shape}, expected {(dim, dim)}")
     return GeneratorSet(dim, tuple(pairs), include_identity, include_zero, tuple(pisoms), cfg)
+
+
+def check_generator_name(name, taken: set[str], include_zero: bool) -> None:
+    """generator_set's name rules: ValueError unless name is a non-empty
+    string without '*', other than '0' when include_zero, and not in taken;
+    a valid name joins taken."""
+    if not isinstance(name, str) or not name:
+        raise ValueError("generator names must be non-empty strings")
+    if "*" in name:
+        raise ValueError(f"generator name {name!r} contains reserved character '*'")
+    if include_zero and name == "0":
+        raise ValueError("generator name '0' is reserved for the zero matrix")
+    if name in taken:
+        raise ValueError(f"duplicate generator name {name!r}")
+    taken.add(name)
 
 
 @dataclass(frozen=True)
@@ -158,146 +165,6 @@ def evaluate_word(name_map: dict[str, np.ndarray], word, dim: int) -> np.ndarray
             raise KeyError(f"unknown generator name {name!r} in word")
         out = out @ name_map[name]
     return out
-
-
-def _square(mat, dim: int) -> np.ndarray:
-    mat = as_matrix(mat)
-    if mat.shape != (dim, dim):
-        raise ShapeMismatch(f"matrix shape {mat.shape}, expected {(dim, dim)}")
-    return mat
-
-
-# A near ball (radius 10 * eq_tol * max(1, norms)) spans at most two cells of
-# the sketch grid when the cell width is at least twice its radius.  Partial
-# isometry norms come out a few ulps above sqrt(rank), so the width is padded
-# by this factor; members up to 25% above sqrt(dim) still use the grid.
-_CELL_SLACK = 1.25
-_EPS = float(np.finfo(float).eps)
-
-
-class _ElementStore:
-    """Growing matrix stack with vectorized tolerance dedup: the one
-    tolerance-aware set behind closures, projection families and adjunction.
-
-    A query matches the first retained element (in insertion order) within
-    eq_tol under the approx_equal rule ||a-b|| <= eq_tol * max(1, ||a||, ||b||);
-    retained elements that come within 10x of that band are flagged as
-    tolerance-chain risks.
-
-    Candidates come from a grid over the sketch s(M) = Re<g, vec M> with g a
-    fixed unit vector, so |s(a) - s(b)| <= ||a - b||: every member within the
-    near radius R of a query lies in one of the (at most two) cells that
-    cover [s - R, s + R].  A query whose R exceeds half a cell (members or a
-    query of large norm, or an eq_tol near rounding) scans every member.
-    """
-
-    def __init__(self, dim: int, cfg: ToleranceConfig, mats=()):
-        self.dim = dim
-        self.cfg = cfg
-        self._buf = np.zeros((64, dim, dim), dtype=np.complex128)
-        self._norms = np.zeros(64)
-        self.count = 0
-        self._max_norm = 0.0
-        # the sketch direction g: fixed per dimension, from its own generator
-        rng = np.random.default_rng([0x5EED, dim])
-        g = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
-        self._direction = g / np.linalg.norm(g)
-        self._width = 20.0 * cfg.eq_tol * max(1.0, np.sqrt(dim)) * _CELL_SLACK
-        self._cells: dict[int, list[int]] = {}
-        for mat in mats:
-            self.append(_square(mat, dim))
-
-    def lookup(self, mat: np.ndarray):
-        """-> (match index | None, near-pair (index, distance) | None)."""
-        norm = frobenius(mat)
-        idxs = self._candidates(mat, norm)
-        if idxs is None:
-            idxs = range(self.count)
-        if not idxs:
-            return None, None
-        return self._scan(mat, norm, idxs)
-
-    def _candidates(self, mat: np.ndarray, norm: float) -> list[int] | None:
-        """Ascending indices of every member that can lie within the near
-        radius of mat, or None when that radius exceeds half a cell."""
-        scale = max(1.0, norm, self._max_norm)
-        # padded for the rounding of both sketches and of the distances
-        reach = scale * (10.0 * self.cfg.eq_tol * (1.0 + 1e-6) + 8.0 * self.dim ** 2 * _EPS)
-        if 2.0 * reach > self._width:
-            return None
-        s = self._sketch(mat)
-        lo = int((s - reach) // self._width)
-        hi = int((s + reach) // self._width)
-        found = self._cells.get(lo, [])
-        if hi != lo and hi in self._cells:
-            found = sorted(found + self._cells[hi])
-        return found
-
-    def _scan(self, mat: np.ndarray, norm: float, idxs):
-        """The matching rule over the members idxs (ascending): the first
-        match, else the nearest member within 10x the band, ties to the
-        lower index."""
-        tol = self.cfg.eq_tol
-        idxs = np.asarray(idxs, dtype=np.intp)
-        norms = self._norms[idxs]
-        scale = np.maximum(1.0, np.maximum(norms, norm))
-        band = np.abs(norms - norm) <= 10.0 * tol * scale
-        idxs, scale = idxs[band], scale[band]
-        if idxs.size == 0:
-            return None, None
-        diffs = self._buf[idxs] - mat
-        dists = np.linalg.norm(diffs.reshape(idxs.size, -1), axis=1)
-        matches = dists <= tol * scale
-        if np.any(matches):
-            return int(idxs[np.argmax(matches)]), None
-        near = dists <= 10.0 * tol * scale
-        if np.any(near):
-            pos = int(np.argmin(np.where(near, dists, np.inf)))
-            return None, (int(idxs[pos]), float(dists[pos]))
-        return None, None
-
-    def _sketch(self, mat: np.ndarray) -> float:
-        return float(np.vdot(self._direction, mat).real)
-
-    def append(self, mat: np.ndarray) -> int:
-        if self.count == self._buf.shape[0]:
-            grown = np.zeros((2 * self.count, self.dim, self.dim), dtype=np.complex128)
-            grown[: self.count] = self._buf
-            self._buf = grown
-            norms = np.zeros(2 * self.count)
-            norms[: self.count] = self._norms
-            self._norms = norms
-        stored = self._buf[self.count]
-        stored[...] = mat
-        norm = self._norms[self.count] = frobenius(mat)
-        self._max_norm = max(self._max_norm, norm)
-        self._cells.setdefault(int(self._sketch(stored) // self._width), []).append(self.count)
-        self.count += 1
-        return self.count - 1
-
-    def truncate(self, count: int) -> None:
-        """Drop the members appended after the first count; each is the last
-        index of its cell.  The largest member norm stays an upper bound."""
-        while self.count > count:
-            self.count -= 1
-            self._cells[int(self._sketch(self._buf[self.count]) // self._width)].pop()
-
-    def add(self, mat: np.ndarray) -> bool:
-        """Append mat unless a retained element matches it; True if appended."""
-        if self.lookup(mat)[0] is not None:
-            return False
-        self.append(mat)
-        return True
-
-    def find(self, mat) -> int | None:
-        return self.lookup(_square(mat, self.dim))[0]
-
-    def stack(self) -> np.ndarray:
-        """The members as one count x dim x dim array (a view)."""
-        return self._buf[: self.count]
-
-    def matrices(self) -> list[np.ndarray]:
-        return list(self.stack())
 
 
 @dataclass
@@ -348,12 +215,14 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
     """Breadth-first product closure of the generator set.
 
     Expansion is by right multiplication with generators, which enumerates
-    every word shortest-first; each product is looked up, in generator
-    order, against every element kept before it and merged by approx_equal.
-    The new products of one parent are validated in one validate_stack call.
-    With monitor_pi the first that fails aborts with a FAILURE status
-    carrying a minimal-length witness word and its partial_isometry_defect.
-    Hitting a limit yields TRUNCATED; limits are results, not errors.
+    every word shortest-first; each product is looked up, in parent and
+    then generator order, against every element kept before it and merged
+    by approx_equal.  A BFS level is expanded in chunks of consecutive
+    parents, with one stacked product, one add_batch and one validate_stack
+    call per chunk.  With monitor_pi the first new product that fails
+    validation aborts with a FAILURE status carrying a minimal-length
+    witness word and its partial_isometry_defect.  Hitting a limit yields
+    TRUNCATED; limits are results, not errors.
     """
     dim, cfg = gens.dim, gens.cfg
     name_map: dict[str, np.ndarray] = {}
@@ -370,7 +239,6 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
     store = _ElementStore(dim, cfg)
     elements: list[SemigroupElement] = []
     near_pairs: list[tuple[int, int, float]] = []
-    queue: deque[int] = deque()
 
     def retain(mat, word, pi, near) -> None:
         """Keep the store's member len(elements) as the next element."""
@@ -378,56 +246,56 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
             near_pairs.append((near[0], len(elements), near[1]))
         elements.append(SemigroupElement(frozen(mat) if pi is None else pi.matrix,
                                          word, pi))
-        queue.append(len(elements) - 1)
 
     limit_hit: str | None = None
     if gens.include_identity:
         identity = np.eye(dim, dtype=np.complex128)
         store.append(identity)
         retain(identity, (), make_partial_isometry(identity, cfg), None)
-    for name, mat, pi in gen_items:
-        match, near = store.lookup(mat)
+    gen_stack = _stack([mat for _, mat, _ in gen_items], dim)
+    for (name, mat, pi), (match, near) in zip(
+            gen_items, store.add_batch(gen_stack, limits.max_elements)):
         if match is None:
             if len(elements) >= limits.max_elements:
                 limit_hit = "max_elements"
                 break
-            store.append(mat)
             retain(mat, (name,), pi, near)
-    gen_stack = np.array([mat for _, mat, _ in gen_items],
-                         dtype=np.complex128).reshape(-1, dim, dim)
-    while queue and limit_hit != "max_elements":
-        elem = elements[queue.popleft()]
-        if len(elem.word) >= limits.max_word_length:
-            limit_hit = limit_hit or "max_word_length"
-            continue
-        # each product of this parent is looked up in generator order and a
-        # new one joins the store at once; the new ones are then validated
-        # together.  The first new product beyond max_elements is validated
-        # but not stored, since a failure witness outranks the limit.
-        prods = elem.matrix @ gen_stack
-        new: list[tuple[int, tuple[int, float] | None]] = []
-        for i, prod in enumerate(prods):
-            match, near = store.lookup(prod)
-            if match is None:
-                new.append((i, near))
-                if store.count >= limits.max_elements:
+    # the elements of a level are consecutive, with words of nondecreasing
+    # length, and the store's member k is element k
+    level = range(len(elements))
+    while level and limit_hit != "max_elements":
+        parents = [k for k in level if len(elements[k].word) < limits.max_word_length]
+        start = len(elements)
+        for part in _chunks(len(parents), dim, _HELD * len(gen_items)):
+            chunk = parents[part]
+            # each product is looked up in order and a new one joins the
+            # store at once; the new ones are then validated together.  The
+            # first new product beyond max_elements is validated but not
+            # stored, since a failure witness outranks the limit.
+            prods = (store.stack()[chunk][:, None] @ gen_stack[None]).reshape(-1, dim, dim)
+            new = [(p, near) for p, (match, near)
+                   in enumerate(store.add_batch(prods, limits.max_elements)) if match is None]
+            if not new:
+                continue
+            pis = validate_stack(prods[[p for p, _ in new]], cfg)
+            for (p, near), pi in zip(new, pis):
+                parent, gen = divmod(p, len(gen_items))
+                word = elements[chunk[parent]].word + (gen_items[gen][0],)
+                if pi is None and monitor_pi:
+                    store.truncate(len(elements))
+                    return ClosureResult(
+                        dim, gens, name_map, elements, store, FAILURE,
+                        witness_word=word, witness_deviation=partial_isometry_defect(prods[p]),
+                        near_duplicate_pairs=near_pairs)
+                if len(elements) >= limits.max_elements:
+                    limit_hit = "max_elements"
                     break
-                store.append(prod)
-        if not new:
-            continue
-        pis = validate_stack(prods[[i for i, _ in new]], cfg)
-        for (i, near), pi in zip(new, pis):
-            word = elem.word + (gen_items[i][0],)
-            if pi is None and monitor_pi:
-                store.truncate(len(elements))
-                return ClosureResult(
-                    dim, gens, name_map, elements, store, FAILURE,
-                    witness_word=word, witness_deviation=partial_isometry_defect(prods[i]),
-                    near_duplicate_pairs=near_pairs)
-            if len(elements) >= limits.max_elements:
-                limit_hit = "max_elements"
+                retain(prods[p], word, pi, near)
+            if limit_hit == "max_elements":
                 break
-            retain(prods[i], word, pi, near)
+        if len(parents) < len(level):
+            limit_hit = limit_hit or "max_word_length"
+        level = range(start, len(elements))
 
     status = TRUNCATED if limit_hit else CLOSED
     return ClosureResult(dim, gens, name_map, elements, store, status,
@@ -443,9 +311,10 @@ def adjoint_generator_set(gens: GeneratorSet) -> GeneratorSet:
     named = list(gens.named_generators)
     pisoms = list(gens.pisoms)
     known = _ElementStore(gens.dim, gens.cfg, [m for _, m in named])
-    for (name, mat), pi in zip(gens.named_generators, gens.pisoms):
-        adj = pi.adjoint()
-        if known.add(adj.matrix):
+    adjoints = [pi.adjoint() for pi in gens.pisoms]
+    found = known.add_batch([adj.matrix for adj in adjoints])
+    for name, adj, (match, _) in zip(gens.names, adjoints, found):
+        if match is None:
             named.append((name + "*", adj.matrix))
             pisoms.append(adj)
     # built directly: adjoints of validated partial isometries need no re-check,
@@ -470,8 +339,9 @@ def same_projection_set(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     if not a or not b:
         return not a and not b
     in_a, in_b = (_ElementStore(as_matrix(a[0]).shape[0], cfg, x) for x in (a, b))
-    return (all(in_b.find(p) is not None for p in a)
-            and all(in_a.find(q) is not None for q in b))
+    return all(match is not None
+               for this, other in ((in_a, in_b), (in_b, in_a))
+               for match, _ in other.lookup_batch(this.stack()))
 
 
 def family_projections(c: ClosureResult) -> FamilyProjections:
@@ -481,11 +351,10 @@ def family_projections(c: ClosureResult) -> FamilyProjections:
         raise InvalidState("closure ended in a failure witness; no projection families")
     if c.families is None:
         cfg = c.cfg
+        pis = [e.require_pi(cfg) for e in c.elements]
         ps, qs = _ElementStore(c.dim, cfg), _ElementStore(c.dim, cfg)
-        for e in c.elements:
-            pi = e.require_pi(cfg)
-            ps.add(pi.initial)
-            qs.add(pi.final)
+        ps.add_batch([pi.initial for pi in pis])
+        qs.add_batch([pi.final for pi in pis])
         c.families = FamilyProjections(projection_family(ps.matrices(), c.dim, cfg),
                                        projection_family(qs.matrices(), c.dim, cfg))
     return c.families
@@ -498,10 +367,8 @@ def check_pq_equal(c: ClosureResult) -> bool:
 
 def check_pq_contained(c: ClosureResult) -> bool:
     fams = family_projections(c)
-    for proj in list(fams.p_set.members) + list(fams.q_set.members):
-        if c.find(proj) is None:
-            return False
-    return True
+    found = c.store.lookup_batch(list(fams.p_set.members) + list(fams.q_set.members))
+    return all(match is not None for match, _ in found)
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -526,10 +393,13 @@ def _adjoin_until_fixed(c: ClosureResult, propose, limits: Limits,
     current = c
     for _ in range(64):
         taken = set(current.name_map)
+        proposed = [(base, _square(mat, current.dim)) for base, mat in propose(current)]
+        found = current.store.lookup_batch([mat for _, mat in proposed])
+        fresh = [item for item, (match, _) in zip(proposed, found) if match is None]
         pending = _ElementStore(current.dim, current.cfg)
         missing: list[tuple[str, np.ndarray]] = []
-        for base, mat in propose(current):
-            if current.find(mat) is not None or not pending.add(mat):
+        for (base, mat), (match, _) in zip(fresh, pending.add_batch([m for _, m in fresh])):
+            if match is not None:
                 continue
             name = _fresh_name(base, taken)
             taken.add(name)
@@ -730,9 +600,10 @@ def check_asb_nonzero(gens: GeneratorSet, a, b,
     if frobenius(a) <= cfg.eq_tol or frobenius(b) <= cfg.eq_tol:
         raise NonzeroRequired("a and b must both be nonzero")
     scale = max(1.0, frobenius(a), frobenius(b))
-    result = close(gens, limits, monitor_pi=False)
-    for e in result.elements:
-        if frobenius(a @ e.matrix @ b) > cfg.eq_tol * scale:
+    mats = close(gens, limits, monitor_pi=False).store.stack()
+    for part in _chunks(len(mats), gens.dim, _HELD):
+        prods = a @ mats[part] @ b
+        if np.any(np.linalg.norm(prods.reshape(len(prods), -1), axis=1) > cfg.eq_tol * scale):
             return True
     return False
 
@@ -776,9 +647,6 @@ def _minimal_projections(union: np.ndarray, cfg: ToleranceConfig) -> list[np.nda
     return minimal
 
 
-# matrix entries per conjugated chunk of elements, which bounds the memory
-# of the pair check on large closures
-_BRANDT_CHUNK = 1 << 14
 _BRANDT_REASONS = ("E{i}·w·E{j} is neither zero nor a partial isometry",
                    "initial projection of E{i}·w·E{j} is not E{j}",
                    "final projection of E{i}·w·E{j} is not E{i}")
@@ -797,9 +665,8 @@ def _brandt_pair_failure(mats: np.ndarray, bases,
     its first failing (i, j) and that block's first failing test name the
     violation.
     """
-    step = max(1, _BRANDT_CHUNK // (mats.shape[1] * mats.shape[2]))
-    for start in range(0, len(mats), step):
-        chunk = mats[start:start + step]
+    for part in _chunks(len(mats), mats.shape[1]):
+        chunk = mats[part]
         x, offsets, norms = frame_blocks(chunk, bases)
         scale = np.maximum(1.0, np.linalg.norm(chunk.reshape(len(chunk), -1), axis=1))
         nonzero = norms > cfg.eq_tol * scale[:, None, None]
@@ -826,7 +693,7 @@ def _brandt_pair_failure(mats: np.ndarray, bases,
         if failing.size:
             k, i, j = np.unravel_index(failing[0], code.shape)
             reason = _BRANDT_REASONS[code[k, i, j] - 1].format(i=i, j=j)
-            return start + int(k), reason
+            return part.start + int(k), reason
     return None
 
 
@@ -843,26 +710,27 @@ def brandt_structure(c: ClosureResult) -> BrandtStructure:
     cfg = c.cfg
     fams = family_projections(c)
     distinct = _ElementStore(c.dim, cfg)
-    for proj in fams.p_set.members + fams.q_set.members:
-        if frobenius(proj) > cfg.eq_tol:
-            distinct.add(proj)
+    distinct.add_batch([proj for proj in fams.p_set.members + fams.q_set.members
+                        if frobenius(proj) > cfg.eq_tol])
     minimal = sorted(_minimal_projections(distinct.stack(), cfg), key=dominant_index)
 
     family = _ElementStore(c.dim, cfg, minimal)
     loops: list[SemigroupElement | None] = [None] * len(minimal)
-    for e in c.elements:
+    for part in _chunks(len(c.elements), c.dim, _HELD):
         if all(loops):
             break
-        pi = e.require_pi(cfg)
+        elems = c.elements[part]
+        pis = [e.require_pi(cfg) for e in elems]
+        ps, qs = _stack([pi.initial for pi in pis], c.dim), _stack([pi.final for pi in pis], c.dim)
         # P and Q of a loop both match one E under approx_equal, so they lie
         # within 3 eq_tol * max(1, ||P||, ||Q||) <= 3 eq_tol * max(1, ||W||^2)
         # of each other; that test skips most elements before any lookup
-        apart = frobenius(pi.initial - pi.final)
-        if apart > 3.0 * cfg.eq_tol * max(1.0, frobenius(e.matrix) ** 2):
-            continue
-        k = family.lookup(pi.initial)[0]
-        if k is not None and loops[k] is None and family.lookup(pi.final)[0] == k:
-            loops[k] = e
+        bound = 3.0 * cfg.eq_tol * np.maximum(1.0, _squared_norms(c.store.stack()[part]))
+        close_by = np.flatnonzero(_squared_norms(ps - qs) <= bound ** 2)
+        for k, (p, _), (q, _) in zip(close_by, family.lookup_batch(ps[close_by]),
+                                     family.lookup_batch(qs[close_by])):
+            if p is not None and loops[p] is None and q == p:
+                loops[p] = elems[k]
     members: list[BrandtFamilyMember] = []
     for proj, loop in zip(minimal, loops):
         if loop is None:

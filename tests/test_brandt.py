@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pisomlab import sgroup
+from pisomlab import index
 from pisomlab.numlin import ToleranceConfig, approx_equal, frobenius
 from pisomlab.pisom import NotPartialIsometry, make_partial_isometry
 from pisomlab.sgroup import (
@@ -147,7 +147,7 @@ def test_frame_check_reports_the_first_element_across_chunks(monkeypatch):
     expected = reference_first_failure(stack, projections, ToleranceConfig())
     assert expected is not None and expected[0] == len(mats)
     for elements_per_chunk in (1, 3, len(stack)):
-        monkeypatch.setattr(sgroup, "_BRANDT_CHUNK", elements_per_chunk * 16)
+        monkeypatch.setattr(index, "_CHUNK", elements_per_chunk * 16)
         assert _brandt_pair_failure(stack, bases, ToleranceConfig()) == expected
 
 

@@ -17,12 +17,13 @@ from pisomlab.jsonio import (
     ParseError,
     SchemaError,
     generator_problem_to_dict,
+    load_generator_check,
     load_generator_problem,
     matrix_from_json,
     matrix_to_json,
     parse_generator_problem,
 )
-from pisomlab.numlin import approx_equal
+from pisomlab.numlin import ToleranceConfig, approx_equal
 from pisomlab.pisom import partial_isometry_defect
 
 
@@ -275,6 +276,42 @@ def test_generator_named_zero_is_reserved_with_include_zero(tmp_path, capsys):
     assert main(["closure", str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err == (
         "error: generators: generator name '0' is reserved for the zero matrix\n")
+
+
+@pytest.mark.parametrize("command", ["check", "closure", "report"])
+@pytest.mark.parametrize("names,include_zero,message", [
+    (["A", "A"], False, "duplicate generator name 'A'"),
+    (["A*", "B"], False, "generator name 'A*' contains reserved character '*'"),
+    (["0", "A"], True, "generator name '0' is reserved for the zero matrix"),
+    (["", "A"], False, "generator names must be non-empty strings"),
+])
+def test_generator_names_are_input_errors_for_every_command(tmp_path, capsys, command,
+                                                            names, include_zero, message):
+    # check applies the name rules of the analysis commands; the second
+    # generator is not a partial isometry, which check would report as a result
+    mats = [[[0, 1], [1, 0]], [[2, 0], [0, 0]]]
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"dim": 2, "include_zero": include_zero, "generators": [
+        {"name": name, "matrix": mat} for name, mat in zip(names, mats)]}))
+    assert main([command, str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: generators: {message}\n"
+
+
+@pytest.mark.parametrize("flag,file_tol,want", [
+    (None, None, 1e-8), (None, 1e-2, 1e-2), (1e-3, 1e-2, 1e-3)])
+def test_check_takes_the_tolerance_of_the_analysis_commands(tmp_path, flag, file_tol, want):
+    # flag > file > default; G = [[1.001]] is a partial isometry at 1e-2,
+    # not at 1e-3 or at the default
+    doc = {"dim": 1, "generators": [{"name": "G", "matrix": [[1.001]]}]}
+    if file_tol is not None:
+        doc["tolerance"] = file_tol
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(doc))
+    tolerance = None if flag is None else ToleranceConfig(flag, flag, flag)
+    code, report = run(AnalysisRequest("check", str(path), tolerance=tolerance))
+    assert code == EXIT_OK
+    assert report["all_valid"] == (want == 1e-2)
+    assert load_generator_check(str(path), tolerance)[1] == ToleranceConfig(*[want] * 3)
 
 
 def test_well_typed_fields_are_accepted(tmp_path):

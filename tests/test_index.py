@@ -1,16 +1,23 @@
-"""The tolerant element index (its sketch grid and the full-scan fallback),
-the batched validation of closure products, the projection-family memo and
-the adjoin fixpoint."""
+"""The tolerant element index (its sketch grid, the full-scan fallback and
+its batches against a per-query reference), the level-batched closure
+against the per-parent closure it replaced, the batched validation of
+closure products, the projection-family memo and the adjoin fixpoint."""
+
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from pisomlab import index
+from pisomlab.index import _Queries
 from pisomlab.numlin import ShapeMismatch, ToleranceConfig, approx_equal
-from pisomlab.pisom import NotPartialIsometry, make_partial_isometry
+from pisomlab.pisom import NotPartialIsometry, make_partial_isometry, partial_isometry_rule
 from pisomlab.projlat import boolean_atoms
 from pisomlab.sgroup import (
+    CLOSED,
     FAILURE,
+    TRUNCATED,
     Limits,
     _ElementStore,
     adjoin_algebra_projections,
@@ -128,11 +135,26 @@ def test_near_pair_tie_goes_to_the_lower_index(order):
     assert store.lookup(q) == (None, (0, t))
 
 
+@pytest.mark.parametrize("order", (1, -1))
+def test_near_pair_tie_across_pair_chunks_goes_to_the_lower_index(order, monkeypatch):
+    # one (query, member) pair per chunk of the rule: the tie is settled
+    # between chunks, not within one
+    monkeypatch.setattr(index, "_CHUNK", index._HELD * 4)
+    q = np.diag([1.0, 0.0])
+    d = np.array([[0.0, 1.0], [0.0, 0.0]])
+    t = 2.0 ** -26
+    store = _ElementStore(2, CFG)
+    for sign in (order, -order, 3 * order):
+        store.append(q + sign * t * d)
+    assert store.lookup(q) == (None, (0, t))
+
+
 def assert_store_holds_the_elements(c):
     assert c.store.count == len(c)
     for i, e in enumerate(c.elements):
         assert c.find(e.matrix) == i
-    assert c.find(c.evaluate(c.witness_word)) is None
+    if c.witness_word is not None:
+        assert c.find(c.evaluate(c.witness_word)) is None
 
 
 def test_failure_closure_store_holds_the_elements():
@@ -164,6 +186,10 @@ def test_grid_across_a_cell_boundary_agrees_with_the_scan(seed, dim, size, along
     rng = np.random.default_rng(seed)
     store = _ElementStore(dim, CFG)
     g = store._direction.reshape(dim, dim)  # moving along g moves the sketch 1:1
+
+    def sketch(m):
+        return float(np.vdot(g, m).real)
+
     # members step along d, which leans on g: their sketches differ by >= 0.2x
     # their distances
     noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -174,9 +200,9 @@ def test_grid_across_a_cell_boundary_agrees_with_the_scan(seed, dim, size, along
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     x *= size / np.linalg.norm(x)
     # move x along g so that a cell boundary cuts the members' sketches at `cut`
-    boundary = round(store._sketch(x) / store._width) * store._width
-    spread = offsets[-1] * unit * store._sketch(d)
-    x = x + (boundary - cut * spread - store._sketch(x)) * g
+    boundary = round(sketch(x) / store._width) * store._width
+    spread = offsets[-1] * unit * sketch(d)
+    x = x + (boundary - cut * spread - sketch(x)) * g
     mats = [x + t * unit * d for t in offsets]
     for m in mats:
         store.append(m)
@@ -187,7 +213,7 @@ def test_grid_across_a_cell_boundary_agrees_with_the_scan(seed, dim, size, along
             if any(abs(abs(t - o) - edge) < 1e-6 for o in offsets for edge in (1.0, 10.0)):
                 continue  # a distance exactly at a threshold is a coin flip
             q = x + t * unit * d
-            assert store._candidates(q, np.linalg.norm(q)) is not None
+            assert _Queries(store, q[None]).cover[0] is not None  # the grid, no full scan
             match, near = store.lookup(q)
             want_match, want_near = scan_reference(mats, q, CFG)
             assert match == want_match
@@ -206,26 +232,34 @@ def generic_unitary_gens(dim, seed):
 
 
 def record_candidates(monkeypatch):
-    seen = []
-    original = _ElementStore._candidates
+    """-> (the cover of every query, None for a full scan; the candidate
+    pairs per query over both phases of its batch)."""
+    covers, pairs = [], {}
+    queries_of, resolve = _ElementStore._queries, _ElementStore._resolve
 
-    def recording(self, mat, norm):
-        idxs = original(self, mat, norm)
-        seen.append(None if idxs is None else len(idxs))
-        return idxs
+    def recording_queries(self, mats):
+        queries = queries_of(self, mats)
+        covers.extend(queries.cover)
+        return queries
 
-    monkeypatch.setattr(_ElementStore, "_candidates", recording)
-    return seen
+    def recording_resolve(self, queries, qs, ms):
+        for q in qs.tolist():  # keyed by the batch itself, which keeps it alive
+            pairs[queries, q] = pairs.get((queries, q), 0) + 1
+        return resolve(self, queries, qs, ms)
+
+    monkeypatch.setattr(_ElementStore, "_queries", recording_queries)
+    monkeypatch.setattr(_ElementStore, "_resolve", recording_resolve)
+    return covers, pairs
 
 
 @pytest.mark.parametrize("dim", (2, 4))
 def test_unitary_closure_lookups_take_few_candidates(dim, monkeypatch):
-    seen = record_candidates(monkeypatch)
+    covers, pairs = record_candidates(monkeypatch)
     c = selfadjoint_closure(generic_unitary_gens(dim, seed=dim), Limits(2000))
     assert len(c) == 2000
-    assert len(seen) > 2000
-    assert None not in seen  # the full scan never ran
-    assert max(seen) <= 8
+    assert len(covers) > 2000
+    assert None not in covers  # the full scan never ran
+    assert max(pairs.values()) <= 8
 
 
 def test_large_norm_find_scans_everything_and_agrees(monkeypatch):
@@ -236,12 +270,13 @@ def test_large_norm_find_scans_everything_and_agrees(monkeypatch):
     rng = np.random.default_rng(2)
     d = rng.standard_normal((3, 3))
     d /= np.linalg.norm(d)
-    seen = record_candidates(monkeypatch)
+    covers, pairs = record_candidates(monkeypatch)
     for m in mats:
         for factor in (0.5, 1 - 1e-3, 1 + 1e-3, 2.0):
             q = m + factor * CFG.eq_tol * max(1.0, np.linalg.norm(m)) * d
             assert store.find(q) == first_match(mats, q, CFG)
-    assert seen and all(s is None for s in seen)
+    assert covers and all(cover is None for cover in covers)
+    assert set(pairs.values()) == {len(mats)}
 
 
 @pytest.mark.parametrize("monitor", (True, False))
@@ -275,20 +310,219 @@ def test_batched_validation_matches_make_partial_isometry(monitor):
 @pytest.mark.parametrize("dim", (2, 4))
 def test_truncated_closure_looks_up_nothing_past_the_limit(dim, monkeypatch):
     outcomes = []
-    original = _ElementStore.lookup
+    original = _ElementStore.add_batch
 
-    def recording(self, mat):
-        found = original(self, mat)
-        outcomes.append(found[0] is not None)
+    def recording(self, mats, room=None):
+        found = original(self, mats, room)
+        outcomes.extend(match is not None for match, _ in found)
         return found
 
     gens = adjoint_generator_set(generic_unitary_gens(dim, seed=dim))
-    monkeypatch.setattr(_ElementStore, "lookup", recording)
+    monkeypatch.setattr(_ElementStore, "add_batch", recording)
     c = close(gens, Limits(301), monitor_pi=True)
     assert c.limit_hit == "max_elements"
-    # generic unitaries give no duplicates within one parent, so every
-    # lookup is a hit or a retained element, except the last: the product
-    # that found no room
+    assert c.store.count == len(c)
+    # generic unitaries give no duplicates within one level, so every
+    # product looked up is a hit or a retained element, except the last:
+    # the product that found no room, where the results end
     retained = len(c) - 1  # the identity is retained without a lookup
     assert not outcomes[-1]
     assert len(outcomes) == sum(outcomes) + retained + 1
+
+
+# --- the per-query store and the per-parent closure, kept as references ---
+
+class ReferenceStore:
+    """The store as it was before batching: each lookup scans every member
+    with the old per-query rule, and each new member is appended alone."""
+
+    def __init__(self, dim, cfg):
+        self.cfg = cfg
+        self.mats = np.zeros((0, dim, dim), dtype=complex)
+        self.norms = np.zeros(0)
+
+    def lookup(self, q):
+        tol = self.cfg.eq_tol
+        norm = np.linalg.norm(q)
+        scale = np.maximum(1.0, np.maximum(self.norms, norm))
+        idxs = np.flatnonzero(np.abs(self.norms - norm) <= 10.0 * tol * scale)
+        if idxs.size == 0:
+            return None, None
+        scale = scale[idxs]
+        dists = np.linalg.norm((self.mats[idxs] - q).reshape(idxs.size, -1), axis=1)
+        matches = dists <= tol * scale
+        if np.any(matches):
+            return int(idxs[np.argmax(matches)]), None
+        near = dists <= 10.0 * tol * scale
+        if np.any(near):
+            pos = int(np.argmin(np.where(near, dists, np.inf)))
+            return None, (int(idxs[pos]), float(dists[pos]))
+        return None, None
+
+    def append(self, mat):
+        self.mats = np.concatenate([self.mats, mat[None]])
+        self.norms = np.append(self.norms, np.linalg.norm(mat))
+
+    def add_batch(self, mats, room=None):
+        out = []
+        for mat in mats:
+            out.append(self.lookup(mat))
+            if out[-1][0] is None:
+                if room is not None and len(self.mats) >= room:
+                    break
+                self.append(mat)
+        return out
+
+
+def assert_same_found(got, want):
+    assert len(got) == len(want)
+    for (match, near), (want_match, want_near) in zip(got, want):
+        assert match == want_match
+        assert (near is None) == (want_near is None)
+        if near is not None:
+            assert near[0] == want_near[0]
+            assert near[1] == pytest.approx(want_near[1], rel=1e-12)
+
+
+@st.composite
+def batch_cases(draw):
+    """Members and a batch drawn, with repeats, from a pool of points x + t d
+    (t in units of eq_tol * max(1, ||x||)), d leaning on the sketch
+    direction and x placed so that a cell edge cuts the pool; x of norm up
+    to 10 sqrt(dim) makes every query scan all members."""
+    dim = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=7))
+    pick = st.integers(0, len(pool) - 1)
+    members = draw(st.lists(pick, max_size=6))
+    batch = draw(st.lists(pick, max_size=10))
+    extra = draw(st.none() | st.integers(0, len(batch)))
+    return dict(dim=dim, pool=pool, members=members, batch=batch,
+                room=None if extra is None else len(members) + extra,
+                size=draw(st.sampled_from((0.3, 1.0, 2.5, 10.0 * np.sqrt(dim)))),
+                seed=draw(st.integers(0, 2**32 - 1)), cut=draw(st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=batch_cases())
+def test_add_batch_agrees_with_the_per_query_store(case):
+    dim, pool = case["dim"], np.array(case["pool"])
+    gaps = np.abs(pool[:, None] - pool[None, :])
+    # a distance at a threshold is a coin flip between two norm roundings
+    assume(not np.any((np.abs(gaps - 1.0) < 1e-6) | (np.abs(gaps - 10.0) < 1e-6)))
+    rng = np.random.default_rng(case["seed"])
+    store, ref = _ElementStore(dim, CFG), ReferenceStore(dim, CFG)
+    g = store._direction.reshape(dim, dim)
+    noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    d = 0.8 * g + 0.2 * noise / np.linalg.norm(noise)
+    d /= np.linalg.norm(d)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x *= case["size"] / np.linalg.norm(x)
+    unit = CFG.eq_tol * max(1.0, case["size"])
+    edge = np.ceil(np.vdot(g, x).real / store._width) * store._width
+    x += (edge - np.vdot(g, x).real - (pool.min() + case["cut"] * np.ptp(pool))
+          * unit * np.vdot(g, d).real) * g
+    points = [x + t * unit * d for t in pool]
+    for k in case["members"]:
+        store.append(points[k])
+        ref.append(points[k])
+    mats = np.array([points[k] for k in case["batch"]]).reshape(-1, dim, dim)
+    assert_same_found(store.add_batch(mats, case["room"]),
+                      ref.add_batch(mats, case["room"]))
+    assert store.count == len(ref.mats)
+    assert np.array_equal(store.stack(), ref.mats)
+    assert_same_found(store.lookup_batch(mats), [ref.lookup(m) for m in mats])
+
+
+def reference_close(gens, limits, monitor_pi):
+    """close as it was before level batching, for generator sets without
+    include_zero: one parent at a time, each product looked up against
+    every element kept before it.  -> (words, near pairs, status, limit
+    hit, witness word)."""
+    dim, cfg = gens.dim, gens.cfg
+    store = ReferenceStore(dim, cfg)
+    words, near_pairs, queue = [], [], deque()
+
+    def retain(mat, word, near):
+        if near is not None:
+            near_pairs.append((near[0], len(words), near[1]))
+        words.append(word)
+        queue.append(len(words) - 1)
+
+    if gens.include_identity:
+        store.append(np.eye(dim, dtype=complex))
+        retain(None, (), None)
+    for name, mat in gens.named_generators:
+        match, near = store.lookup(mat)
+        if match is None:
+            if len(words) >= limits.max_elements:
+                return words, near_pairs, TRUNCATED, "max_elements", None
+            store.append(mat)
+            retain(mat, (name,), near)
+    gen_stack = np.array([m for _, m in gens.named_generators]).reshape(-1, dim, dim)
+    limit_hit = None
+    while queue:
+        k = queue.popleft()
+        if len(words[k]) >= limits.max_word_length:
+            limit_hit = limit_hit or "max_word_length"
+            continue
+        prods = store.mats[k] @ gen_stack
+        new = []
+        for i, prod in enumerate(prods):
+            match, near = store.lookup(prod)
+            if match is None:
+                new.append((i, near))
+                if len(store.mats) >= limits.max_elements:
+                    break
+                store.append(prod)
+        if not new:
+            continue
+        valid = partial_isometry_rule(prods[[i for i, _ in new]], cfg)[0]
+        for (i, near), ok in zip(new, valid):
+            word = words[k] + (gens.names[i],)
+            if not ok and monitor_pi:
+                return words, near_pairs, FAILURE, None, word
+            if len(words) >= limits.max_elements:
+                return words, near_pairs, TRUNCATED, "max_elements", None
+            retain(prods[i], word, near)
+    return words, near_pairs, TRUNCATED if limit_hit else CLOSED, limit_hit, None
+
+
+def chunk_cases():
+    e = np.diag([1.0, 0.0])
+    v = np.array([1.0, 1e-4]) / np.hypot(1.0, 1e-4)
+    units = [(f"E{i}{j}", matrix_unit(4, i, j)) for i in range(4) for j in range(4) if i != j]
+    return {
+        "unitary-n2": (adjoint_generator_set(generic_unitary_gens(2, seed=7)), Limits(700), True),
+        "unitary-n4": (adjoint_generator_set(generic_unitary_gens(4, seed=8)), Limits(1500), True),
+        "units-n4": (generator_set(units, dim=4), Limits(5000), True),
+        "units-n4-short": (generator_set(units, dim=4), Limits(5000, 2), True),
+        "golden-8": (adjoint_generator_set(generator_set(zip("ABC", golden_generators()), dim=8)),
+                     Limits(5000), True),
+        "projections-raw": (generator_set([("P", e), ("Q", np.outer(v, v))], dim=2),
+                            Limits(200, 16), False),
+    }
+
+
+@pytest.mark.parametrize("chunk", (64, 256, None))
+@pytest.mark.parametrize("label", sorted(chunk_cases()))
+def test_level_batched_closure_agrees_with_the_per_parent_closure(label, chunk, monkeypatch):
+    gens, limits, monitor = chunk_cases()[label]
+    if chunk is not None:  # a few parents per chunk: every level spans several
+        monkeypatch.setattr(index, "_CHUNK", chunk)
+    c = close(gens, limits, monitor_pi=monitor)
+    words, near_pairs, status, limit_hit, witness = reference_close(gens, limits, monitor)
+    assert [e.word for e in c.elements] == words
+    assert (c.status, c.limit_hit, c.witness_word) == (status, limit_hit, witness)
+    assert [p[:2] for p in c.near_duplicate_pairs] == [p[:2] for p in near_pairs]
+    for got, want in zip(c.near_duplicate_pairs, near_pairs):
+        assert got[2] == pytest.approx(want[2], rel=1e-12)
+    assert_store_holds_the_elements(c)
+
+
+def test_default_chunk_splits_a_level():
+    # the fifth level of the free group on U, V has 324 elements, more
+    # parents than a chunk holds with four generators in dimension 4
+    gens, limits, _ = chunk_cases()["unitary-n4"]
+    assert len(index._chunks(324, 4, index._HELD * len(gens.names))) > 1
+    words = [e.word for e in close(gens, limits, monitor_pi=True).elements]
+    assert sum(len(w) == 5 for w in words) == 324

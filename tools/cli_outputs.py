@@ -8,13 +8,17 @@ The inputs are the shipped fixtures and tables, the benchmark's corpus and
 units inputs for seeds 1-3 (built by perfbench/inputs.py, which is imported
 without writing anything next to it), pairs of projections on either side
 of the tolerances (also with a tolerance in the file), generator and table
-files with badly typed fields, and a generator named "0" next to
-include_zero.  Each input is written to OUTDIR/inputs/ and every run reads
-it from there by a relative path, so no output depends on where OUTDIR is.
+files with badly typed fields, a generator named "0" next to include_zero,
+and the benchmark's generic unitary pairs at n = 2 and 4 (seed 1), whose
+closures are infinite.  Each input is written to OUTDIR/inputs/ and every
+run reads it from there by a relative path, so no output depends on where
+OUTDIR is.
 Generator files run every generator command in json and text format, tables
 run `barnes`.  The fixtures and the near-threshold pairs also run with
 `--tol 1e-6`, and the pairs that carry a tolerance also with `--tol 1e-8`,
-which covers the flag > file > default rule for the tolerance.
+which covers the flag > file > default rule for the tolerance.  The unitary
+pairs run only with `--max-elements 301` and `2000`, limits that cut a BFS
+level and one of its chunks, so the truncation point is compared too.
 
 Runs are in-process, through `pisomlab.cli.main`; an exception that escapes
 it (exit 1 and a traceback at the command line) is recorded as exit 1 with
@@ -123,6 +127,8 @@ def collect_inputs() -> tuple[dict[str, dict], dict[str, dict]]:
         for item in bench.corpus_inputs(seed) + bench.units_inputs(seed):
             target = tables if item.kind == "barnes" else gens
             target[f"bench-s{seed}-{item.label}"] = item.document
+    for item in bench.closure_inputs(1)[:2]:
+        gens[f"unitary-s1-{item.label}"] = bench.generator_file(item.dim, item.named)
     gens.update(near_threshold_inputs())
     gens.update(file_tolerance_inputs())
     gens.update(badly_typed_inputs())
@@ -131,13 +137,16 @@ def collect_inputs() -> tuple[dict[str, dict], dict[str, dict]]:
     return gens, tables
 
 
-def tol_values(label: str) -> tuple[str, ...]:
-    """The --tol values an input also runs with."""
+def flag_sets(label: str) -> list[tuple[str, list[str]]]:
+    """(file name suffix, flags) of each run of an input."""
+    if label.startswith("unitary-"):
+        return [(f"__max{n}", ["--max-elements", n]) for n in ("301", "2000")]
+    tols: tuple[str, ...] = ()
     if label.endswith("-file-tol"):
-        return ("1e-6", "1e-8")
-    if label.startswith(("fixture-", "near-")):
-        return ("1e-6",)
-    return ()
+        tols = ("1e-6", "1e-8")
+    elif label.startswith(("fixture-", "near-")):
+        tols = ("1e-6",)
+    return [("", [])] + [(f"__tol{tol}", ["--tol", tol]) for tol in tols]
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -160,11 +169,10 @@ def write_outputs(outdir: pathlib.Path) -> int:
     os.chdir(outdir)
     for label, doc in {**gens, **tables}.items():
         pathlib.Path("inputs", f"{label}.json").write_text(json.dumps(doc))
-    runs = [(label, command, tol) for label in gens for command in GENERATOR_COMMANDS
-            for tol in (None, *tol_values(label))]
-    runs += [(label, "barnes", None) for label in tables]
-    for label, command, tol in runs:
-        flags, suffix = ([], "") if tol is None else (["--tol", tol], f"__tol{tol}")
+    runs = [(label, command, suffix, flags) for label in gens for command in GENERATOR_COMMANDS
+            for suffix, flags in flag_sets(label)]
+    runs += [(label, "barnes", "", []) for label in tables]
+    for label, command, suffix, flags in runs:
         for fmt in FORMATS:
             code, out, err = run_cli([command, f"inputs/{label}.json", "--format", fmt, *flags])
             pathlib.Path("runs", f"{label}__{command}{suffix}__{fmt}.txt").write_text(
