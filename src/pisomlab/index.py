@@ -139,9 +139,12 @@ class _ElementStore:
                 found = queries.found(i)
                 if found[0] is None and self.count > start and (cover is None or any(
                         (self._cells.get(key) or [-1])[-1] >= start for key in cover)):
-                    # a member this batch appended may lie within reach: look
-                    # it up against the store as it stands
-                    found = self.lookup(queries.mats[i])
+                    # a member this batch appended may lie within reach: a copy
+                    # of one is its first match, since at its own turn it
+                    # matched nothing; otherwise look it up against the store
+                    # as it stands
+                    copy = self._copy_since(start, queries.mats[i], cover)
+                    found = (copy, None) if copy is not None else self.lookup(queries.mats[i])
                 out.append(found)
                 if found[0] is not None:
                     continue
@@ -149,6 +152,17 @@ class _ElementStore:
                     return out
                 self._put(queries.mats[i], queries.norms[i], queries.keys[i])
         return out
+
+    def _copy_since(self, start: int, mat: np.ndarray, cover) -> int | None:
+        """The member from index start on, in the cover's cells (every one
+        when cover is None), that equals mat entry for entry, if any."""
+        if cover is None:
+            members = np.arange(start, self.count)
+        else:
+            members = np.array([m for key in cover for m in self._cells.get(key, ()) if m >= start],
+                               dtype=np.intp)
+        same = members[(self._buf[members] == mat).reshape(members.size, -1).all(axis=1)]
+        return int(same[0]) if same.size else None
 
     def _queries(self, mats: np.ndarray) -> _Queries:
         """The stack's queries, each resolved against the members present."""

@@ -8,7 +8,9 @@ Each tolerance rule lives once, over stacks, and scalar predicates apply it
 to one matrix: equal_rule (approx_equal), projection_rule (is_projection,
 projection_family) and pisom.partial_isometry_rule (make_partial_isometry).
 Each family relation lives once too: pair_table (every pair's product and
-commutator norm) and split_by_projection (an atom cell's two halves).
+commutator norm) and split_cells (the two halves of every atom cell).  So
+does the rule by which a vector grows a span (Span), behind Burnside span
+growth and the spins of Norton's irreducibility test (norton_test).
 """
 
 from __future__ import annotations
@@ -243,25 +245,127 @@ def kernel_basis(a, cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
 
 def split_by_projection(s: Subspace, p, cfg: ToleranceConfig = DEFAULT_TOL,
                         ambiguity_factor: float | None = None) -> tuple[Subspace, Subspace]:
-    """Split s into (s ∩ range(p), s ∩ ker(p)): the ranges of proj(s) @ p and
-    proj(s) @ (I - p), which requires p to be a projection commuting, within
-    proj_tol, with proj(s); their dimensions must add up to dim(s)."""
+    """Split s into (s ∩ range(p), s ∩ ker(p)): split_cells of one cell."""
+    return split_cells([s], p, cfg, ambiguity_factor)[0]
+
+
+def split_cells(cells, p, cfg: ToleranceConfig = DEFAULT_TOL,
+                ambiguity_factor: float | None = None) -> list[tuple[Subspace, Subspace]]:
+    """Split each subspace s of cells into (s ∩ range(p), s ∩ ker(p)): the
+    ranges of proj(s) @ p and proj(s) @ (I - p), which requires p to be a
+    projection commuting, within proj_tol, with proj(s); their dimensions must
+    add up to dim(s).  One stacked commutator test and one stacked SVD serve
+    every cell; a failure raises the error of the first failing cell."""
     p = as_matrix(p)
-    if p.shape != (s.ambient_dim, s.ambient_dim):
-        raise ShapeMismatch(
-            f"projection shape {p.shape} does not match ambient dim {s.ambient_dim}")
-    ps = s.projection()
-    commutator = commutator_norm(ps, p)
-    if commutator > cfg.proj_tol * max(1.0, frobenius(ps), frobenius(p)):
-        raise NonCommuting(
-            f"projection does not commute with the subspace projection "
-            f"(commutator norm {commutator:.3e})")
-    inside = range_basis(ps @ p, cfg, ambiguity_factor)
-    outside = range_basis(ps @ (np.eye(s.ambient_dim) - p), cfg, ambiguity_factor)
-    if inside.dim + outside.dim != s.dim:
-        raise InvariantViolation(
-            f"cell of dimension {s.dim} split into {inside.dim} + {outside.dim}")
-    return inside, outside
+    n = cells[0].ambient_dim if cells else p.shape[0]
+    if p.shape != (n, n):
+        raise ShapeMismatch(f"projection shape {p.shape} does not match ambient dim {n}")
+    if not cells:
+        return []
+    ps = np.array([s.projection() for s in cells])
+    commutators = np.sqrt(_squared_norms(ps @ p - p @ ps))
+    scales = np.maximum(1.0, np.maximum(np.sqrt(_squared_norms(ps)), frobenius(p)))
+    halves = np.concatenate([ps @ p, ps @ (np.eye(n) - p)])
+    u, sv, _ = np.linalg.svd(halves, full_matrices=False)
+
+    def half(i: int) -> Subspace:
+        if not halves[i].any():
+            return zero_subspace(n)
+        r = _rank_from_singular_values(sv[i], cfg, ambiguity_factor)
+        return Subspace(n, frozen(u[i][:, :r]))
+
+    out = []
+    for i, s in enumerate(cells):
+        if commutators[i] > cfg.proj_tol * scales[i]:
+            raise NonCommuting(
+                f"projection does not commute with the subspace projection "
+                f"(commutator norm {commutators[i]:.3e})")
+        inside, outside = half(i), half(len(cells) + i)
+        if inside.dim + outside.dim != s.dim:
+            raise InvariantViolation(
+                f"cell of dimension {s.dim} split into {inside.dim} + {outside.dim}")
+        out.append((inside, outside))
+    return out
+
+
+class Span:
+    """Orthonormal rows spanning the vectors of C^size grown so far: a vector
+    joins unless its norm is within eq_tol of zero or its residual, after two
+    projections on the rows, is within rank_tol * max(1, its norm)."""
+
+    def __init__(self, size: int, cfg: ToleranceConfig):
+        self.rows = np.zeros((size, size), dtype=np.complex128)
+        self.dim = 0
+        self.cfg = cfg
+
+    def grow(self, v: np.ndarray) -> bool:
+        nv = float(np.linalg.norm(v))
+        if nv <= self.cfg.eq_tol:
+            return False
+        resid = v.astype(np.complex128)
+        basis = self.rows[: self.dim]
+        for _ in range(2):
+            if self.dim:
+                resid = resid - basis.T @ (basis @ resid.conj()).conj()
+        rn = float(np.linalg.norm(resid))
+        if rn <= self.cfg.rank_tol * max(1.0, nv):
+            return False
+        self.rows[self.dim] = resid / rn
+        self.dim += 1
+        return True
+
+
+def spin(v: np.ndarray, mats: np.ndarray, cfg: ToleranceConfig) -> Subspace:
+    """The smallest subspace that holds the unit vector v and is invariant
+    under the k x n x n stack mats: the span of v's orbit, grown one BFS
+    level at a time."""
+    n = v.shape[0]
+    span = Span(n, cfg)
+    span.grow(v)
+    frontier = v[None]
+    while frontier.size and span.dim < n:
+        images = (frontier @ mats.transpose(0, 2, 1)).reshape(-1, n)
+        frontier = np.array([u for u in images if span.dim < n and span.grow(u)]).reshape(-1, n)
+    return Subspace(n, frozen(span.rows[: span.dim].T))
+
+
+# random elements x that Norton's test draws before it gives up
+_NORTON_TRIES = 3
+
+
+def norton_test(mats: np.ndarray, cfg: ToleranceConfig, seed: int) -> Subspace | None:
+    """Norton's irreducibility test (Holt & Rees, "Testing modules for
+    irreducibility", 1994) for the unital algebra of the k x n x n stack mats.
+
+    x is a seeded combination of I, the generators and their length-2 words;
+    its most isolated eigenvalue lambda is used when the singular values of
+    x - lambda show a one-dimensional kernel under the rank_tol rule.  If a
+    kernel vector v of x - lambda spins to a proper invariant subspace, that
+    is returned; if a kernel vector w of (x - lambda)* spins under the
+    adjoints to a proper subspace, its orthocomplement is.  Both spins full
+    -> C^n: the algebra is irreducible.  None when no try found such a
+    lambda.
+    """
+    k, n = mats.shape[0], mats.shape[-1]
+    rng = np.random.default_rng(seed)
+    for _ in range(_NORTON_TRIES):
+        c = rng.standard_normal((1 + k + k * k, 2)) @ np.array([1.0, 1j])
+        y = np.tensordot(c[1 + k:].reshape(k, k), mats, axes=1)
+        x = c[0] * np.eye(n) + np.tensordot(c[1:1 + k], mats, axes=1) + (mats @ y).sum(axis=0)
+        eigs = np.linalg.eigvals(x)
+        gaps = np.abs(eigs[:, None] - eigs[None, :]) + np.diag(np.full(n, np.inf))
+        lam = eigs[np.argmax(gaps.min(axis=1))]
+        u, s, vh = np.linalg.svd(x - lam * np.eye(n))
+        if np.sum(s <= cfg.rank_tol * max(1.0, s[0])) != 1:
+            continue
+        spun = spin(vh[-1].conj(), mats, cfg)
+        if spun.dim < n:
+            return spun
+        spun = spin(u[:, -1], mats.conj().transpose(0, 2, 1), cfg)
+        if spun.dim < n:
+            return kernel_basis(adjoint(spun.basis), cfg)
+        return spun
+    return None
 
 
 def pair_table(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

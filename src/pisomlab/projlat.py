@@ -31,7 +31,7 @@ from .numlin import (
     is_projection,
     pair_table,
     projection_rule,
-    split_by_projection,
+    split_cells,
 )
 from .pisom import PartialIsometry, make_partial_isometry
 
@@ -142,10 +142,11 @@ def boolean_atoms(fam: ProjectionFamily) -> AtomDecomposition:
     """Split the space into joint eigenspaces of the family.
 
     Starting from the full space, each member splits every surviving cell
-    into cell ∩ range(p) and cell ∩ ker(p); zero cells are dropped.  A split
-    whose rank decision falls inside a factor-10 band around the SVD cutoff
-    raises IllConditionedSplit instead of guessing, because a silently wrong
-    atom corrupts every downstream check.
+    into cell ∩ range(p) and cell ∩ ker(p), all cells in one split_cells
+    call; zero cells are dropped.  A split whose rank decision falls inside
+    a factor-10 band around the SVD cutoff raises IllConditionedSplit
+    instead of guessing, because a silently wrong atom corrupts every
+    downstream check.
 
     The empty family yields the single atom I (the algebra C·I).
     """
@@ -157,8 +158,8 @@ def boolean_atoms(fam: ProjectionFamily) -> AtomDecomposition:
     cells: list[tuple[Subspace, tuple[bool, ...]]] = [(full_subspace(fam.dim), ())]
     for p in fam.members:
         split: list[tuple[Subspace, tuple[bool, ...]]] = []
-        for sub, pattern in cells:
-            inside, outside = split_by_projection(sub, p, fam.cfg, ambiguity_factor=10.0)
+        halves = split_cells([sub for sub, _ in cells], p, fam.cfg, ambiguity_factor=10.0)
+        for (_, pattern), (inside, outside) in zip(cells, halves):
             if inside.dim > 0:
                 split.append((inside, pattern + (True,)))
             if outside.dim > 0:

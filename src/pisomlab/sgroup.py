@@ -21,6 +21,7 @@ from .numlin import (
     ShapeMismatch,
     Subspace,
     ToleranceConfig,
+    Span,
     _squared_norms,
     adjoint,
     approx_equal,
@@ -31,6 +32,7 @@ from .numlin import (
     frobenius,
     frozen,
     kernel_basis,
+    norton_test,
     pair_table,
     range_basis,
 )
@@ -499,34 +501,26 @@ def is_irreducible(gens: GeneratorSet, seed: int = 0) -> IrreducibilityResult:
     """Burnside test: the unital algebra spanned by the semigroup is the full
     matrix algebra iff its linear span has dimension n^2.
 
-    When reducible, a best-effort invariant subspace is extracted from orbits
+    Norton's test (numlin.norton_test) decides most irreducible inputs
+    without the span: both of its spins full means span_dim = n^2.  Every
+    other input grows the span word by word.  When reducible, the invariant
+    subspace is a proper spin of Norton's test, or else a best-effort one
+    extracted from orbits
     of basis and seeded random vectors under the algebra, and from the
     orthocomplement trick applied to the adjoint algebra.  Absence of a
     witness never weakens the dimension-based verdict.
     """
     n, cfg = gens.dim, gens.cfg
     gen_mats = [m for _, m in gens.named_generators]
-    # orthonormal rows of the span found so far: rows[:span_dim]
-    rows = np.zeros((n * n, n * n), dtype=np.complex128)
-    span_dim = 0
+    spun = norton_test(np.array(gen_mats, dtype=np.complex128).reshape(-1, n, n), cfg, seed)
+    if spun is not None and spun.dim == n:
+        return IrreducibilityResult(True, n * n, lambda: None)
+    span = Span(n * n, cfg)
     span_mats: list[np.ndarray] = []
 
     def grow(mat: np.ndarray) -> bool:
-        nonlocal span_dim
-        v = mat.reshape(-1)
-        nv = float(np.linalg.norm(v))
-        if nv <= cfg.eq_tol:
+        if not span.grow(mat.reshape(-1)):
             return False
-        resid = v.astype(np.complex128)
-        basis = rows[:span_dim]
-        for _ in range(2):
-            if span_dim:
-                resid = resid - basis.T @ (basis @ resid.conj()).conj()
-        rn = float(np.linalg.norm(resid))
-        if rn <= cfg.rank_tol * max(1.0, nv):
-            return False
-        rows[span_dim] = resid / rn
-        span_dim += 1
         span_mats.append(mat)
         return True
 
@@ -534,24 +528,28 @@ def is_irreducible(gens: GeneratorSet, seed: int = 0) -> IrreducibilityResult:
     for mat in [np.eye(n, dtype=np.complex128)] + gen_mats:
         if grow(mat):
             frontier.append(mat)
-    while frontier and span_dim < n * n:
+    while frontier and span.dim < n * n:
         fresh: list[np.ndarray] = []
         for mat in frontier:
             for g in gen_mats:
                 cand = mat @ g
                 if grow(cand):
                     fresh.append(cand)
-                    if span_dim == n * n:
+                    if span.dim == n * n:
                         break
-            if span_dim == n * n:
+            if span.dim == n * n:
                 break
         frontier = fresh
 
-    if span_dim == n * n:
-        return IrreducibilityResult(True, span_dim, lambda: None)
-    return IrreducibilityResult(
-        False, span_dim,
-        lambda: _invariant_subspace_witness(gen_mats, span_mats, n, cfg, seed))
+    if span.dim == n * n:
+        return IrreducibilityResult(True, span.dim, lambda: None)
+
+    def search() -> Subspace | None:
+        if spun is not None and _is_invariant(spun.basis, gen_mats, n, cfg):
+            return spun
+        return _invariant_subspace_witness(gen_mats, span_mats, n, cfg, seed)
+
+    return IrreducibilityResult(False, span.dim, search)
 
 
 def _is_invariant(basis: np.ndarray, gen_mats, n: int, cfg: ToleranceConfig) -> bool:

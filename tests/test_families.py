@@ -1,7 +1,8 @@
 """The stacked family relations against the scalar pair loops they replaced:
 the worst commuting pair of a projection family, the orthogonality of atoms
 and of Brandt families, the sum and reconstruction checks of an atom
-decomposition, the Brandt minimal search and the split of an atom cell."""
+decomposition, the Brandt minimal search, the split of an atom cell and the
+stacked split of every cell of a partition against a loop over its cells."""
 
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from pisomlab.numlin import (
     pair_table,
     range_basis,
     split_by_projection,
+    split_cells,
 )
 from pisomlab.projlat import (
     AtomDecomposition,
@@ -124,6 +126,11 @@ def reference_split(s, p, cfg=DEFAULT_TOL, ambiguity_factor=None):
         raise InvariantViolation(
             f"cell of dimension {s.dim} split into {inside.dim} + {outside.dim}")
     return inside, outside
+
+
+def reference_split_cells(cells, p, cfg=DEFAULT_TOL, ambiguity_factor=None):
+    """split_cells as a loop: reference_split of each cell in turn."""
+    return [reference_split(s, p, cfg, ambiguity_factor) for s in cells]
 
 
 def reference_atoms(fam):
@@ -319,6 +326,70 @@ def test_near_threshold_pair(eps):
     assert_same_outcome(outcome(split_by_projection, cell, mats[1], DEFAULT_TOL, 10.0),
                         outcome(reference_split, cell, mats[1], DEFAULT_TOL, 10.0),
                         same_subspaces)
+
+
+def same_halves(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        for u, v in zip(x, y):
+            assert u.dim == v.dim and u.basis.tobytes() == v.basis.tobytes()
+
+
+def tilted(rng, p, angle):
+    """p with one unit vector of its range turned by angle towards its
+    kernel, or p itself when either is zero."""
+    w, vecs = np.linalg.eigh(p)
+    inside, outside = vecs[:, w > 0.5], vecs[:, w <= 0.5]
+    if not inside.shape[1] or not outside.shape[1]:
+        return p
+    x = inside[:, rng.integers(inside.shape[1])]
+    y = outside[:, rng.integers(outside.shape[1])]
+    v = np.cos(angle) * x + np.sin(angle) * y
+    return p - np.outer(x, x.conj()) + np.outer(v, v.conj())
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), k=st.integers(1, 5),
+       plant=st.sampled_from((None, "noncommuting", "band")), cfg=st.sampled_from(CFGS),
+       ambiguity_factor=st.sampled_from((None, 10.0)))
+def test_stacked_split_answers_as_the_cell_loop(seed, n, k, plant, cfg, ambiguity_factor):
+    # each member splits every cell of the partition its predecessors made;
+    # a planted member may fail the commutator test, or (tilted by an angle
+    # near rank_tol, below the commutator tolerance) leave a singular value
+    # inside the ambiguity band
+    rng = np.random.default_rng(seed)
+    members = conjugated_diagonals(rng, n, k)
+    last = members[-1]
+    if plant == "noncommuting":
+        members[-1] = conjugated_diagonals(rng, n, 1)[0]
+    elif plant == "band":
+        members[-1] = tilted(rng, last, cfg.rank_tol * 10.0 ** rng.uniform(-0.9, 0.9))
+    cells = [full_subspace(n)]
+    for p in members:
+        new = outcome(split_cells, cells, p, cfg, ambiguity_factor)
+        assert_same_outcome(new, outcome(reference_split_cells, cells, p, cfg, ambiguity_factor),
+                            same_halves)
+        if new[0] != "ok":
+            break
+        cells = [half for pair in new[1] for half in pair if half.dim]
+
+
+def test_stacked_split_raises_for_the_first_failing_cell():
+    # the first cell commutes with p; the second does not, nor does the
+    # third, with another commutator norm
+    cells = [Subspace(3, np.array(b, dtype=complex).reshape(3, 1))
+             for b in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, np.sqrt(0.5), np.sqrt(0.5)])]
+    v = np.array([0.0, np.cos(0.1), np.sin(0.1)])
+    p = np.outer(v, v).astype(complex)
+    norms = [f"{commutator_norm(s.projection(), p):.3e}" for s in cells]
+    assert norms[0] == "0.000e+00" and norms[1] != norms[2]
+    got = outcome(split_cells, cells, p)
+    assert got == outcome(reference_split_cells, cells, p)
+    assert got[0] is NonCommuting and got[1].endswith(f"(commutator norm {norms[1]})")
+    assert outcome(split_cells, cells[:1], p)[0] == "ok"
+    assert split_cells([], p) == []
+    with pytest.raises(ShapeMismatch):
+        split_cells(cells, np.eye(2))
 
 
 @pytest.mark.parametrize("tilt,want", [(1.5e-8, [1]), (2.5e-8, [0, 1])])

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pisomlab import index
 from pisomlab.index import _Queries
+from pisomlab.invsg import barnes_representation, symmetric_inverse_table
 from pisomlab.numlin import ShapeMismatch, ToleranceConfig, approx_equal
 from pisomlab.pisom import NotPartialIsometry, make_partial_isometry, partial_isometry_rule
 from pisomlab.projlat import boolean_atoms
@@ -389,14 +390,18 @@ def batch_cases(draw):
     """Members and a batch drawn, with repeats, from a pool of points x + t d
     (t in units of eq_tol * max(1, ||x||)), d leaning on the sketch
     direction and x placed so that a cell edge cuts the pool; x of norm up
-    to 10 sqrt(dim) makes every query scan all members."""
+    to 10 sqrt(dim) makes every query scan all members.  The entries a mask
+    picks are zero in every point, +0.0 or -0.0 as each draw says, so that
+    repeats are copies entry for entry but not always bit for bit."""
     dim = draw(st.integers(1, 3))
     pool = draw(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=7))
-    pick = st.integers(0, len(pool) - 1)
+    pick = st.tuples(st.integers(0, len(pool) - 1), st.booleans())
     members = draw(st.lists(pick, max_size=6))
     batch = draw(st.lists(pick, max_size=10))
     extra = draw(st.none() | st.integers(0, len(batch)))
-    return dict(dim=dim, pool=pool, members=members, batch=batch,
+    zeros = draw(st.lists(st.booleans(), min_size=dim * dim, max_size=dim * dim)
+                 .filter(lambda z: not all(z)))
+    return dict(dim=dim, pool=pool, members=members, batch=batch, zeros=zeros,
                 room=None if extra is None else len(members) + extra,
                 size=draw(st.sampled_from((0.3, 1.0, 2.5, 10.0 * np.sqrt(dim)))),
                 seed=draw(st.integers(0, 2**32 - 1)), cut=draw(st.floats(0.0, 1.0)))
@@ -411,26 +416,108 @@ def test_add_batch_agrees_with_the_per_query_store(case):
     assume(not np.any((np.abs(gaps - 1.0) < 1e-6) | (np.abs(gaps - 10.0) < 1e-6)))
     rng = np.random.default_rng(case["seed"])
     store, ref = _ElementStore(dim, CFG), ReferenceStore(dim, CFG)
+    zeros = np.array(case["zeros"]).reshape(dim, dim)
     g = store._direction.reshape(dim, dim)
+    g_free = np.where(zeros, 0.0, g)
     noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    d = 0.8 * g + 0.2 * noise / np.linalg.norm(noise)
+    d = np.where(zeros, 0.0, 0.8 * g + 0.2 * noise / np.linalg.norm(noise))
     d /= np.linalg.norm(d)
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x = np.where(zeros, 0.0, rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     x *= case["size"] / np.linalg.norm(x)
     unit = CFG.eq_tol * max(1.0, case["size"])
+    # move x along the free entries of g until a cell edge cuts the pool
     edge = np.ceil(np.vdot(g, x).real / store._width) * store._width
-    x += (edge - np.vdot(g, x).real - (pool.min() + case["cut"] * np.ptp(pool))
-          * unit * np.vdot(g, d).real) * g
+    x += ((edge - np.vdot(g, x).real - (pool.min() + case["cut"] * np.ptp(pool))
+           * unit * np.vdot(g, d).real) / np.vdot(g, g_free).real) * g_free
     points = [x + t * unit * d for t in pool]
-    for k in case["members"]:
-        store.append(points[k])
-        ref.append(points[k])
-    mats = np.array([points[k] for k in case["batch"]]).reshape(-1, dim, dim)
+
+    def point(k, negative_zeros):
+        out = points[k].copy()
+        out[zeros] = complex(-0.0, -0.0) if negative_zeros else 0.0
+        return out
+
+    for k, negative_zeros in case["members"]:
+        store.append(point(k, negative_zeros))
+        ref.append(point(k, negative_zeros))
+    mats = np.array([point(k, neg) for k, neg in case["batch"]]).reshape(-1, dim, dim)
     assert_same_found(store.add_batch(mats, case["room"]),
                       ref.add_batch(mats, case["room"]))
     assert store.count == len(ref.mats)
     assert np.array_equal(store.stack(), ref.mats)
     assert_same_found(store.lookup_batch(mats), [ref.lookup(m) for m in mats])
+
+
+def count_lookups(monkeypatch):
+    """-> a list that records each single-query _ElementStore.lookup."""
+    calls = []
+    lookup = _ElementStore.lookup
+    monkeypatch.setattr(_ElementStore, "lookup",
+                        lambda self, mat: calls.append(mat) or lookup(self, mat))
+    return calls
+
+
+@pytest.mark.parametrize("negative_zeros", (False, True))
+def test_copy_after_a_near_member_of_the_batch_is_its_first_match(negative_zeros, monkeypatch):
+    # b lies 3 eq_tol from a: near, no match, and looked up since a came
+    # first in the batch.  The copies of b and a that follow match them
+    # without a lookup; c, 2 eq_tol beyond b, is no copy and is looked up
+    rng = np.random.default_rng(5)
+    a = np.zeros((2, 2), dtype=complex)
+    a[0] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    a /= np.linalg.norm(a)
+    step = np.zeros((2, 2), dtype=complex)
+    step[0, 0] = CFG.eq_tol
+    b, c = a + 3.0 * step, a + 5.0 * step
+    copy_b, copy_a = b.copy(), a.copy()
+    if negative_zeros:
+        copy_b[1] = copy_a[1] = complex(-0.0, -0.0)
+    batch = np.array([a, b, copy_b, copy_a, c])
+    calls = count_lookups(monkeypatch)
+    for room in (None, 2):
+        store, ref = _ElementStore(2, CFG), ReferenceStore(2, CFG)
+        calls.clear()
+        got = store.add_batch(batch, room)
+        assert_same_found(got, ref.add_batch(batch, room))
+        assert got[:4] == [(None, None), (None, (0, pytest.approx(3.0 * CFG.eq_tol))),
+                           (1, None), (0, None)]
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], b) and np.array_equal(calls[1], c)
+        assert np.array_equal(store.stack(), ref.mats)
+
+
+def exact_closure_cases():
+    n = 8
+    units = [(f"E{i}", matrix_unit(n, i, (i + 1) % n)) for i in range(n)]
+    table = symmetric_inverse_table(3)
+    images = [(f"s{i}", pi.matrix) for i, pi in enumerate(barnes_representation(table))]
+    # (generators, limits, whether a batch meets copies of its own members):
+    # the Barnes images are closed under products, so each product is found
+    # among the generators
+    return {
+        "units-8": (generator_set(units, dim=n), Limits(20000, n + 1), True),
+        "units-8-selfadjoint": (adjoint_generator_set(generator_set(units, dim=n)),
+                                Limits(20000, n + 1), True),
+        "barnes-I3": (adjoint_generator_set(generator_set(images, dim=table.n)), Limits(),
+                      False),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(exact_closure_cases()))
+def test_exact_closures_find_in_batch_copies_without_lookup(label, monkeypatch):
+    # partial permutations multiply exactly: every in-batch duplicate is a copy
+    gens, limits, meets_copies = exact_closure_cases()[label]
+    calls = count_lookups(monkeypatch)
+    copies = []
+    copy_since = _ElementStore._copy_since
+    monkeypatch.setattr(_ElementStore, "_copy_since",
+                        lambda *args: copies.append(copy_since(*args)) or copies[-1])
+    c = close(gens, limits, monitor_pi=True)
+    assert calls == [] and None not in copies and bool(copies) == meets_copies
+    words, near_pairs, status, limit_hit, witness = reference_close(gens, limits, True)
+    assert [e.word for e in c.elements] == words
+    assert (c.status, c.limit_hit, c.witness_word) == (status, limit_hit, witness)
+    assert c.near_duplicate_pairs == near_pairs == []
+    assert_store_holds_the_elements(c)
 
 
 def reference_close(gens, limits, monitor_pi):

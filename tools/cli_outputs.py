@@ -9,10 +9,11 @@ units inputs for seeds 1-3 (built by perfbench/inputs.py, which is imported
 without writing anything next to it), pairs of projections on either side
 of the tolerances (also with a tolerance in the file), generator and table
 files with badly typed fields, a generator named "0" next to include_zero,
-and the benchmark's generic unitary pairs at n = 2 and 4 (seed 1), whose
-closures are infinite.  Each input is written to OUTDIR/inputs/ and every
-run reads it from there by a relative path, so no output depends on where
-OUTDIR is.
+the benchmark's generic unitary pairs at n = 2 and 4 (seed 1), whose
+closures are infinite, and cyclic matrix units at n = 16 and 20, plain and
+conjugated by a seeded signed permutation, with the benchmark's limits.
+Each input is written to OUTDIR/inputs/ and every run reads it from there
+by a relative path, so no output depends on where OUTDIR is.
 Generator files run every generator command in json and text format, tables
 run `barnes`.  The fixtures and the near-threshold pairs also run with
 `--tol 1e-6`, and the pairs that carry a tolerance also with `--tol 1e-8`,
@@ -43,6 +44,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 FORMATS = ("json", "text")
 GENERATOR_COMMANDS = tuple(c for c in COMMANDS if c != "barnes")
+LARGE_UNITS = (16, 20)
 
 
 def load_bench_inputs():
@@ -115,6 +117,20 @@ def badly_typed_inputs() -> dict[str, dict]:
     return out
 
 
+def large_units_inputs(bench) -> dict[str, dict]:
+    """Cyclic units of LARGE_UNITS, plain and conjugated by a signed
+    permutation, which keeps every entry exactly 0 or +-1."""
+    rng = np.random.default_rng(1)
+    out = {}
+    for n in LARGE_UNITS:
+        named = bench.cyclic_units(n)
+        w = bench._signed_permutation(rng, n)
+        signed = [(name, w @ m @ w.conj().T) for name, m in named]
+        for label, mats in (("plain", named), ("signed", signed)):
+            out[f"units-{n}-{label}"] = bench.generator_file(n, mats, (20000, n + 1))
+    return out
+
+
 def collect_inputs() -> tuple[dict[str, dict], dict[str, dict]]:
     """-> (generator files, table files), each label -> JSON document."""
     gens, tables = {}, {}
@@ -129,6 +145,7 @@ def collect_inputs() -> tuple[dict[str, dict], dict[str, dict]]:
             target[f"bench-s{seed}-{item.label}"] = item.document
     for item in bench.closure_inputs(1)[:2]:
         gens[f"unitary-s1-{item.label}"] = bench.generator_file(item.dim, item.named)
+    gens.update(large_units_inputs(bench))
     gens.update(near_threshold_inputs())
     gens.update(file_tolerance_inputs())
     gens.update(badly_typed_inputs())
