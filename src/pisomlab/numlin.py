@@ -339,7 +339,11 @@ def norton_test(mats: np.ndarray, cfg: ToleranceConfig, seed: int) -> Subspace |
 
     x is a seeded combination of I, the generators and their length-2 words;
     its most isolated eigenvalue lambda is used when the singular values of
-    x - lambda show a one-dimensional kernel under the rank_tol rule.  If a
+    x - lambda show a one-dimensional kernel under the rank_tol rule and no
+    other eigenvalue lies within sqrt(rank_tol) * ||x - lambda||.  A nearer
+    one may be lambda's twin in a Jordan block, computed only to about
+    sqrt(eps) * ||x||: then v leaves the kernel by as much, and its spin
+    need not show an invariant subspace that holds the kernel.  If a
     kernel vector v of x - lambda spins to a proper invariant subspace, that
     is returned; if a kernel vector w of (x - lambda)* spins under the
     adjoints to a proper subspace, its orthocomplement is.  Both spins full
@@ -353,10 +357,11 @@ def norton_test(mats: np.ndarray, cfg: ToleranceConfig, seed: int) -> Subspace |
         y = np.tensordot(c[1 + k:].reshape(k, k), mats, axes=1)
         x = c[0] * np.eye(n) + np.tensordot(c[1:1 + k], mats, axes=1) + (mats @ y).sum(axis=0)
         eigs = np.linalg.eigvals(x)
-        gaps = np.abs(eigs[:, None] - eigs[None, :]) + np.diag(np.full(n, np.inf))
-        lam = eigs[np.argmax(gaps.min(axis=1))]
+        gaps = (np.abs(eigs[:, None] - eigs[None, :]) + np.diag(np.full(n, np.inf))).min(axis=1)
+        lam = eigs[np.argmax(gaps)]
         u, s, vh = np.linalg.svd(x - lam * np.eye(n))
-        if np.sum(s <= cfg.rank_tol * max(1.0, s[0])) != 1:
+        scale = max(1.0, s[0])
+        if gaps.max() <= np.sqrt(cfg.rank_tol) * scale or np.sum(s <= cfg.rank_tol * scale) != 1:
             continue
         spun = spin(vh[-1].conj(), mats, cfg)
         if spun.dim < n:

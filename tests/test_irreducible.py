@@ -35,9 +35,14 @@ def norton_case(kind, n, count, rng):
     direct-sum:       block diagonal over C^m + C^(n-m);
     block-triangular: block diagonal or strictly block upper triangular, so
                       C^m is invariant and C^(n-m) need not be;
-    tensor:           g (x) I_k, every eigenvalue of multiplicity k."""
+    tensor:           g (x) I_k, every eigenvalue of multiplicity k;
+    coupled:          g (x) I_2 and I_m (x) E12 on C^m (x) C^2, two equal
+                      diagonal blocks coupled above the diagonal, so that
+                      every eigenvalue of a combination is defective."""
     m = int(rng.integers(1, n)) if n > 1 else 1
     mats = []
+    if kind == "coupled":
+        mats.append(np.kron(np.eye(n // 2), matrix_unit(2, 0, 1)))
     for _ in range(count):
         if kind == "random":
             mat = random_partial_isometry(rng, n)
@@ -48,6 +53,8 @@ def norton_case(kind, n, count, rng):
             mat[:m, m:] = rectangular_partial_isometry(rng, m, n - m)
         elif kind == "block-triangular":
             mat = block_diag(random_partial_isometry(rng, m), random_partial_isometry(rng, n - m))
+        elif kind == "coupled":
+            mat = np.kron(random_partial_isometry(rng, n // 2), np.eye(2))
         else:
             k = next(k for k in (2, 3, 5, 7) if n % k == 0)
             mat = np.kron(random_partial_isometry(rng, n // k), np.eye(k))
@@ -57,13 +64,13 @@ def norton_case(kind, n, count, rng):
 
 
 @settings(max_examples=120, deadline=None)
-@given(kind=st.sampled_from(("random", "direct-sum", "block-triangular", "tensor")),
+@given(kind=st.sampled_from(("random", "direct-sum", "block-triangular", "tensor", "coupled")),
        n=st.integers(1, 8), count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        norton_seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2))
 def test_norton_answers_as_span_growth(kind, n, count, seed, norton_seeds):
     if kind in ("direct-sum", "block-triangular"):
         n = max(n, 2)
-    if kind == "tensor":
+    if kind in ("tensor", "coupled"):
         n = max(4, n - n % 2)
     gens = norton_case(kind, n, count, np.random.default_rng(seed))
     want = span_growth(gens)
@@ -74,7 +81,7 @@ def test_norton_answers_as_span_growth(kind, n, count, seed, norton_seeds):
             assert 0 < got.witness.dim < n
             assert _is_invariant(got.witness.basis, [m for _, m in gens.named_generators],
                                  n, gens.cfg)
-    if kind in ("direct-sum", "block-triangular", "tensor"):
+    if kind != "random":
         assert not want.irreducible
 
 
@@ -104,6 +111,21 @@ def test_golden_input_falls_back_and_keeps_its_witness():
     res = is_irreducible(generator_set(named))
     assert (res.irreducible, res.span_dim) == (span_growth(generator_set(named)).irreducible, 4)
     assert res.witness is not None
+
+
+def test_defective_eigenvalues_fall_back_to_span_growth():
+    # every eigenvalue of x is a Jordan 2-block, computed only to about
+    # sqrt(eps): each has a twin that near, and no try takes one
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 2 * int(rng.integers(2, 5))
+        gens = norton_case("coupled", n, 2, rng)
+        mats = np.array([m for _, m in gens.named_generators])
+        for norton_seed in range(4):
+            assert norton_test(mats, gens.cfg, norton_seed) is None
+        res, want = is_irreducible(gens), span_growth(gens)
+        assert (res.irreducible, res.span_dim) == (want.irreducible, want.span_dim)
+        assert not res.irreducible
 
 
 def test_cyclic_units_decided_by_norton_without_span_growth(monkeypatch):

@@ -124,7 +124,9 @@ def large_units_inputs(bench) -> dict[str, dict]:
     out = {}
     for n in LARGE_UNITS:
         named = bench.cyclic_units(n)
-        w = bench._signed_permutation(rng, n)
+        perm = rng.permutation(n)
+        w = np.zeros((n, n), dtype=complex)
+        w[perm, np.arange(n)] = rng.choice([1.0, -1.0], size=n)
         signed = [(name, w @ m @ w.conj().T) for name, m in named]
         for label, mats in (("plain", named), ("signed", signed)):
             out[f"units-{n}-{label}"] = bench.generator_file(n, mats, (20000, n + 1))
