@@ -64,7 +64,7 @@ class AnalysisRequest:
 
 
 def _closure_summary(result) -> dict:
-    out = {"status": result.status, "element_count": len(result.elements)}
+    out = {"status": result.status, "element_count": len(result)}
     if result.status == FAILURE:
         out["witness_word"] = list(result.witness_word)
         out["deviation"] = result.witness_deviation
@@ -165,7 +165,7 @@ def cmd_check(request: AnalysisRequest) -> dict:
     rows = []
     all_valid = True
     for name, mat in raw.named:
-        row = {"name": name, "deviation": partial_isometry_defect(mat, cfg)}
+        row = {"name": name, "deviation": partial_isometry_defect(mat)}
         try:
             pi = make_partial_isometry(mat, cfg)
             row["valid"] = True
@@ -182,7 +182,7 @@ def cmd_check(request: AnalysisRequest) -> dict:
 def cmd_closure(s: Session) -> dict:
     out = {"command": "closure", **_closure_summary(s.base)}
     if s.base.status != FAILURE:
-        out["words"] = [word_label(e.word) for e in s.base.elements[:50]]
+        out["words"] = [word_label(w) for w in s.base.words[:50]]
     return out
 
 
@@ -259,7 +259,7 @@ def cmd_barnes(request: AnalysisRequest) -> dict:
         "injective": distinct.count == table.n,
         "all_partial_isometries": True,
         "closure_status": closure.status,
-        "closure_elements": len(closure.elements),
+        "closure_elements": len(closure),
     })
     return out
 

@@ -20,7 +20,7 @@ _EPS = float(np.finfo(float).eps)
 _CHUNK = 1 << 14
 # dim x dim arrays held at once per query, per (query, member) pair of the
 # rule or per closure product: the matrix and about three of its size (the
-# member, difference and square; or the P, Q and copy of a validated product)
+# member, difference and square; or the adjoint, P and Q of an element)
 _HELD = 4
 _NONE = np.iinfo(np.intp).max
 
@@ -241,8 +241,10 @@ class _ElementStore:
         return self.lookup(_square(mat, self.dim))[0]
 
     def stack(self) -> np.ndarray:
-        """The members as one count x dim x dim array (a view)."""
-        return self._buf[: self.count]
+        """The members as one count x dim x dim array (a read-only view)."""
+        members = self._buf[: self.count]
+        members.flags.writeable = False
+        return members
 
     def matrices(self) -> list[np.ndarray]:
         return list(self.stack())

@@ -46,6 +46,11 @@ class NotPartialIsometry(PisomError):
         super().__init__(message)
         self.deviation = deviation
 
+    @classmethod
+    def of(cls, m) -> "NotPartialIsometry":
+        dev = partial_isometry_defect(m)
+        return cls(f"V*V is not a projection (idempotency defect {dev:.6g})", dev)
+
 
 class NotPowerPartialIsometry(PisomError):
     pass
@@ -72,7 +77,7 @@ class PartialIsometry:
                                self.final, self.initial)
 
 
-def partial_isometry_defect(m, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+def partial_isometry_defect(m) -> float:
     """Operator-norm idempotency defect of V*V; 0 for genuine partial isometries."""
     m = as_matrix(m)
     p = adjoint(m) @ m
@@ -90,9 +95,7 @@ def make_partial_isometry(m, cfg: ToleranceConfig = DEFAULT_TOL) -> PartialIsome
         raise NotSquare(f"partial isometries must be square, got {m.shape}")
     pi = validate_stack(m[None], cfg)[0]
     if pi is None:
-        dev = partial_isometry_defect(m, cfg)
-        raise NotPartialIsometry(
-            f"V*V is not a projection (idempotency defect {dev:.6g})", dev)
+        raise NotPartialIsometry.of(m)
     return pi
 
 

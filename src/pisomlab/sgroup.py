@@ -35,10 +35,11 @@ from .numlin import (
     norton_test,
     pair_table,
     range_basis,
+    spin,
 )
 from .index import _HELD, _ElementStore, _chunks, _square, _stack
-from .pisom import (PartialIsometry, make_partial_isometry, partial_isometry_defect,
-                    partial_isometry_rule, validate_stack)
+from .pisom import (NotPartialIsometry, PartialIsometry, make_partial_isometry,
+                    partial_isometry_defect, partial_isometry_rule, validate_stack)
 from .projlat import AtomDecomposition, ProjectionFamily, boolean_atoms, projection_family
 
 CLOSED = "closed"
@@ -93,7 +94,6 @@ class GeneratorSet:
     named_generators: tuple[tuple[str, np.ndarray], ...]
     include_identity: bool
     include_zero: bool
-    pisoms: tuple[PartialIsometry, ...]
     cfg: ToleranceConfig
 
     @property
@@ -111,13 +111,10 @@ def generator_set(named, dim: int | None = None, include_identity: bool = True,
     the zero matrix.  cfg is the tolerance of every analysis of the set.
     """
     pairs = []
-    pisoms = []
     seen: set[str] = set()
     for name, mat in named:
         check_generator_name(name, seen, include_zero)
-        pi = make_partial_isometry(mat, cfg)
-        pairs.append((name, pi.matrix))
-        pisoms.append(pi)
+        pairs.append((name, make_partial_isometry(mat, cfg).matrix))
     if dim is None:
         if not pairs:
             raise ShapeMismatch("empty generator set needs an explicit dimension")
@@ -125,7 +122,7 @@ def generator_set(named, dim: int | None = None, include_identity: bool = True,
     for name, mat in pairs:
         if mat.shape != (dim, dim):
             raise ShapeMismatch(f"generator {name!r} has shape {mat.shape}, expected {(dim, dim)}")
-    return GeneratorSet(dim, tuple(pairs), include_identity, include_zero, tuple(pisoms), cfg)
+    return GeneratorSet(dim, tuple(pairs), include_identity, include_zero, cfg)
 
 
 def check_generator_name(name, taken: set[str], include_zero: bool) -> None:
@@ -149,10 +146,10 @@ class SemigroupElement:
     word: tuple[str, ...]
     pi: PartialIsometry | None
 
-    def require_pi(self, cfg: ToleranceConfig = DEFAULT_TOL) -> PartialIsometry:
-        if self.pi is not None:
-            return self.pi
-        return make_partial_isometry(self.matrix, cfg)
+    def require_pi(self) -> PartialIsometry:
+        if self.pi is None:
+            raise NotPartialIsometry.of(self.matrix)
+        return self.pi
 
 
 def word_label(word: tuple[str, ...]) -> str:
@@ -175,15 +172,15 @@ class ClosureResult:
 
     status is CLOSED, TRUNCATED (limit_hit says which limit fired) or FAILURE
     (witness_word evaluates to a matrix failing validation by
-    witness_deviation in operator norm).  Elements carry one shortest
-    witnessing word each; on FAILURE they are the elements retained before
-    the abort.
+    witness_deviation in operator norm).  The elements are held as columns:
+    element k is the store's member k with the shortest witnessing word
+    words[k]; on FAILURE they are the elements retained before the abort.
     """
 
     dim: int
     generators: GeneratorSet
     name_map: dict[str, np.ndarray]
-    elements: list[SemigroupElement]
+    words: list[tuple[str, ...]]
     store: _ElementStore = field(repr=False, compare=False)
     status: str
     limit_hit: str | None = None
@@ -194,14 +191,35 @@ class ClosureResult:
     families: FamilyProjections | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.words)
 
     @property
     def cfg(self) -> ToleranceConfig:
         return self.generators.cfg
 
     def matrices(self) -> list[np.ndarray]:
-        return [e.matrix for e in self.elements]
+        """The element matrices: read-only views of the store's stack."""
+        return self.store.matrices()
+
+    def projections(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """The stacks of P = V*V and Q = VV* of the elements at index (a
+        slice or a sequence of indices)."""
+        vs = self.store.stack()[index]
+        vh = vs.conj().transpose(0, 2, 1)
+        return vh @ vs, vs @ vh
+
+    @cached_property
+    def elements(self) -> list[SemigroupElement]:
+        """The elements as objects, built on the first read."""
+        return self._view(range(len(self)))
+
+    def _view(self, ks) -> list[SemigroupElement]:
+        """SemigroupElements of the elements ks, with pi from validate_stack:
+        None exactly where the matrix fails the partial isometry rule."""
+        mats = self.store.stack()
+        pis = [pi for part in _chunks(len(ks), self.dim, _HELD)
+               for pi in validate_stack(mats[ks[part]], self.cfg)]
+        return [SemigroupElement(mats[k], self.words[k], pi) for k, pi in zip(ks, pis)]
 
     def find(self, mat) -> int | None:
         """Index of the first element, in insertion order, equal to mat under
@@ -220,87 +238,80 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
     every word shortest-first; each product is looked up, in parent and
     then generator order, against every element kept before it and merged
     by approx_equal.  A BFS level is expanded in chunks of consecutive
-    parents, with one stacked product, one add_batch and one validate_stack
-    call per chunk.  With monitor_pi the first new product that fails
-    validation aborts with a FAILURE status carrying a minimal-length
-    witness word and its partial_isometry_defect.  Hitting a limit yields
-    TRUNCATED; limits are results, not errors.
+    parents, with one stacked product and one add_batch per chunk.  Only with
+    monitor_pi are the new products validated, and the first that fails
+    aborts with a FAILURE status carrying a minimal-length witness word and
+    its partial_isometry_defect.  Hitting a limit yields TRUNCATED; limits
+    are results, not errors.
     """
     dim, cfg = gens.dim, gens.cfg
-    name_map: dict[str, np.ndarray] = {}
-    gen_items: list[tuple[str, np.ndarray, PartialIsometry]] = []
-    for (name, mat), pi in zip(gens.named_generators, gens.pisoms):
-        name_map[name] = mat
-        gen_items.append((name, mat, pi))
-    if gens.include_zero and all(frobenius(m) > 0 for _, m, _ in gen_items):
-        zero = np.zeros((dim, dim), dtype=np.complex128)
-        zpi = make_partial_isometry(zero, cfg)
-        name_map["0"] = zero
-        gen_items.append(("0", zero, zpi))
+    name_map = dict(gens.named_generators)
+    if gens.include_zero and all(frobenius(m) > 0 for m in name_map.values()):
+        name_map["0"] = np.zeros((dim, dim), dtype=np.complex128)
+    names = list(name_map)
 
     store = _ElementStore(dim, cfg)
-    elements: list[SemigroupElement] = []
+    words: list[tuple[str, ...]] = []
     near_pairs: list[tuple[int, int, float]] = []
 
-    def retain(mat, word, pi, near) -> None:
-        """Keep the store's member len(elements) as the next element."""
+    def retain(word, near) -> None:
+        """Keep the store's member len(words) as the next element."""
         if near is not None:
-            near_pairs.append((near[0], len(elements), near[1]))
-        elements.append(SemigroupElement(frozen(mat) if pi is None else pi.matrix,
-                                         word, pi))
+            near_pairs.append((near[0], len(words), near[1]))
+        words.append(word)
 
     limit_hit: str | None = None
     if gens.include_identity:
-        identity = np.eye(dim, dtype=np.complex128)
-        store.append(identity)
-        retain(identity, (), make_partial_isometry(identity, cfg), None)
-    gen_stack = _stack([mat for _, mat, _ in gen_items], dim)
-    for (name, mat, pi), (match, near) in zip(
-            gen_items, store.add_batch(gen_stack, limits.max_elements)):
+        store.append(np.eye(dim, dtype=np.complex128))
+        retain((), None)
+    gen_stack = _stack(list(name_map.values()), dim)
+    for name, (match, near) in zip(names, store.add_batch(gen_stack, limits.max_elements)):
         if match is None:
-            if len(elements) >= limits.max_elements:
+            if len(words) >= limits.max_elements:
                 limit_hit = "max_elements"
                 break
-            retain(mat, (name,), pi, near)
+            retain((name,), near)
     # the elements of a level are consecutive, with words of nondecreasing
     # length, and the store's member k is element k
-    level = range(len(elements))
+    level = range(len(words))
     while level and limit_hit != "max_elements":
-        parents = [k for k in level if len(elements[k].word) < limits.max_word_length]
-        start = len(elements)
-        for part in _chunks(len(parents), dim, _HELD * len(gen_items)):
+        parents = [k for k in level if len(words[k]) < limits.max_word_length]
+        start = len(words)
+        for part in _chunks(len(parents), dim, _HELD * len(names)):
             chunk = parents[part]
             # each product is looked up in order and a new one joins the
-            # store at once; the new ones are then validated together.  The
-            # first new product beyond max_elements is validated but not
-            # stored, since a failure witness outranks the limit.
+            # store at once; monitored, the new ones are then validated
+            # together.  The first new product beyond max_elements is
+            # validated but not stored, since a failure witness outranks the
+            # limit.
             prods = (store.stack()[chunk][:, None] @ gen_stack[None]).reshape(-1, dim, dim)
             new = [(p, near) for p, (match, near)
                    in enumerate(store.add_batch(prods, limits.max_elements)) if match is None]
             if not new:
                 continue
-            pis = validate_stack(prods[[p for p, _ in new]], cfg)
-            for (p, near), pi in zip(new, pis):
-                parent, gen = divmod(p, len(gen_items))
-                word = elements[chunk[parent]].word + (gen_items[gen][0],)
-                if pi is None and monitor_pi:
-                    store.truncate(len(elements))
+            valid = (partial_isometry_rule(prods[[p for p, _ in new]], cfg)[0] if monitor_pi
+                     else [True] * len(new))
+            for (p, near), ok in zip(new, valid):
+                parent, gen = divmod(p, len(names))
+                word = words[chunk[parent]] + (names[gen],)
+                if not ok:
+                    store.truncate(len(words))
                     return ClosureResult(
-                        dim, gens, name_map, elements, store, FAILURE,
+                        dim, gens, name_map, words, store, FAILURE,
                         witness_word=word, witness_deviation=partial_isometry_defect(prods[p]),
                         near_duplicate_pairs=near_pairs)
-                if len(elements) >= limits.max_elements:
+                if len(words) >= limits.max_elements:
                     limit_hit = "max_elements"
                     break
-                retain(prods[p], word, pi, near)
+                retain(word, near)
             if limit_hit == "max_elements":
                 break
         if len(parents) < len(level):
             limit_hit = limit_hit or "max_word_length"
-        level = range(start, len(elements))
+        level = range(start, len(words))
 
     status = TRUNCATED if limit_hit else CLOSED
-    return ClosureResult(dim, gens, name_map, elements, store, status,
+    return ClosureResult(dim, gens, name_map, words, store, status,
                          limit_hit=limit_hit, near_duplicate_pairs=near_pairs)
 
 
@@ -311,17 +322,13 @@ def adjoint_generator_set(gens: GeneratorSet) -> GeneratorSet:
     are adjoint to each other) are not duplicated.
     """
     named = list(gens.named_generators)
-    pisoms = list(gens.pisoms)
     known = _ElementStore(gens.dim, gens.cfg, [m for _, m in named])
-    adjoints = [pi.adjoint() for pi in gens.pisoms]
-    found = known.add_batch([adj.matrix for adj in adjoints])
-    for name, adj, (match, _) in zip(gens.names, adjoints, found):
-        if match is None:
-            named.append((name + "*", adj.matrix))
-            pisoms.append(adj)
+    adjoints = [(name + "*", frozen(adjoint(m))) for name, m in named]
+    found = known.add_batch([m for _, m in adjoints])
+    named += [item for item, (match, _) in zip(adjoints, found) if match is None]
     # built directly: adjoints of validated partial isometries need no re-check,
     # and the public factory reserves '*' for exactly these names
-    return replace(gens, named_generators=tuple(named), pisoms=tuple(pisoms))
+    return replace(gens, named_generators=tuple(named))
 
 
 def selfadjoint_closure(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
@@ -348,15 +355,20 @@ def same_projection_set(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 def family_projections(c: ClosureResult) -> FamilyProjections:
     """Deduplicated initial and final projection families of all elements,
-    built once per closure."""
+    built once per closure; NotPartialIsometry for the first element that
+    fails the partial isometry rule, as close validates only when monitored."""
     if c.status == FAILURE:
         raise InvalidState("closure ended in a failure witness; no projection families")
     if c.families is None:
         cfg = c.cfg
-        pis = [e.require_pi(cfg) for e in c.elements]
         ps, qs = _ElementStore(c.dim, cfg), _ElementStore(c.dim, cfg)
-        ps.add_batch([pi.initial for pi in pis])
-        qs.add_batch([pi.final for pi in pis])
+        for part in _chunks(len(c), c.dim, _HELD):
+            vs = c.store.stack()[part]
+            ok, p = partial_isometry_rule(vs, cfg)
+            if not ok.all():
+                raise NotPartialIsometry.of(vs[np.argmin(ok)])
+            ps.add_batch(p)
+            qs.add_batch(vs @ vs.conj().transpose(0, 2, 1))
         c.families = FamilyProjections(projection_family(ps.matrices(), c.dim, cfg),
                                        projection_family(qs.matrices(), c.dim, cfg))
     return c.families
@@ -411,8 +423,7 @@ def _adjoin_until_fixed(c: ClosureResult, propose, limits: Limits,
         # validate only the new ones: current generators may be adjoints 'NAME*'
         added = generator_set(missing, dim=current.dim, cfg=current.cfg)
         gens = replace(current.generators,
-                       named_generators=current.generators.named_generators + added.named_generators,
-                       pisoms=current.generators.pisoms + added.pisoms)
+                       named_generators=current.generators.named_generators + added.named_generators)
         current = close(gens, limits, monitor_pi=True)
         if current.status != CLOSED:
             return current
@@ -442,8 +453,8 @@ def adjoin_final_projections(c: ClosureResult,
     the way is returned as-is.
     """
     def finals(current):
-        for e in current.elements:
-            yield f"Q[{word_label(e.word)}]", e.require_pi(current.cfg).final
+        qs = current.projections(slice(None))[1]
+        return [(f"Q[{word_label(word)}]", q) for word, q in zip(current.words, qs)]
 
     atoms = boolean_atoms(_commuting_q(c))
     return _adjoin_until_fixed(c, finals, limits, atoms)
@@ -473,16 +484,16 @@ def enrich_projections(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> C
     adjunction this may enlarge the Q algebra unless the uniform-multiplicity
     hypothesis holds, so no algebra-preservation assertion is made here.
     """
-    def projections(current):
-        for e in current.elements:
-            pi = e.require_pi(current.cfg)
-            yield f"Q[{word_label(e.word)}]", pi.final
-            yield f"P[{word_label(e.word)}]", pi.initial
+    def finals_and_initials(current):
+        ps, qs = current.projections(slice(None))
+        for word, p, q in zip(current.words, ps, qs):
+            yield f"Q[{word_label(word)}]", q
+            yield f"P[{word_label(word)}]", p
 
     result = close(gens, limits, monitor_pi=True)
     if result.status != CLOSED:
         return result
-    return _adjoin_until_fixed(result, projections, limits)
+    return _adjoin_until_fixed(result, finals_and_initials, limits)
 
 
 @dataclass(frozen=True)
@@ -504,84 +515,62 @@ def is_irreducible(gens: GeneratorSet, seed: int = 0) -> IrreducibilityResult:
     Norton's test (numlin.norton_test) decides most irreducible inputs
     without the span: both of its spins full means span_dim = n^2.  Every
     other input grows the span word by word.  When reducible, the invariant
-    subspace is a proper spin of Norton's test, or else a best-effort one
-    extracted from orbits
-    of basis and seeded random vectors under the algebra, and from the
-    orthocomplement trick applied to the adjoint algebra.  Absence of a
+    subspace is a proper spin of Norton's test, or else a best-effort one:
+    the spin of a basis or seeded random vector under the generators, or the
+    orthocomplement of such a spin under their adjoints.  Absence of a
     witness never weakens the dimension-based verdict.
     """
     n, cfg = gens.dim, gens.cfg
-    gen_mats = [m for _, m in gens.named_generators]
-    spun = norton_test(np.array(gen_mats, dtype=np.complex128).reshape(-1, n, n), cfg, seed)
+    mats = np.array([m for _, m in gens.named_generators], dtype=np.complex128).reshape(-1, n, n)
+    spun = norton_test(mats, cfg, seed)
     if spun is not None and spun.dim == n:
         return IrreducibilityResult(True, n * n, lambda: None)
     span = Span(n * n, cfg)
-    span_mats: list[np.ndarray] = []
-
-    def grow(mat: np.ndarray) -> bool:
-        if not span.grow(mat.reshape(-1)):
-            return False
-        span_mats.append(mat)
-        return True
-
-    frontier: list[np.ndarray] = []
-    for mat in [np.eye(n, dtype=np.complex128)] + gen_mats:
-        if grow(mat):
-            frontier.append(mat)
+    frontier = [mat for mat in [np.eye(n, dtype=np.complex128), *mats]
+                if span.grow(mat.reshape(-1))]
     while frontier and span.dim < n * n:
-        fresh: list[np.ndarray] = []
-        for mat in frontier:
-            for g in gen_mats:
-                cand = mat @ g
-                if grow(cand):
-                    fresh.append(cand)
-                    if span.dim == n * n:
-                        break
-            if span.dim == n * n:
-                break
-        frontier = fresh
+        products = (mat @ g for mat in frontier for g in mats)
+        frontier = [w for w in products if span.dim < n * n and span.grow(w.reshape(-1))]
 
     if span.dim == n * n:
         return IrreducibilityResult(True, span.dim, lambda: None)
 
     def search() -> Subspace | None:
-        if spun is not None and _is_invariant(spun.basis, gen_mats, n, cfg):
+        if spun is not None and _is_invariant(spun.basis, mats, n, cfg):
             return spun
-        return _invariant_subspace_witness(gen_mats, span_mats, n, cfg, seed)
+        return _invariant_subspace_witness(mats, n, cfg, seed)
 
     return IrreducibilityResult(False, span.dim, search)
 
 
-def _is_invariant(basis: np.ndarray, gen_mats, n: int, cfg: ToleranceConfig) -> bool:
+def _is_invariant(basis: np.ndarray, mats, n: int, cfg: ToleranceConfig) -> bool:
     proj = basis @ adjoint(basis)
     comp = np.eye(n) - proj
-    for g in gen_mats:
+    for g in mats:
         if frobenius(comp @ g @ basis) > cfg.eq_tol * max(1.0, frobenius(g)) * 10.0:
             return False
     return True
 
 
-def _invariant_subspace_witness(gen_mats, span_mats, n: int,
+def _invariant_subspace_witness(mats: np.ndarray, n: int,
                                 cfg: ToleranceConfig, seed: int) -> Subspace | None:
     rng = np.random.default_rng(seed)
     candidates = [np.eye(n, dtype=np.complex128)[:, i] for i in range(n)]
     for _ in range(32):
         vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         candidates.append(vec / np.linalg.norm(vec))
-    # orbits under the algebra itself
+    # spins under the generators
     for x in candidates:
-        orbit = np.column_stack([m @ x for m in span_mats])
-        sub = range_basis(orbit, cfg)
-        if 0 < sub.dim < n and _is_invariant(sub.basis, gen_mats, n, cfg):
+        sub = spin(x, mats, cfg)
+        if 0 < sub.dim < n and _is_invariant(sub.basis, mats, n, cfg):
             return sub
-    # orthocomplements of adjoint-algebra orbits are invariant for the originals
-    adj_span = [adjoint(m) for m in span_mats]
+    # orthocomplements of spins under the adjoints are invariant for the originals
+    adjoints = mats.conj().transpose(0, 2, 1)
     for x in candidates:
-        orbit = np.column_stack([m @ x for m in adj_span])
-        sub = range_basis(orbit, cfg)
+        sub = spin(x, adjoints, cfg)
         if 0 < sub.dim < n:
             comp = kernel_basis(adjoint(sub.basis), cfg)
-            if 0 < comp.dim < n and _is_invariant(comp.basis, gen_mats, n, cfg):
+            if 0 < comp.dim < n and _is_invariant(comp.basis, mats, n, cfg):
                 return comp
     return None
 
@@ -713,13 +702,11 @@ def brandt_structure(c: ClosureResult) -> BrandtStructure:
     minimal = sorted(_minimal_projections(distinct.stack(), cfg), key=dominant_index)
 
     family = _ElementStore(c.dim, cfg, minimal)
-    loops: list[SemigroupElement | None] = [None] * len(minimal)
-    for part in _chunks(len(c.elements), c.dim, _HELD):
-        if all(loops):
+    loops: list[int | None] = [None] * len(minimal)
+    for part in _chunks(len(c), c.dim, _HELD):
+        if None not in loops:
             break
-        elems = c.elements[part]
-        pis = [e.require_pi(cfg) for e in elems]
-        ps, qs = _stack([pi.initial for pi in pis], c.dim), _stack([pi.final for pi in pis], c.dim)
+        ps, qs = c.projections(part)
         # P and Q of a loop both match one E under approx_equal, so they lie
         # within 3 eq_tol * max(1, ||P||, ||Q||) <= 3 eq_tol * max(1, ||W||^2)
         # of each other; that test skips most elements before any lookup
@@ -728,16 +715,15 @@ def brandt_structure(c: ClosureResult) -> BrandtStructure:
         for k, (p, _), (q, _) in zip(close_by, family.lookup_batch(ps[close_by]),
                                      family.lookup_batch(qs[close_by])):
             if p is not None and loops[p] is None and q == p:
-                loops[p] = elems[k]
-    members: list[BrandtFamilyMember] = []
+                loops[p] = part.start + int(k)
     for proj, loop in zip(minimal, loops):
         if loop is None:
             raise NoMinimalWithLoop(
                 f"no element has initial = final = the minimal projection with "
                 f"dominant coordinate {dominant_index(proj)}")
-        members.append(BrandtFamilyMember(frozen(proj),
-                                          int(round(float(np.trace(proj).real))), loop,
-                                          range_basis(proj, cfg).basis))
+    members = [BrandtFamilyMember(frozen(proj), int(round(float(np.trace(proj).real))), loop,
+                                  range_basis(proj, cfg).basis)
+               for proj, loop in zip(minimal, c._view(loops))]
 
     projections = np.array([m.projection for m in members]).reshape(-1, c.dim, c.dim)
     overlapping = pair_table(projections)[0] > cfg.proj_tol * c.dim
@@ -752,7 +738,7 @@ def brandt_structure(c: ClosureResult) -> BrandtStructure:
     failure = _brandt_pair_failure(c.store.stack(), [m.basis for m in members], cfg)
     if failure is not None:
         k, reason = failure
-        raise MembershipViolation(f"element {word_label(c.elements[k].word)}: {reason}")
+        raise MembershipViolation(f"element {word_label(c.words[k])}: {reason}")
 
     checks = {"loops": True, "orthogonal": True, "coverage": True, "membership": True}
     return BrandtStructure(c.dim, tuple(members), checks, cfg)
@@ -778,29 +764,29 @@ def check_intertwining_identity(c: ClosureResult, samples: int, seed: int = 0,
     Tuples are drawn uniformly from the closure elements with m <= max_factors;
     any residual above eq_tol raises IdentityViolation naming the tuple.
     """
-    cfg = c.cfg
     _commuting_q(c)
-    if not c.elements:
+    if not len(c):
         raise InvalidState("closure has no elements to sample")
+    mats = c.store.stack()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         m = int(rng.integers(1, max_factors + 1))
-        s_el = c.elements[int(rng.integers(len(c.elements)))]
-        r_els = [c.elements[int(rng.integers(len(c.elements)))] for _ in range(m)]
+        s = int(rng.integers(len(c)))
+        rs = [int(rng.integers(len(c))) for _ in range(m)]
         q_prod = np.eye(c.dim, dtype=np.complex128)
-        for r in r_els:
-            q_prod = q_prod @ r.require_pi(cfg).final
-        lhs = s_el.matrix @ q_prod @ adjoint(s_el.matrix)
+        for q in c.projections(rs)[1]:
+            q_prod = q_prod @ q
+        lhs = mats[s] @ q_prod @ adjoint(mats[s])
         rhs = np.eye(c.dim, dtype=np.complex128)
-        for r in r_els:
-            sr = s_el.matrix @ r.matrix
+        for r in rs:
+            sr = mats[s] @ mats[r]
             rhs = rhs @ (sr @ adjoint(sr))
         residual = frobenius(lhs - rhs)
         worst = max(worst, residual)
-        if not approx_equal(lhs, rhs, cfg):
+        if not approx_equal(lhs, rhs, c.cfg):
             raise IdentityViolation(
-                f"identity fails for S = {word_label(s_el.word)}, "
-                f"R = {[word_label(r.word) for r in r_els]} "
+                f"identity fails for S = {word_label(c.words[s])}, "
+                f"R = {[word_label(c.words[r]) for r in rs]} "
                 f"with residual {residual:.3e}")
     return IntertwiningReport(samples, worst)

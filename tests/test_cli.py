@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pisomlab import cli
 from pisomlab.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -398,3 +399,19 @@ def _verdict_and_ranks(gens):
     base = close(gens, monitor_pi=True)
     atoms = boolean_atoms(family_projections(base).q_set)
     return verdict, tuple(sorted(atoms.ranks))
+
+
+@pytest.mark.parametrize("name", ["example-1-3.json", "matrix-units-3.json"])
+def test_report_builds_no_element_objects(fixtures_dir, monkeypatch, name):
+    sessions = []
+
+    class Recorded(cli.Session):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sessions.append(self)
+
+    monkeypatch.setattr(cli, "Session", Recorded)
+    run(AnalysisRequest("report", str(fixtures_dir / name)))
+    (session,) = sessions
+    assert "elements" not in vars(session.base)
+    assert "elements" not in vars(session.extended)

@@ -4,12 +4,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pisomlab.numlin import ToleranceConfig, approx_equal
-from pisomlab.pisom import partial_isometry_defect
+from pisomlab import sgroup
+from pisomlab.pisom import NotPartialIsometry, make_partial_isometry, partial_isometry_defect
 from pisomlab.projlat import boolean_atoms, multiplicity_profile
 from pisomlab.sgroup import (
     CLOSED,
@@ -209,6 +211,50 @@ def test_family_projections_requires_valid_closure():
     failed = selfadjoint_closure(golden_gens())
     with pytest.raises(InvalidState):
         family_projections(failed)
+
+
+def test_family_projections_names_the_first_element_that_is_no_partial_isometry():
+    v = np.array([1.0, 0.5]) / np.hypot(1.0, 0.5)
+    gens = generator_set([("P", np.diag([1.0, 0.0])), ("Q", np.outer(v, v))], dim=2)
+    kept = close(gens, Limits(50, 4))  # unmonitored: keeps P.Q, P.Q.P, ...
+    failures = []
+    for mat in kept.matrices():
+        try:
+            make_partial_isometry(mat)
+        except NotPartialIsometry as err:
+            failures.append(err)
+    # the deviations differ along the closure, so the first one is pinned
+    assert len({err.deviation for err in failures}) > 1
+    with pytest.raises(NotPartialIsometry) as err:
+        family_projections(kept)
+    assert err.value.deviation == failures[0].deviation
+    assert str(err.value) == str(failures[0])
+
+
+def test_unmonitored_close_validates_nothing(monkeypatch):
+    gens = units_gens(4)
+    for name in ("partial_isometry_rule", "validate_stack", "make_partial_isometry"):
+        monkeypatch.setattr(sgroup, name, None)
+    assert len(close(gens, Limits(100, 5))) == 18
+
+
+def test_close_holds_one_copy_of_each_element():
+    gens = units_gens(16)
+    tracemalloc.start()
+    try:
+        result = close(gens, Limits(1000, 17), monitor_pi=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (result.status, len(result)) == (CLOSED, 16 * 16 + 2)
+    assert held < 2 * result.store._buf.nbytes
+
+
+def test_closure_matrices_are_read_only():
+    result = close(units_gens(3), monitor_pi=True)
+    for mat in result.matrices() + [e.matrix for e in result.elements]:
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
 
 
 def test_pq_checks_matrix_units():

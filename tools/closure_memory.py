@@ -1,0 +1,102 @@
+"""Memory of the closure and cost of `report` on cyclic matrix units.
+
+    PYTHONPATH=src python tools/closure_memory.py
+
+The generators are E_{i,i+1} (i < n) and E_{n,1} at n = 16, 24 and 32, with
+the word limit n + 1, so the closure is every matrix unit together with I
+and 0.  For each n the script prints
+
+- the wall time of `pisomlab report` on these generators and the peak RSS
+  of its process, for RUNS runs, each in a fresh Python process;
+- the memory that tracemalloc counts as held after the monitored base
+  closure (`close(..., monitor_pi=True)`), its peak during the closure, and
+  the bytes of the element matrices and of the store's buffer.
+
+The time is taken around `pisomlab.cli.main` inside that process, so it
+leaves out interpreter start-up and imports; the RSS includes them.  The
+report runs come first: on Linux a child's peak RSS starts from the RSS of
+the process that started it, which the closures below would raise.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+
+import numpy as np
+
+from pisomlab.jsonio import matrix_to_json
+from pisomlab.sgroup import Limits, close, generator_set
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SIZES = (16, 24, 32)
+RUNS = 3
+MB = 1e6
+
+REPORT = """
+import contextlib, io, resource, sys, time
+from pisomlab.cli import main
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["report", sys.argv[1], "--format", "json"])
+wall = time.perf_counter() - start
+print(code, wall, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def cyclic_units(n: int) -> list[tuple[str, np.ndarray]]:
+    named = []
+    for i in range(n):
+        mat = np.zeros((n, n), dtype=complex)
+        mat[i, (i + 1) % n] = 1.0
+        named.append((f"E{i + 1}_{(i + 1) % n + 1}", mat))
+    return named
+
+
+def closure_memory(n: int) -> str:
+    gens = generator_set(cyclic_units(n), dim=n)
+    tracemalloc.start()
+    try:
+        result = close(gens, Limits(20000, n + 1), monitor_pi=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrices = len(result) * n * n * 16
+    return (f"n={n}: {len(result)} elements, held {held / MB:.1f} MB, peak {peak / MB:.1f} MB, "
+            f"matrices {matrices / MB:.1f} MB, store buffer {result.store._buf.nbytes / MB:.1f} MB")
+
+
+def report_runs(n: int, workdir: pathlib.Path) -> str:
+    path = workdir / f"units-{n}.json"
+    document = {"dim": n,
+                "generators": [{"name": name, "matrix": matrix_to_json(mat)}
+                               for name, mat in cyclic_units(n)],
+                "limits": {"max_elements": 20000, "max_word_length": n + 1}}
+    path.write_text(json.dumps(document))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    runs = []
+    for _ in range(RUNS):
+        out = subprocess.run([sys.executable, "-c", REPORT, str(path)], env=env,
+                             capture_output=True, text=True, check=True).stdout.split()
+        if out[0] != "0":
+            raise RuntimeError(f"report exited with {out[0]} at n={n}")
+        runs.append(f"{float(out[1]):.2f} s / {float(out[2]):.0f} MB")
+    return f"n={n}: report " + ", ".join(runs)
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as workdir:
+        for n in SIZES:
+            print(report_runs(n, pathlib.Path(workdir)), flush=True)
+    for n in SIZES:
+        print(closure_memory(n), flush=True)
+
+
+if __name__ == "__main__":
+    main()
