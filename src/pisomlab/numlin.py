@@ -376,7 +376,8 @@ def norton_test(mats: np.ndarray, cfg: ToleranceConfig, seed: int) -> Subspace |
 def pair_table(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """k x k tables of ||P_i P_j|| and ||P_i P_j - P_j P_i|| over a k x n x n
     stack for i < j, zero elsewhere; a table's first maximum in row-major
-    order is the first pair a loop over i and then j > i finds."""
+    order is the first pair a loop over i and then j > i finds (projection_family's
+    worst pair is the first within rel 1e-12 of the maximum: rounding splits ties)."""
     k = len(stack)
     products = np.zeros((k, k))
     commutators = np.zeros((k, k))

@@ -80,8 +80,9 @@ class ProjectionFamily:
 
 def projection_family(members, dim: int | None = None,
                       cfg: ToleranceConfig = DEFAULT_TOL) -> ProjectionFamily:
-    """Validate a list of projections and record the worst pairwise
-    commutator; cfg is the tolerance of every analysis of the family."""
+    """Validate a list of projections and record the largest commutator norm
+    and the worst pair, the first in row-major order within rel 1e-12 of it as
+    rounding may split exact ties; cfg is the tolerance of every analysis of the family."""
     mats = [as_matrix(p) for p in members]
     if dim is None:
         if not mats:
@@ -95,10 +96,9 @@ def projection_family(members, dim: int | None = None,
     if failing.size:
         raise NotProjection(f"member {failing[0]} is not a projection")
     commutators = pair_table(stack)[1]
-    worst, worst_pair = 0.0, None
-    if commutators.any():
-        i, j = np.unravel_index(np.argmax(commutators), commutators.shape)
-        worst, worst_pair = float(commutators[i, j]), (int(i), int(j))
+    worst = float(commutators.max(initial=0.0))
+    tied = np.argwhere((commutators > 0) & (commutators >= worst - 1e-12 * worst))
+    worst_pair = (int(tied[0, 0]), int(tied[0, 1])) if len(tied) else None
     return ProjectionFamily(dim, tuple(frozen(stack)), worst, worst_pair, cfg)
 
 

@@ -201,25 +201,14 @@ class ClosureResult:
         """The element matrices: read-only views of the store's stack."""
         return self.store.matrices()
 
-    def projections(self, index) -> tuple[np.ndarray, np.ndarray]:
-        """The stacks of P = V*V and Q = VV* of the elements at index (a
-        slice or a sequence of indices)."""
-        vs = self.store.stack()[index]
-        vh = vs.conj().transpose(0, 2, 1)
-        return vh @ vs, vs @ vh
-
     @cached_property
     def elements(self) -> list[SemigroupElement]:
-        """The elements as objects, built on the first read."""
-        return self._view(range(len(self)))
-
-    def _view(self, ks) -> list[SemigroupElement]:
-        """SemigroupElements of the elements ks, with pi from validate_stack:
-        None exactly where the matrix fails the partial isometry rule."""
+        """The elements as objects, built on the first read; pi is None
+        exactly where the matrix fails the partial isometry rule."""
         mats = self.store.stack()
-        pis = [pi for part in _chunks(len(ks), self.dim, _HELD)
-               for pi in validate_stack(mats[ks[part]], self.cfg)]
-        return [SemigroupElement(mats[k], self.words[k], pi) for k, pi in zip(ks, pis)]
+        pis = [pi for part in _chunks(len(self), self.dim, _HELD)
+               for pi in validate_stack(mats[part], self.cfg)]
+        return [SemigroupElement(m, word, pi) for m, word, pi in zip(mats, self.words, pis)]
 
     def find(self, mat) -> int | None:
         """Index of the first element, in insertion order, equal to mat under
@@ -338,8 +327,13 @@ def selfadjoint_closure(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> 
 
 @dataclass(frozen=True)
 class FamilyProjections:
+    """A closure's P and Q families and the element map: element k's P = V*V
+    is p_set.members[p_of[k]] and its Q = VV* is q_set.members[q_of[k]]."""
+
     p_set: ProjectionFamily
     q_set: ProjectionFamily
+    p_of: np.ndarray
+    q_of: np.ndarray
 
 
 def same_projection_set(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -353,25 +347,47 @@ def same_projection_set(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
                for match, _ in other.lookup_batch(this.stack()))
 
 
+def _member_indices(store: _ElementStore, mats) -> list[int]:
+    """add_batch of mats into store -> the member each matched or became."""
+    new = iter(range(store.count, store.count + len(mats)))
+    return [next(new) if match is None else match for match, _ in store.add_batch(mats)]
+
+
 def family_projections(c: ClosureResult) -> FamilyProjections:
-    """Deduplicated initial and final projection families of all elements,
-    built once per closure; NotPartialIsometry for the first element that
-    fails the partial isometry rule, as close validates only when monitored."""
+    """Deduplicated initial and final projection families of all elements and
+    the element map, built once per closure; NotPartialIsometry for the first
+    element that fails the partial isometry rule, as close validates only
+    when monitored."""
     if c.status == FAILURE:
         raise InvalidState("closure ended in a failure witness; no projection families")
     if c.families is None:
         cfg = c.cfg
         ps, qs = _ElementStore(c.dim, cfg), _ElementStore(c.dim, cfg)
+        p_of, q_of = [], []
         for part in _chunks(len(c), c.dim, _HELD):
             vs = c.store.stack()[part]
             ok, p = partial_isometry_rule(vs, cfg)
             if not ok.all():
                 raise NotPartialIsometry.of(vs[np.argmin(ok)])
-            ps.add_batch(p)
-            qs.add_batch(vs @ vs.conj().transpose(0, 2, 1))
+            p_of += _member_indices(ps, p)
+            q_of += _member_indices(qs, vs @ vs.conj().transpose(0, 2, 1))
         c.families = FamilyProjections(projection_family(ps.matrices(), c.dim, cfg),
-                                       projection_family(qs.matrices(), c.dim, cfg))
+                                       projection_family(qs.matrices(), c.dim, cfg),
+                                       np.array(p_of, dtype=np.intp), np.array(q_of, dtype=np.intp))
     return c.families
+
+
+def _projection_proposals(c: ClosureResult, kinds: str) -> list[tuple[str, np.ndarray]]:
+    """(f'{kind}[word_k]', member) for each member of c's Q and P families, as
+    kinds names them, with k the first element mapped to the member (whose
+    projection it is); ordered by k, and at one k as in kinds (sorted is stable)."""
+    fams = family_projections(c)
+    named = []
+    for kind in kinds:
+        fam, of = (fams.p_set, fams.p_of) if kind == "P" else (fams.q_set, fams.q_of)
+        firsts = np.unique(of, return_index=True)[1]
+        named += [(k, f"{kind}[{word_label(c.words[k])}]", m) for k, m in zip(firsts, fam.members)]
+    return [(name, m) for _, name, m in sorted(named, key=lambda item: item[0])]
 
 
 def check_pq_equal(c: ClosureResult) -> bool:
@@ -450,14 +466,11 @@ def adjoin_final_projections(c: ClosureResult,
     On success every element's final projection is itself an element and the
     Boolean algebra generated by the Q family is unchanged (this is asserted
     by recomputing the atoms).  A failure witness or truncation found along
-    the way is returned as-is.
+    the way is returned as-is.  Each Q member is proposed once, named after
+    the first element whose Q it is.
     """
-    def finals(current):
-        qs = current.projections(slice(None))[1]
-        return [(f"Q[{word_label(word)}]", q) for word, q in zip(current.words, qs)]
-
     atoms = boolean_atoms(_commuting_q(c))
-    return _adjoin_until_fixed(c, finals, limits, atoms)
+    return _adjoin_until_fixed(c, lambda cur: _projection_proposals(cur, "Q"), limits, atoms)
 
 
 def adjoin_algebra_projections(c: ClosureResult, atoms: AtomDecomposition,
@@ -483,17 +496,12 @@ def enrich_projections(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> C
     and re-close (monitored) until nothing is missing.  Unlike the Q-only
     adjunction this may enlarge the Q algebra unless the uniform-multiplicity
     hypothesis holds, so no algebra-preservation assertion is made here.
+    Each member is proposed once, in the order of its first element, Q first.
     """
-    def finals_and_initials(current):
-        ps, qs = current.projections(slice(None))
-        for word, p, q in zip(current.words, ps, qs):
-            yield f"Q[{word_label(word)}]", q
-            yield f"P[{word_label(word)}]", p
-
     result = close(gens, limits, monitor_pi=True)
     if result.status != CLOSED:
         return result
-    return _adjoin_until_fixed(result, finals_and_initials, limits)
+    return _adjoin_until_fixed(result, lambda cur: _projection_proposals(cur, "QP"), limits)
 
 
 @dataclass(frozen=True)
@@ -597,12 +605,12 @@ def check_asb_nonzero(gens: GeneratorSet, a, b,
 
 @dataclass(frozen=True)
 class BrandtFamilyMember:
-    """A minimal projection E, its loop (P = Q = E) and an orthonormal basis
-    of its range."""
+    """A minimal projection E, the index of its loop element (P = Q = E) in
+    the closure and an orthonormal basis of its range."""
 
     projection: np.ndarray
     rank: int
-    loop: SemigroupElement
+    loop: int
     basis: np.ndarray
 
 
@@ -701,29 +709,21 @@ def brandt_structure(c: ClosureResult) -> BrandtStructure:
                         if frobenius(proj) > cfg.eq_tol])
     minimal = sorted(_minimal_projections(distinct.stack(), cfg), key=dominant_index)
 
+    # element k is a loop of minimal projection i when its P and Q members look up to i
     family = _ElementStore(c.dim, cfg, minimal)
-    loops: list[int | None] = [None] * len(minimal)
-    for part in _chunks(len(c), c.dim, _HELD):
-        if None not in loops:
-            break
-        ps, qs = c.projections(part)
-        # P and Q of a loop both match one E under approx_equal, so they lie
-        # within 3 eq_tol * max(1, ||P||, ||Q||) <= 3 eq_tol * max(1, ||W||^2)
-        # of each other; that test skips most elements before any lookup
-        bound = 3.0 * cfg.eq_tol * np.maximum(1.0, _squared_norms(c.store.stack()[part]))
-        close_by = np.flatnonzero(_squared_norms(ps - qs) <= bound ** 2)
-        for k, (p, _), (q, _) in zip(close_by, family.lookup_batch(ps[close_by]),
-                                     family.lookup_batch(qs[close_by])):
-            if p is not None and loops[p] is None and q == p:
-                loops[p] = part.start + int(k)
-    for proj, loop in zip(minimal, loops):
-        if loop is None:
+    p_in, q_in = ([i for i, _ in family.lookup_batch(f.members)] for f in (fams.p_set, fams.q_set))
+    loops: dict[int, int] = {}
+    for k, (p, q) in enumerate(zip(fams.p_of, fams.q_of)):
+        if p_in[p] is not None and p_in[p] == q_in[q]:
+            loops.setdefault(p_in[p], k)
+    for i, proj in enumerate(minimal):
+        if i not in loops:
             raise NoMinimalWithLoop(
                 f"no element has initial = final = the minimal projection with "
                 f"dominant coordinate {dominant_index(proj)}")
-    members = [BrandtFamilyMember(frozen(proj), int(round(float(np.trace(proj).real))), loop,
+    members = [BrandtFamilyMember(frozen(proj), int(round(float(np.trace(proj).real))), loops[i],
                                   range_basis(proj, cfg).basis)
-               for proj, loop in zip(minimal, c._view(loops))]
+               for i, proj in enumerate(minimal)]
 
     projections = np.array([m.projection for m in members]).reshape(-1, c.dim, c.dim)
     overlapping = pair_table(projections)[0] > cfg.proj_tol * c.dim
@@ -774,14 +774,12 @@ def check_intertwining_identity(c: ClosureResult, samples: int, seed: int = 0,
         m = int(rng.integers(1, max_factors + 1))
         s = int(rng.integers(len(c)))
         rs = [int(rng.integers(len(c))) for _ in range(m)]
-        q_prod = np.eye(c.dim, dtype=np.complex128)
-        for q in c.projections(rs)[1]:
-            q_prod = q_prod @ q
-        lhs = mats[s] @ q_prod @ adjoint(mats[s])
-        rhs = np.eye(c.dim, dtype=np.complex128)
+        q_prod = rhs = np.eye(c.dim, dtype=np.complex128)
         for r in rs:
             sr = mats[s] @ mats[r]
+            q_prod = q_prod @ (mats[r] @ adjoint(mats[r]))
             rhs = rhs @ (sr @ adjoint(sr))
+        lhs = mats[s] @ q_prod @ adjoint(mats[s])
         residual = frobenius(lhs - rhs)
         worst = max(worst, residual)
         if not approx_equal(lhs, rhs, c.cfg):

@@ -1,0 +1,175 @@
+"""The element map of family_projections (each element's P and Q member) and
+its readers against the per-element algorithms they replaced: the Brandt
+loop search over every element's P and Q, and the adjunction proposers over
+every element's Q, and over its Q and P interleaved."""
+
+import numpy as np
+import pytest
+
+from pisomlab.numlin import approx_equal
+from pisomlab.projlat import boolean_atoms
+from pisomlab.sgroup import (
+    CLOSED,
+    DEFAULT_LIMITS,
+    _adjoin_until_fixed,
+    _commuting_q,
+    _ElementStore,
+    adjoin_final_projections,
+    brandt_structure,
+    check_pq_equal,
+    close,
+    enrich_projections,
+    family_projections,
+    generator_set,
+    word_label,
+)
+from conftest import golden_generators, matrix_unit
+from factories import (pq_equal_instance, random_unitary, signed_permutation,
+                       uniform_multiplicity_instance)
+
+
+def units(n, conjugate_seed=None):
+    """The cyclic matrix units E_{i,i+1} and E_{n,1} on C^n, conjugated by a
+    seeded signed permutation when conjugate_seed is given."""
+    named = [(f"E{i}{i + 1}", matrix_unit(n, i - 1, i)) for i in range(1, n)]
+    named.append((f"E{n}1", matrix_unit(n, n - 1, 0)))
+    if conjugate_seed is not None:
+        w = signed_permutation(np.random.default_rng(conjugate_seed), n)
+        named = [(name, w @ g @ w.conj().T) for name, g in named]
+    return generator_set(named, dim=n)
+
+
+def golden():
+    return generator_set(list(zip("ABC", golden_generators())))
+
+
+def conjugated_pq_equal(seed):
+    n, named = pq_equal_instance(seed)
+    w = random_unitary(np.random.default_rng(seed), n)
+    return generator_set([(name, w @ g @ w.conj().T) for name, g in named], dim=n)
+
+
+CLOSURES = {
+    "m2": lambda: generator_set([("E12", matrix_unit(2, 0, 1)), ("E21", matrix_unit(2, 1, 0))]),
+    "units-3": lambda: units(3),
+    "units-8": lambda: units(8),
+    "golden": golden,
+    "pq-equal": lambda: conjugated_pq_equal(5),
+    "empty": lambda: generator_set([], dim=3, include_identity=False),
+}
+
+
+def projections(c):
+    vs = c.store.stack()
+    vh = vs.conj().transpose(0, 2, 1)
+    return vh @ vs, vs @ vh
+
+
+# --- the element map ------------------------------------------------------
+
+@pytest.mark.parametrize("name", CLOSURES)
+def test_every_element_maps_to_its_own_projections(name):
+    c = close(CLOSURES[name](), monitor_pi=True)
+    fams = family_projections(c)
+    assert len(fams.p_of) == len(fams.q_of) == len(c)
+    if name == "empty":
+        assert len(c) == 0 and not fams.p_set.members and not fams.q_set.members
+    if name == "pq-equal":
+        assert check_pq_equal(c)
+    for ps, fam, of in zip(projections(c), (fams.p_set, fams.q_set), (fams.p_of, fams.q_of)):
+        for proj, member in zip(ps, of):
+            assert approx_equal(proj, fam.members[member], c.cfg)
+        # a member is appended at its first element, so first occurrences count up
+        firsts = list(dict.fromkeys(of.tolist()))
+        assert firsts == list(range(len(fam.members)))
+
+
+# --- Brandt loops against the per-element search --------------------------
+
+def reference_loops(c, family):
+    """The loop search over every element: element k is a loop of member i
+    when its own P and Q both look up to i; the first such k per member."""
+    store = _ElementStore(c.dim, c.cfg, family)
+    loops = [None] * len(family)
+    for k, (p, q) in enumerate(zip(*projections(c))):
+        i = store.lookup(p)[0]
+        if i is not None and loops[i] is None and store.lookup(q)[0] == i:
+            loops[i] = k
+    return loops
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+@pytest.mark.parametrize("conjugate_seed", (None, 7))
+def test_brandt_loops_are_the_per_element_loops(n, conjugate_seed):
+    c = close(units(n, conjugate_seed), monitor_pi=True)
+    s = brandt_structure(c)
+    assert s.family_ranks == (1,) * n
+    loops = [member.loop for member in s.family]
+    assert all(isinstance(loop, int) for loop in loops)
+    assert loops == reference_loops(c, [member.projection for member in s.family])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_brandt_loops_are_the_first_of_several(seed):
+    # D = diag(1, 1, 0) has the loops D, R, R^2 and R^3 for the rotation R of
+    # its range, and F = diag(0, 0, 1) the loop F; conjugated by a unitary
+    rot = np.zeros((3, 3), dtype=complex)
+    rot[:2, :2] = [[0, -1], [1, 0]]
+    w = random_unitary(np.random.default_rng(seed), 3)
+    named = [("D", np.diag([1.0, 1.0, 0.0])), ("F", np.diag([0.0, 0.0, 1.0])), ("R", rot)]
+    c = close(generator_set([(name, w @ g @ w.conj().T) for name, g in named], dim=3),
+              monitor_pi=True)
+    s = brandt_structure(c)
+    assert sorted(s.family_ranks) == [1, 2]
+    family = [member.projection for member in s.family]
+    assert [member.loop for member in s.family] == reference_loops(c, family)
+    rank_two = family[s.family_ranks.index(2)]
+    assert sum(approx_equal(v.conj().T @ v, rank_two, c.cfg)
+               and approx_equal(v @ v.conj().T, rank_two, c.cfg) for v in c.store.stack()) == 4
+
+
+# --- adjunction proposers against the per-element proposers ---------------
+
+def reference_finals(current):
+    qs = projections(current)[1]
+    return [(f"Q[{word_label(word)}]", q) for word, q in zip(current.words, qs)]
+
+
+def reference_finals_and_initials(current):
+    ps, qs = projections(current)
+    for word, p, q in zip(current.words, ps, qs):
+        yield f"Q[{word_label(word)}]", q
+        yield f"P[{word_label(word)}]", p
+
+
+def reference_adjoin_final(c):
+    return _adjoin_until_fixed(c, reference_finals, DEFAULT_LIMITS, boolean_atoms(_commuting_q(c)))
+
+
+def reference_enrich(gens):
+    result = close(gens, DEFAULT_LIMITS, monitor_pi=True)
+    return result if result.status != CLOSED else _adjoin_until_fixed(
+        result, reference_finals_and_initials, DEFAULT_LIMITS)
+
+
+def outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except Exception as err:  # the references must raise alike
+        return type(err).__name__
+    return result.generators.names, result.status, len(result)
+
+
+def adjunction_input(name):
+    if name == "golden":
+        return golden()
+    n, _, _, named = uniform_multiplicity_instance(int(name.split("-")[1]))
+    return generator_set(named, dim=n)
+
+
+@pytest.mark.parametrize("name", ["golden"] + [f"uniform-{seed}" for seed in range(8)])
+def test_adjunctions_propose_as_the_per_element_proposers(name):
+    gens = adjunction_input(name)
+    base = close(gens, monitor_pi=True)
+    assert outcome(adjoin_final_projections, base) == outcome(reference_adjoin_final, base)
+    assert outcome(enrich_projections, gens) == outcome(reference_enrich, gens)

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pisomlab.numlin import (
     DEFAULT_TOL,
@@ -52,14 +52,13 @@ CFGS = (DEFAULT_TOL, ToleranceConfig(1e-6, 1e-6, 1e-6))
 # --- the scalar loops, kept as references -------------------------------
 
 def reference_worst_pair(mats):
-    """projection_family's pair loop: the first maximal commutator norm."""
-    worst, worst_pair = 0.0, None
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            c = commutator_norm(mats[i], mats[j])
-            if c > worst:
-                worst, worst_pair = c, (i, j)
-    return worst, worst_pair
+    """projection_family's pair loop: the largest commutator norm, and the
+    first pair, in loop order, within rel 1e-12 of it."""
+    norms = {(i, j): commutator_norm(mats[i], mats[j])
+             for i in range(len(mats)) for j in range(i + 1, len(mats))}
+    worst = max(norms.values(), default=0.0)
+    tied = [pair for pair, c in norms.items() if c > 0 and c >= worst - 1e-12 * worst]
+    return worst, (tied[0] if tied else None)
 
 
 def reference_first_overlap(mats, bound):
@@ -234,6 +233,9 @@ def conjugated_diagonals(rng, n, k):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), k=st.integers(0, 5),
        factor=st.sampled_from((0.0, 0.5, 2.0)), cfg=st.sampled_from(CFGS),
        noncommuting=st.booleans())
+# two pairs whose commutator norms are equal in exact arithmetic and differ
+# by rounding between the stacked table and the loop
+@example(seed=20943, n=4, k=4, factor=0.0, cfg=DEFAULT_TOL, noncommuting=True)
 def test_family_relations_answer_as_the_pair_loops(seed, n, k, factor, cfg, noncommuting):
     rng = np.random.default_rng(seed)
     exact = conjugated_diagonals(rng, n, k)

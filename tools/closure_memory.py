@@ -10,7 +10,11 @@ and 0.  For each n the script prints
   of its process, for RUNS runs, each in a fresh Python process;
 - the memory that tracemalloc counts as held after the monitored base
   closure (`close(..., monitor_pi=True)`), its peak during the closure, and
-  the bytes of the element matrices and of the store's buffer.
+  the bytes of the element matrices and of the store's buffer;
+- the median over RUNS runs of the wall time of `family_projections` and
+  then of `brandt_structure` (which reuses the families) on the monitored
+  base closure, each run on a fresh closure, since a closure keeps its
+  families once built.
 
 The time is taken around `pisomlab.cli.main` inside that process, so it
 leaves out interpreter start-up and imports; the RSS includes them.  The
@@ -23,15 +27,17 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
 
 from pisomlab.jsonio import matrix_to_json
-from pisomlab.sgroup import Limits, close, generator_set
+from pisomlab.sgroup import Limits, brandt_structure, close, family_projections, generator_set
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIZES = (16, 24, 32)
@@ -71,6 +77,21 @@ def closure_memory(n: int) -> str:
             f"matrices {matrices / MB:.1f} MB, store buffer {result.store._buf.nbytes / MB:.1f} MB")
 
 
+def stage_times(n: int) -> str:
+    gens = generator_set(cyclic_units(n), dim=n)
+    families, brandt = [], []
+    for _ in range(RUNS):
+        result = close(gens, Limits(20000, n + 1), monitor_pi=True)
+        start = time.perf_counter()
+        family_projections(result)
+        middle = time.perf_counter()
+        brandt_structure(result)
+        families.append(middle - start)
+        brandt.append(time.perf_counter() - middle)
+    return (f"n={n}: family_projections {statistics.median(families) * 1e3:.0f} ms, "
+            f"brandt_structure {statistics.median(brandt) * 1e3:.0f} ms (median of {RUNS})")
+
+
 def report_runs(n: int, workdir: pathlib.Path) -> str:
     path = workdir / f"units-{n}.json"
     document = {"dim": n,
@@ -96,6 +117,8 @@ def main() -> None:
             print(report_runs(n, pathlib.Path(workdir)), flush=True)
     for n in SIZES:
         print(closure_memory(n), flush=True)
+    for n in SIZES:
+        print(stage_times(n), flush=True)
 
 
 if __name__ == "__main__":
