@@ -7,15 +7,17 @@ All matrices are numpy complex128 arrays; all comparisons are relative to a
 Each tolerance rule lives once, over stacks, and scalar predicates apply it
 to one matrix: equal_rule (approx_equal), projection_rule (is_projection,
 projection_family) and pisom.partial_isometry_rule (make_partial_isometry).
-Each family relation lives once too: pair_table (every pair's product and
-commutator norm) and split_cells (the two halves of every atom cell).  So
-does the rule by which a vector grows a span (Span), behind Burnside span
-growth and the spins of Norton's irreducibility test (norton_test).
+Each family relation lives once too: pair_table, worst_pair, first_overlap
+and split_cells.  One routine, spin, grows the span of every orbit: Burnside's
+span of words, the spins of Norton's test (norton_test) and of the
+reducibility witness (invariant_subspaces), and the span behind a·S·b != 0.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,45 +290,57 @@ def split_cells(cells, p, cfg: ToleranceConfig = DEFAULT_TOL,
     return out
 
 
-class Span:
-    """Orthonormal rows spanning the vectors of C^size grown so far: a vector
+def spin(seeds: np.ndarray, mats: np.ndarray, cfg: ToleranceConfig) -> Subspace:
+    """The span of the orbit of the seeds (row vectors of C^c, or r x c
+    matrices taken as vectors of C^(r*c)) under right multiplication by the
+    k x c x c stack mats, grown one BFS level at a time in (frontier member,
+    factor) order, a member's k images from one stacked product.  A vector
     joins unless its norm is within eq_tol of zero or its residual, after two
-    projections on the rows, is within rank_tol * max(1, its norm)."""
+    projections on the basis so far, is within rank_tol * max(1, its norm).
+    """
+    seeds = np.asarray(seeds, dtype=np.complex128)
+    size = math.prod(seeds.shape[1:])
+    rows = np.zeros((size, size), dtype=np.complex128)
+    dim = 0
 
-    def __init__(self, size: int, cfg: ToleranceConfig):
-        self.rows = np.zeros((size, size), dtype=np.complex128)
-        self.dim = 0
-        self.cfg = cfg
-
-    def grow(self, v: np.ndarray) -> bool:
+    def grow(v: np.ndarray) -> bool:
+        nonlocal dim
+        v = v.reshape(-1)
         nv = float(np.linalg.norm(v))
-        if nv <= self.cfg.eq_tol:
+        if nv <= cfg.eq_tol:
             return False
-        resid = v.astype(np.complex128)
-        basis = self.rows[: self.dim]
+        resid = v
         for _ in range(2):
-            if self.dim:
-                resid = resid - basis.T @ (basis @ resid.conj()).conj()
+            resid = resid - rows[:dim].T @ (rows[:dim] @ resid.conj()).conj()
         rn = float(np.linalg.norm(resid))
-        if rn <= self.cfg.rank_tol * max(1.0, nv):
+        if rn <= cfg.rank_tol * max(1.0, nv):
             return False
-        self.rows[self.dim] = resid / rn
-        self.dim += 1
+        rows[dim] = resid / rn
+        dim += 1
         return True
 
+    # first in, first out is BFS level order, and drops each expanded member
+    queue = deque(s for s in seeds if grow(s))
+    while queue and dim < size:
+        queue.extend(u.copy() for u in queue.popleft() @ mats if dim < size and grow(u))
+    basis = rows[:dim].T
+    basis.setflags(write=False)
+    return Subspace(size, basis)
 
-def spin(v: np.ndarray, mats: np.ndarray, cfg: ToleranceConfig) -> Subspace:
-    """The smallest subspace that holds the unit vector v and is invariant
-    under the k x n x n stack mats: the span of v's orbit, grown one BFS
-    level at a time."""
-    n = v.shape[0]
-    span = Span(n, cfg)
-    span.grow(v)
-    frontier = v[None]
-    while frontier.size and span.dim < n:
-        images = (frontier @ mats.transpose(0, 2, 1)).reshape(-1, n)
-        frontier = np.array([u for u in images if span.dim < n and span.grow(u)]).reshape(-1, n)
-    return Subspace(n, frozen(span.rows[: span.dim].T))
+
+def invariant_subspaces(mats: np.ndarray, vs, ws, cfg: ToleranceConfig) -> Iterator[Subspace]:
+    """Lazily, the proper spins of the vectors vs under the k x n x n stack
+    mats, then the orthocomplements of the proper spins of the vectors ws
+    under the adjoints: each is invariant under mats."""
+    n = mats.shape[-1]
+    for v in vs:
+        sub = spin(v[None], mats.transpose(0, 2, 1), cfg)
+        if sub.dim < n:
+            yield sub
+    for w in ws:
+        sub = spin(w[None], mats.conj(), cfg)
+        if sub.dim < n:
+            yield kernel_basis(adjoint(sub.basis), cfg)
 
 
 # random elements x that Norton's test draws before it gives up
@@ -343,12 +357,10 @@ def norton_test(mats: np.ndarray, cfg: ToleranceConfig, seed: int) -> Subspace |
     other eigenvalue lies within sqrt(rank_tol) * ||x - lambda||.  A nearer
     one may be lambda's twin in a Jordan block, computed only to about
     sqrt(eps) * ||x||: then v leaves the kernel by as much, and its spin
-    need not show an invariant subspace that holds the kernel.  If a
-    kernel vector v of x - lambda spins to a proper invariant subspace, that
-    is returned; if a kernel vector w of (x - lambda)* spins under the
-    adjoints to a proper subspace, its orthocomplement is.  Both spins full
-    -> C^n: the algebra is irreducible.  None when no try found such a
-    lambda.
+    need not show an invariant subspace that holds the kernel.  The answer
+    is the first of invariant_subspaces for a kernel vector v of x - lambda
+    and w of (x - lambda)*; both spins full -> C^n: the algebra is
+    irreducible.  None when no try found such a lambda.
     """
     k, n = mats.shape[0], mats.shape[-1]
     rng = np.random.default_rng(seed)
@@ -363,21 +375,15 @@ def norton_test(mats: np.ndarray, cfg: ToleranceConfig, seed: int) -> Subspace |
         scale = max(1.0, s[0])
         if gaps.max() <= np.sqrt(cfg.rank_tol) * scale or np.sum(s <= cfg.rank_tol * scale) != 1:
             continue
-        spun = spin(vh[-1].conj(), mats, cfg)
-        if spun.dim < n:
-            return spun
-        spun = spin(u[:, -1], mats.conj().transpose(0, 2, 1), cfg)
-        if spun.dim < n:
-            return kernel_basis(adjoint(spun.basis), cfg)
-        return spun
+        return next(invariant_subspaces(mats, [vh[-1].conj()], [u[:, -1]], cfg),
+                    full_subspace(n))
     return None
 
 
 def pair_table(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """k x k tables of ||P_i P_j|| and ||P_i P_j - P_j P_i|| over a k x n x n
-    stack for i < j, zero elsewhere; a table's first maximum in row-major
-    order is the first pair a loop over i and then j > i finds (projection_family's
-    worst pair is the first within rel 1e-12 of the maximum: rounding splits ties)."""
+    stack for i < j, zero elsewhere; row-major order is the order in which a
+    loop over i and then j > i meets the pairs."""
     k = len(stack)
     products = np.zeros((k, k))
     commutators = np.zeros((k, k))
@@ -386,6 +392,22 @@ def pair_table(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         products[i, i + 1:] = np.sqrt(_squared_norms(ab))
         commutators[i, i + 1:] = np.sqrt(_squared_norms(ab - stack[i + 1:] @ stack[i]))
     return products, commutators
+
+
+def worst_pair(table: np.ndarray) -> tuple[int, int] | None:
+    """The first entry of a table of pair norms, in row-major order, within
+    rel 1e-12 of the maximum (rounding splits exact ties); None if all are 0."""
+    worst = table.max(initial=0.0)
+    tied = np.argwhere((table > 0) & (table >= worst - 1e-12 * worst))
+    return (int(tied[0, 0]), int(tied[0, 1])) if len(tied) else None
+
+
+def first_overlap(stack: np.ndarray, cfg: ToleranceConfig) -> tuple[int, int] | None:
+    """The first pair i < j, in row-major order, of a k x n x n stack of
+    projections with ||P_i P_j|| > proj_tol * n, or None: the one place that
+    sets the scale of every orthogonality test."""
+    overlapping = np.argwhere(pair_table(stack)[0] > cfg.proj_tol * stack.shape[-1])
+    return (int(overlapping[0, 0]), int(overlapping[0, 1])) if len(overlapping) else None
 
 
 def frame_blocks(stack: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -24,6 +24,7 @@ from .numlin import (
     as_matrix,
     dominant_index,
     equal_rule,
+    first_overlap,
     frame_blocks,
     frobenius,
     frozen,
@@ -32,6 +33,7 @@ from .numlin import (
     pair_table,
     projection_rule,
     split_cells,
+    worst_pair,
 )
 from .pisom import PartialIsometry, make_partial_isometry
 
@@ -81,8 +83,8 @@ class ProjectionFamily:
 def projection_family(members, dim: int | None = None,
                       cfg: ToleranceConfig = DEFAULT_TOL) -> ProjectionFamily:
     """Validate a list of projections and record the largest commutator norm
-    and the worst pair, the first in row-major order within rel 1e-12 of it as
-    rounding may split exact ties; cfg is the tolerance of every analysis of the family."""
+    and the worst pair (numlin.worst_pair: the first in row-major order within
+    rel 1e-12 of it); cfg is the tolerance of every analysis of the family."""
     mats = [as_matrix(p) for p in members]
     if dim is None:
         if not mats:
@@ -96,10 +98,8 @@ def projection_family(members, dim: int | None = None,
     if failing.size:
         raise NotProjection(f"member {failing[0]} is not a projection")
     commutators = pair_table(stack)[1]
-    worst = float(commutators.max(initial=0.0))
-    tied = np.argwhere((commutators > 0) & (commutators >= worst - 1e-12 * worst))
-    worst_pair = (int(tied[0, 0]), int(tied[0, 1])) if len(tied) else None
-    return ProjectionFamily(dim, tuple(frozen(stack)), worst, worst_pair, cfg)
+    return ProjectionFamily(dim, tuple(frozen(stack)), float(commutators.max(initial=0.0)),
+                            worst_pair(commutators), cfg)
 
 
 @dataclass(frozen=True)
@@ -181,10 +181,9 @@ def boolean_atoms(fam: ProjectionFamily) -> AtomDecomposition:
 
 def _validate_atoms(dec: AtomDecomposition, fam: ProjectionFamily) -> None:
     atoms = np.array(dec.atoms)
-    overlapping = pair_table(atoms)[0] > dec.cfg.proj_tol * dec.dim
-    if overlapping.any():
-        i, j = np.unravel_index(np.argmax(overlapping), overlapping.shape)
-        raise InvariantViolation(f"atoms {i} and {j} are not orthogonal")
+    overlap = first_overlap(atoms, dec.cfg)
+    if overlap is not None:
+        raise InvariantViolation("atoms {} and {} are not orthogonal".format(*overlap))
     # row 0 sums every atom to the identity, row k + 1 sums member k's atoms
     masks = np.array([(True,) * len(dec)] + list(dec.generator_masks), dtype=np.complex128)
     sums = np.tensordot(masks, atoms, axes=1)
@@ -226,20 +225,19 @@ def decompose_by_atoms(t, atoms: AtomDecomposition) -> list[np.ndarray]:
     """Diagonal blocks of t in the atom bases; fails when t couples atoms.
 
     Succeeds iff every off-diagonal compression a_i t a_j (i != j) vanishes
-    within eq_tol, i.e. iff t is decomposable along the atom decomposition.
+    within eq_tol, i.e. iff t is decomposable along the atom decomposition;
+    the error names numlin.worst_pair of the residuals and its residual.
     """
     t = as_matrix(t)
     if t.shape != (atoms.dim, atoms.dim):
         raise ShapeMismatch(f"operator shape {t.shape}, expected {(atoms.dim,) * 2}")
     x, offsets, norms = frame_blocks(t, atoms.bases)
     np.fill_diagonal(norms, 0.0)
-    # the first maximum in (i, j) order names the worst pair
-    i, j = (int(k) for k in np.unravel_index(np.argmax(norms), norms.shape))
-    residual = float(norms[i, j])
-    if residual > atoms.cfg.eq_tol * max(1.0, frobenius(t)):
+    if norms.max() > atoms.cfg.eq_tol * max(1.0, frobenius(t)):
+        pair = worst_pair(norms)
+        residual = float(norms[pair])
         raise OffDiagonalResidual(
-            f"atoms {(i, j)} are coupled with residual {residual:.3e}",
-            (i, j), residual)
+            f"atoms {pair} are coupled with residual {residual:.3e}", pair, residual)
     return [x[a:b, a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
 

@@ -9,6 +9,7 @@ never silently promoted to Closed.
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import chain
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -21,19 +22,18 @@ from .numlin import (
     ShapeMismatch,
     Subspace,
     ToleranceConfig,
-    Span,
     _squared_norms,
     adjoint,
     approx_equal,
     as_matrix,
     dominant_index,
     equal_rule,
+    first_overlap,
     frame_blocks,
     frobenius,
     frozen,
-    kernel_basis,
+    invariant_subspaces,
     norton_test,
-    pair_table,
     range_basis,
     spin,
 )
@@ -522,33 +522,32 @@ def is_irreducible(gens: GeneratorSet, seed: int = 0) -> IrreducibilityResult:
 
     Norton's test (numlin.norton_test) decides most irreducible inputs
     without the span: both of its spins full means span_dim = n^2.  Every
-    other input grows the span word by word.  When reducible, the invariant
-    subspace is a proper spin of Norton's test, or else a best-effort one:
-    the spin of a basis or seeded random vector under the generators, or the
-    orthocomplement of such a spin under their adjoints.  Absence of a
-    witness never weakens the dimension-based verdict.
+    other input spins I under the generators: the span of words.  When
+    reducible, the witness is the first subspace that passes _is_invariant
+    among Norton's proper spin and then numlin.invariant_subspaces of the
+    basis vectors and 32 seeded random unit vectors, so a witness that
+    Norton's test gives costs no further spins.  Absence of a witness never
+    weakens the dimension-based verdict.
     """
     n, cfg = gens.dim, gens.cfg
-    mats = np.array([m for _, m in gens.named_generators], dtype=np.complex128).reshape(-1, n, n)
+    mats = _stack([m for _, m in gens.named_generators], n)
     spun = norton_test(mats, cfg, seed)
     if spun is not None and spun.dim == n:
         return IrreducibilityResult(True, n * n, lambda: None)
-    span = Span(n * n, cfg)
-    frontier = [mat for mat in [np.eye(n, dtype=np.complex128), *mats]
-                if span.grow(mat.reshape(-1))]
-    while frontier and span.dim < n * n:
-        products = (mat @ g for mat in frontier for g in mats)
-        frontier = [w for w in products if span.dim < n * n and span.grow(w.reshape(-1))]
-
-    if span.dim == n * n:
-        return IrreducibilityResult(True, span.dim, lambda: None)
+    span_dim = spin(np.eye(n, dtype=np.complex128)[None], mats, cfg).dim
+    if span_dim == n * n:
+        return IrreducibilityResult(True, span_dim, lambda: None)
 
     def search() -> Subspace | None:
-        if spun is not None and _is_invariant(spun.basis, mats, n, cfg):
-            return spun
-        return _invariant_subspace_witness(mats, n, cfg, seed)
+        draws = np.random.default_rng(seed).standard_normal((32, 2, n))
+        vecs = draws[:, 0] + 1j * draws[:, 1]
+        candidates = [*np.eye(n, dtype=np.complex128),
+                      *(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))]
+        found = chain([] if spun is None else [spun],
+                      invariant_subspaces(mats, candidates, candidates, cfg))
+        return next((sub for sub in found if _is_invariant(sub.basis, mats, n, cfg)), None)
 
-    return IrreducibilityResult(False, span.dim, search)
+    return IrreducibilityResult(False, span_dim, search)
 
 
 def _is_invariant(basis: np.ndarray, mats, n: int, cfg: ToleranceConfig) -> bool:
@@ -560,47 +559,25 @@ def _is_invariant(basis: np.ndarray, mats, n: int, cfg: ToleranceConfig) -> bool
     return True
 
 
-def _invariant_subspace_witness(mats: np.ndarray, n: int,
-                                cfg: ToleranceConfig, seed: int) -> Subspace | None:
-    rng = np.random.default_rng(seed)
-    candidates = [np.eye(n, dtype=np.complex128)[:, i] for i in range(n)]
-    for _ in range(32):
-        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        candidates.append(vec / np.linalg.norm(vec))
-    # spins under the generators
-    for x in candidates:
-        sub = spin(x, mats, cfg)
-        if 0 < sub.dim < n and _is_invariant(sub.basis, mats, n, cfg):
-            return sub
-    # orthocomplements of spins under the adjoints are invariant for the originals
-    adjoints = mats.conj().transpose(0, 2, 1)
-    for x in candidates:
-        sub = spin(x, adjoints, cfg)
-        if 0 < sub.dim < n:
-            comp = kernel_basis(adjoint(sub.basis), cfg)
-            if 0 < comp.dim < n and _is_invariant(comp.basis, mats, n, cfg):
-                return comp
-    return None
+def check_asb_nonzero(gens: GeneratorSet, a, b) -> bool:
+    """Does some element w of the semigroup satisfy a·w·b != 0?
 
-
-def check_asb_nonzero(gens: GeneratorSet, a, b,
-                      limits: Limits = Limits(2000, 8)) -> bool:
-    """Does some word w (up to the limits) satisfy a·w·b != 0?
-
-    A False answer only certifies absence up to the searched word length.
+    The vectors w·x, for w in the semigroup and x in range(b), span the spin
+    of range(b) under the generators, or of its images g·x when the semigroup
+    has no identity.  True iff ||a B|| > eq_tol * max(1, ||a||) for an
+    orthonormal basis B of that span: an answer for words of every length.
     """
-    cfg = gens.cfg
-    a = as_matrix(a)
-    b = as_matrix(b)
+    n, cfg = gens.dim, gens.cfg
+    a, b = _square(a, n), _square(b, n)
     if frobenius(a) <= cfg.eq_tol or frobenius(b) <= cfg.eq_tol:
         raise NonzeroRequired("a and b must both be nonzero")
-    scale = max(1.0, frobenius(a), frobenius(b))
-    mats = close(gens, limits, monitor_pi=False).store.stack()
-    for part in _chunks(len(mats), gens.dim, _HELD):
-        prods = a @ mats[part] @ b
-        if np.any(np.linalg.norm(prods.reshape(len(prods), -1), axis=1) > cfg.eq_tol * scale):
-            return True
-    return False
+    # row vectors: x -> g·x is right multiplication by g^T
+    right = _stack([m for _, m in gens.named_generators], n).transpose(0, 2, 1)
+    seeds = range_basis(b, cfg).basis.T
+    if not gens.include_identity:
+        seeds = (seeds @ right).reshape(-1, n)
+    span = spin(seeds, right, cfg)
+    return frobenius(a @ span.basis) > cfg.eq_tol * max(1.0, frobenius(a))
 
 
 @dataclass(frozen=True)
@@ -725,11 +702,9 @@ def brandt_structure(c: ClosureResult) -> BrandtStructure:
                                   range_basis(proj, cfg).basis)
                for i, proj in enumerate(minimal)]
 
-    projections = np.array([m.projection for m in members]).reshape(-1, c.dim, c.dim)
-    overlapping = pair_table(projections)[0] > cfg.proj_tol * c.dim
-    if overlapping.any():
-        i, j = np.unravel_index(np.argmax(overlapping), overlapping.shape)
-        raise CoverageGap(f"minimal projections {i} and {j} are not orthogonal")
+    overlap = first_overlap(_stack([m.projection for m in members], c.dim), cfg)
+    if overlap is not None:
+        raise CoverageGap("minimal projections {} and {} are not orthogonal".format(*overlap))
     total_rank = sum(m.rank for m in members)
     if total_rank != c.dim:
         raise CoverageGap(

@@ -13,12 +13,14 @@ from pisomlab.numlin import (
     ToleranceConfig,
     approx_equal,
     commutator_norm,
+    first_overlap,
     full_subspace,
     is_projection,
     kernel_basis,
     range_basis,
     rank,
     split_by_projection,
+    worst_pair,
     zero_subspace,
 )
 from conftest import coord_projection, golden_generators, half_projection
@@ -197,3 +199,23 @@ def test_ill_conditioned_split_guard():
     bad = np.diag([1.0, 1e-8, 0.0])
     with pytest.raises(IllConditionedSplit):
         range_basis(bad, ambiguity_factor=10.0)
+
+
+def test_worst_pair_is_the_first_within_rel_1e_12_of_the_maximum():
+    table = np.array([[0.0, 1.0 - 1e-13, 0.5], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    assert worst_pair(table) == (0, 1)
+    table[0, 1] = 1.0 - 1e-11
+    assert worst_pair(table) == (1, 0)
+    assert worst_pair(np.zeros((3, 3))) is None
+    assert worst_pair(np.zeros((0, 0))) is None
+
+
+def test_first_overlap_at_proj_tol_times_dim():
+    e = [np.diag(row).astype(complex) for row in np.eye(3)]
+    assert first_overlap(np.array(e), DEFAULT_TOL) is None
+    half = np.full((3, 3), 1 / 3, dtype=complex)
+    assert first_overlap(np.array([e[0], e[1], half, e[2]]), DEFAULT_TOL) == (0, 2)
+    # ||P_0 P_1|| = 2e-8 <= proj_tol * 3: orthogonal at this scale
+    v = np.array([1.0, 2e-8, 0.0]) / np.linalg.norm([1.0, 2e-8, 0.0])
+    near = np.outer(v, v).astype(complex)
+    assert first_overlap(np.array([near, e[1]]), DEFAULT_TOL) is None

@@ -163,6 +163,23 @@ def test_decompose_by_atoms_swap_violation():
         decompose_by_atoms(swap, atoms)
 
 
+
+def test_decompose_by_atoms_names_the_first_tied_pair():
+    # t = U F U* for the unitary DFT matrix F couples every two of the rank-one
+    # atoms u_i u_i* with the same residual 1/2 in exact arithmetic; rounding
+    # spreads the computed residuals over a few ulps, and the first pair in
+    # row-major order is named
+    n = 4
+    dft = np.exp(2j * np.pi * np.outer(range(n), range(n)) / n) / np.sqrt(n)
+    for seed in range(8):
+        u = random_unitary(np.random.default_rng(seed), n)
+        atoms = boolean_atoms(projection_family([np.outer(u[:, i], u[:, i].conj())
+                                                 for i in range(n)]))
+        with pytest.raises(OffDiagonalResidual) as err:
+            decompose_by_atoms(u @ dft @ u.conj().T, atoms)
+        assert err.value.worst_pair == (0, 1)
+        assert err.value.residual == pytest.approx(0.5, rel=1e-12)
+
 def test_membership_in_span_golden():
     _, B, _ = golden_generators()
     atoms = boolean_atoms(golden_q_family())

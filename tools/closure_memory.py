@@ -14,7 +14,12 @@ and 0.  For each n the script prints
 - the median over RUNS runs of the wall time of `family_projections` and
   then of `brandt_structure` (which reuses the families) on the monitored
   base closure, each run on a fresh closure, since a closure keeps its
-  families once built.
+  families once built;
+- the median over RUNS runs of the wall time of `is_irreducible` on cyclic
+  units of size n/2 tensored with I_2, and its tracemalloc peak in one more
+  run.  Every eigenvalue of a combination of these generators is double, so
+  Norton's test finds no simple one and the span of words in C^(n^2) is
+  grown; it has dimension (n/2)^2.  The witness is not read.
 
 The time is taken around `pisomlab.cli.main` inside that process, so it
 leaves out interpreter start-up and imports; the RSS includes them.  The
@@ -37,7 +42,8 @@ import tracemalloc
 import numpy as np
 
 from pisomlab.jsonio import matrix_to_json
-from pisomlab.sgroup import Limits, brandt_structure, close, family_projections, generator_set
+from pisomlab.sgroup import (Limits, brandt_structure, close, family_projections, generator_set,
+                             is_irreducible)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIZES = (16, 24, 32)
@@ -92,6 +98,25 @@ def stage_times(n: int) -> str:
             f"brandt_structure {statistics.median(brandt) * 1e3:.0f} ms (median of {RUNS})")
 
 
+def irreducible_runs(n: int) -> str:
+    named = [(name, np.kron(mat, np.eye(2))) for name, mat in cyclic_units(n // 2)]
+    gens = generator_set(named, dim=n)
+    times = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        span_dim = is_irreducible(gens).span_dim
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        is_irreducible(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (f"n={n}: is_irreducible on units (x) I_2, span_dim {span_dim}: "
+            f"{statistics.median(times) * 1e3:.0f} ms (median of {RUNS}), "
+            f"tracemalloc peak {peak / MB:.2f} MB")
+
+
 def report_runs(n: int, workdir: pathlib.Path) -> str:
     path = workdir / f"units-{n}.json"
     document = {"dim": n,
@@ -119,6 +144,8 @@ def main() -> None:
         print(closure_memory(n), flush=True)
     for n in SIZES:
         print(stage_times(n), flush=True)
+    for n in SIZES:
+        print(irreducible_runs(n), flush=True)
 
 
 if __name__ == "__main__":
