@@ -46,6 +46,13 @@ def _chunks(count: int, dim: int, per_item: int = 1) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
+def _grown(a: np.ndarray, size: int, keep: int) -> np.ndarray:
+    """a as size rows, its first keep rows copied and the rest zero."""
+    out = np.zeros((size,) + a.shape[1:], dtype=a.dtype)
+    out[:keep] = a[:keep]
+    return out
+
+
 class _Queries:
     """A stack of queries to one store: their norms and sketch cells, the
     cells that cover each near radius (None: scan every member), and the
@@ -134,23 +141,44 @@ class _ElementStore:
         out: list[Found] = []
         for part in _chunks(len(mats), self.dim, _HELD):
             queries = self._queries(_stack(mats[part], self.dim))
+            first, near = queries.first.tolist(), queries.near.tolist()
+            near_dist, norms, keys = queries.near_dist.tolist(), queries.norms.tolist(), queries.keys
             start = self.count
+            # the chunk's new members get their cells and indices at their
+            # turn, but reach the buffers in one write (flush) before anything
+            # reads them
+            new: list[int] = []
+            touched: set[int] = set()
+
+            def flush() -> None:
+                if new:
+                    self._write(self.count - len(new), queries.mats[new],
+                                [norms[i] for i in new], [keys[i] for i in new])
+                    new.clear()
+
             for i, cover in enumerate(queries.cover):
-                found = queries.found(i)
-                if found[0] is None and self.count > start and (cover is None or any(
-                        (self._cells.get(key) or [-1])[-1] >= start for key in cover)):
+                if first[i] != _NONE:
+                    out.append((first[i], None))
+                    continue
+                found: Found = (None, (near[i], near_dist[i]) if near[i] != _NONE else None)
+                if touched and (cover is None or not touched.isdisjoint(cover)):
                     # a member this batch appended may lie within reach: a copy
                     # of one is its first match, since at its own turn it
                     # matched nothing; otherwise look it up against the store
                     # as it stands
+                    flush()
                     copy = self._copy_since(start, queries.mats[i], cover)
                     found = (copy, None) if copy is not None else self.lookup(queries.mats[i])
                 out.append(found)
                 if found[0] is not None:
                     continue
                 if room is not None and self.count >= room:
+                    flush()
                     return out
-                self._put(queries.mats[i], queries.norms[i], queries.keys[i])
+                self._index(norms[i], keys[i])
+                new.append(i)
+                touched.add(keys[i])
+            flush()
         return out
 
     def _copy_since(self, start: int, mat: np.ndarray, cover) -> int | None:
@@ -215,20 +243,30 @@ class _ElementStore:
 
     def append(self, mat: np.ndarray) -> int:
         queries = _Queries(self, _stack(mat, self.dim))
-        return self._put(mat, queries.norms[0], queries.keys[0])
+        member = self._index(float(queries.norms[0]), queries.keys[0])
+        self._write(member, queries.mats, queries.norms, queries.keys)
+        return member
 
-    def _put(self, mat: np.ndarray, norm: float, key: int) -> int:
-        if self.count == self._buf.shape[0]:
-            self._buf = np.concatenate([self._buf, np.zeros_like(self._buf)])
-            self._norms = np.concatenate([self._norms, np.zeros_like(self._norms)])
-            self._keys = np.concatenate([self._keys, np.zeros_like(self._keys)])
-        self._buf[self.count] = mat
-        self._norms[self.count] = norm
-        self._keys[self.count] = key
+    def _index(self, norm: float, key: int) -> int:
+        """Give the next member its index and its cell entry."""
         self._max_norm = max(self._max_norm, norm)
         self._cells.setdefault(key, []).append(self.count)
         self.count += 1
         return self.count - 1
+
+    def _write(self, start: int, mats: np.ndarray, norms, keys) -> None:
+        """Write indexed members from index start on into the buffers,
+        doubling them until they fit."""
+        end = start + len(mats)
+        if end > len(self._buf):
+            size = len(self._buf)
+            while size < end:
+                size *= 2
+            self._buf, self._norms, self._keys = (_grown(a, size, start)
+                                                  for a in (self._buf, self._norms, self._keys))
+        self._buf[start:end] = mats
+        self._norms[start:end] = norms
+        self._keys[start:end] = keys
 
     def truncate(self, count: int) -> None:
         """Drop the members appended after the first count; each is the last

@@ -187,6 +187,8 @@ class ClosureResult:
     witness_word: tuple[str, ...] | None = None
     witness_deviation: float | None = None
     near_duplicate_pairs: list[tuple[int, int, float]] = field(default_factory=list)
+    # close applied the partial isometry rule to every product it kept
+    validated: bool = False
     # family_projections memo
     families: FamilyProjections | None = field(default=None, repr=False, compare=False)
 
@@ -243,23 +245,21 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
     words: list[tuple[str, ...]] = []
     near_pairs: list[tuple[int, int, float]] = []
 
-    def retain(word, near) -> None:
-        """Keep the store's member len(words) as the next element."""
-        if near is not None:
-            near_pairs.append((near[0], len(words), near[1]))
-        words.append(word)
-
     limit_hit: str | None = None
     if gens.include_identity:
         store.append(np.eye(dim, dtype=np.complex128))
-        retain((), None)
+        words.append(())
+    # the store's member len(words) is kept as the next element, with its
+    # near pair
     gen_stack = _stack(list(name_map.values()), dim)
     for name, (match, near) in zip(names, store.add_batch(gen_stack, limits.max_elements)):
         if match is None:
             if len(words) >= limits.max_elements:
                 limit_hit = "max_elements"
                 break
-            retain((name,), near)
+            if near is not None:
+                near_pairs.append((near[0], len(words), near[1]))
+            words.append((name,))
     # the elements of a level are consecutive, with words of nondecreasing
     # length, and the store's member k is element k
     level = range(len(words))
@@ -278,8 +278,8 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
                    in enumerate(store.add_batch(prods, limits.max_elements)) if match is None]
             if not new:
                 continue
-            valid = (partial_isometry_rule(prods[[p for p, _ in new]], cfg)[0] if monitor_pi
-                     else [True] * len(new))
+            valid = (partial_isometry_rule(prods[[p for p, _ in new]], cfg)[0].tolist()
+                     if monitor_pi else [True] * len(new))
             for (p, near), ok in zip(new, valid):
                 parent, gen = divmod(p, len(names))
                 word = words[chunk[parent]] + (names[gen],)
@@ -288,11 +288,13 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
                     return ClosureResult(
                         dim, gens, name_map, words, store, FAILURE,
                         witness_word=word, witness_deviation=partial_isometry_defect(prods[p]),
-                        near_duplicate_pairs=near_pairs)
+                        near_duplicate_pairs=near_pairs, validated=True)
                 if len(words) >= limits.max_elements:
                     limit_hit = "max_elements"
                     break
-                retain(word, near)
+                if near is not None:
+                    near_pairs.append((near[0], len(words), near[1]))
+                words.append(word)
             if limit_hit == "max_elements":
                 break
         if len(parents) < len(level):
@@ -300,8 +302,8 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
         level = range(start, len(words))
 
     status = TRUNCATED if limit_hit else CLOSED
-    return ClosureResult(dim, gens, name_map, words, store, status,
-                         limit_hit=limit_hit, near_duplicate_pairs=near_pairs)
+    return ClosureResult(dim, gens, name_map, words, store, status, limit_hit=limit_hit,
+                         near_duplicate_pairs=near_pairs, validated=monitor_pi)
 
 
 def adjoint_generator_set(gens: GeneratorSet) -> GeneratorSet:
@@ -356,19 +358,27 @@ def _member_indices(store: _ElementStore, mats) -> list[int]:
 def family_projections(c: ClosureResult) -> FamilyProjections:
     """Deduplicated initial and final projection families of all elements and
     the element map, built once per closure; NotPartialIsometry for the first
-    element that fails the partial isometry rule, as close validates only
-    when monitored."""
+    element that fails the partial isometry rule.  A validated closure's
+    products passed the rule in close, so only its seeds (I and the
+    generators, the words of length <= 1) are checked here."""
     if c.status == FAILURE:
         raise InvalidState("closure ended in a failure witness; no projection families")
     if c.families is None:
         cfg = c.cfg
+        checked = (next((k for k, word in enumerate(c.words) if len(word) > 1), len(c))
+                   if c.validated else len(c))
         ps, qs = _ElementStore(c.dim, cfg), _ElementStore(c.dim, cfg)
         p_of, q_of = [], []
         for part in _chunks(len(c), c.dim, _HELD):
             vs = c.store.stack()[part]
-            ok, p = partial_isometry_rule(vs, cfg)
-            if not ok.all():
-                raise NotPartialIsometry.of(vs[np.argmin(ok)])
+            split = max(0, checked - part.start)
+            head, rest = vs[:split], vs[split:]
+            p = rest.conj().transpose(0, 2, 1) @ rest
+            if len(head):
+                ok, p_head = partial_isometry_rule(head, cfg)
+                if not ok.all():
+                    raise NotPartialIsometry.of(head[np.argmin(ok)])
+                p = np.concatenate([p_head, p])
             p_of += _member_indices(ps, p)
             q_of += _member_indices(qs, vs @ vs.conj().transpose(0, 2, 1))
         c.families = FamilyProjections(projection_family(ps.matrices(), c.dim, cfg),

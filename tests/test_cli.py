@@ -351,6 +351,25 @@ def test_atoms_failure_is_a_result(tmp_path, capsys, eps, kind, command):
     assert report.get("atoms") is None
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the commuting tests of the Q family and "
+                   "of the atom split read the commutator linearly, the closure quadratically")
+@pytest.mark.parametrize("diag,direction", [((1.0, 0.0, 0.0), (1.0, 1e-7, 0.0)),
+                                            ((1.0, 1.0, 0.0), (1.0, 0.0, 1e-8))])
+def test_extendable_report_does_not_contradict_itself(tmp_path, capsys, diag, direction):
+    # A = diag(...) and B the projection onto direction/||.||: an Extendable
+    # certificate needs a commuting Q family whose atoms split
+    v = np.array(direction) / np.linalg.norm(direction)
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"dim": 3, "generators": [
+        {"name": "A", "matrix": np.diag(diag).tolist()},
+        {"name": "B", "matrix": np.outer(v, v).tolist()}]}))
+    assert main(["report", str(path), "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    if report["certificate"]["verdict"] == "Extendable":
+        assert report["q_commuting"] is not False
+        assert (report.get("atoms_error") or {}).get("kind") != "NonCommuting"
+
+
 def test_library_errors_exit_internal(fixtures_dir, monkeypatch, capsys):
     from pisomlab import cli
     from pisomlab.sgroup import NonCommutingQ

@@ -7,7 +7,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pisomlab import index
 from pisomlab.index import _Queries
@@ -407,9 +407,28 @@ def batch_cases(draw):
                 seed=draw(st.integers(0, 2**32 - 1)), cut=draw(st.floats(0.0, 1.0)))
 
 
+def batch_case(pool, members, batch, room, dim=1, size=1.0, seed=0, cut=0.5):
+    """A batch_cases draw written out, with no zero entries."""
+    return dict(dim=dim, pool=pool, members=members, batch=[(k, False) for k in batch],
+                zeros=[False] * dim * dim, room=room, size=size, seed=seed, cut=cut)
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=batch_cases())
-def test_add_batch_agrees_with_the_per_query_store(case):
+@given(case=batch_cases(), per_chunk=st.none() | st.integers(1, 3))
+# with two queries per chunk: a room cut in a later chunk with a member
+# indexed but not yet written, and an in-batch lookup (of the point 3
+# units from -12) right after such a member
+@example(case=batch_case([-100.0, 0.0, 100.0], [], [0, 0, 1, 2], room=2), per_chunk=2)
+@example(case=batch_case([-12.0, -9.0, 12.0], [], [2, 2, 0, 1], room=2), per_chunk=2)
+def test_add_batch_agrees_with_the_per_query_store(case, per_chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        if per_chunk is not None:
+            # batches span several chunks of per_chunk queries
+            patch.setattr(index, "_CHUNK", index._HELD * case["dim"] ** 2 * per_chunk)
+        add_batch_agrees_with_the_per_query_store(case)
+
+
+def add_batch_agrees_with_the_per_query_store(case):
     dim, pool = case["dim"], np.array(case["pool"])
     gaps = np.abs(pool[:, None] - pool[None, :])
     # a distance at a threshold is a coin flip between two norm roundings

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pisomlab.numlin import ToleranceConfig, approx_equal
-from pisomlab import sgroup
+from pisomlab import index, sgroup
 from pisomlab.pisom import NotPartialIsometry, make_partial_isometry, partial_isometry_defect
 from pisomlab.projlat import boolean_atoms, multiplicity_profile
 from pisomlab.sgroup import (
@@ -229,6 +229,29 @@ def test_family_projections_names_the_first_element_that_is_no_partial_isometry(
         family_projections(kept)
     assert err.value.deviation == failures[0].deviation
     assert str(err.value) == str(failures[0])
+
+
+@pytest.mark.parametrize("monitor", (True, False))
+@pytest.mark.parametrize("per_chunk", (None, 3))
+def test_family_projections_checks_what_close_did_not(monitor, per_chunk, monkeypatch):
+    # a validated closure's products passed the rule in close, so only its
+    # seeds (I and the generators) meet it again, across chunks as well
+    gens = units_gens(4)
+    c = close(gens, Limits(100, 5), monitor_pi=monitor)
+    want = family_projections(close(gens, Limits(100, 5)))
+    checked = []
+    rule = sgroup.partial_isometry_rule
+    monkeypatch.setattr(sgroup, "partial_isometry_rule",
+                        lambda ms, cfg: checked.append(len(ms)) or rule(ms, cfg))
+    if per_chunk is not None:
+        monkeypatch.setattr(index, "_CHUNK", index._HELD * 16 * per_chunk)
+    fams = family_projections(c)
+    assert c.validated == monitor
+    assert sum(checked) == (1 + len(gens.named_generators) if monitor else len(c))
+    assert all(checked)
+    assert np.array_equal(fams.p_of, want.p_of) and np.array_equal(fams.q_of, want.q_of)
+    for got, ref in ((fams.p_set, want.p_set), (fams.q_set, want.q_set)):
+        assert np.array_equal(np.array(got.members), np.array(ref.members))
 
 
 def test_unmonitored_close_validates_nothing(monkeypatch):

@@ -19,7 +19,11 @@ and 0.  For each n the script prints
   units of size n/2 tensored with I_2, and its tracemalloc peak in one more
   run.  Every eigenvalue of a combination of these generators is double, so
   Norton's test finds no simple one and the span of words in C^(n^2) is
-  grown; it has dimension (n/2)^2.  The witness is not read.
+  grown; it has dimension (n/2)^2.  The witness is not read;
+- at n = 2 and 4, the median over RUNS runs of the wall time per element of
+  the default-limit selfadjoint closure of a seeded pair of generic
+  unitaries, each run a fresh closure.  The semigroup is infinite, so every
+  closure stops at the 20000-element limit.
 
 The time is taken around `pisomlab.cli.main` inside that process, so it
 leaves out interpreter start-up and imports; the RSS includes them.  The
@@ -43,10 +47,11 @@ import numpy as np
 
 from pisomlab.jsonio import matrix_to_json
 from pisomlab.sgroup import (Limits, brandt_structure, close, family_projections, generator_set,
-                             is_irreducible)
+                             is_irreducible, selfadjoint_closure)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIZES = (16, 24, 32)
+UNITARY_SIZES = (2, 4)
 RUNS = 3
 MB = 1e6
 
@@ -117,6 +122,26 @@ def irreducible_runs(n: int) -> str:
             f"tracemalloc peak {peak / MB:.2f} MB")
 
 
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A Haar-random n x n unitary: Q of a complex Gaussian, column phases
+    fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def unitary_closure_runs(n: int) -> str:
+    rng = np.random.default_rng(n)
+    gens = generator_set([("U", random_unitary(rng, n)), ("V", random_unitary(rng, n))], dim=n)
+    per_element = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        result = selfadjoint_closure(gens)
+        per_element.append((time.perf_counter() - start) / len(result))
+    return (f"n={n}: selfadjoint closure of two generic unitaries, {len(result)} elements "
+            f"({result.status}): {statistics.median(per_element) * 1e6:.1f} µs per element "
+            f"(median of {RUNS})")
+
+
 def report_runs(n: int, workdir: pathlib.Path) -> str:
     path = workdir / f"units-{n}.json"
     document = {"dim": n,
@@ -146,6 +171,8 @@ def main() -> None:
         print(stage_times(n), flush=True)
     for n in SIZES:
         print(irreducible_runs(n), flush=True)
+    for n in UNITARY_SIZES:
+        print(unitary_closure_runs(n), flush=True)
 
 
 if __name__ == "__main__":
