@@ -18,6 +18,12 @@ _EPS = float(np.finfo(float).eps)
 # matrix entries per stacked chunk (closure products, store queries and their
 # pairs, frame conjugations), which bounds the memory of each on large inputs
 _CHUNK = 1 << 14
+# the fewest queries (or pairs of the rule) in one of the store's own stacks:
+# _CHUNK alone leaves 4 at dim 32 and 1 at dim 48, where numpy call overhead
+# per stack, not arithmetic, sets the cost.  It adds at most
+# _FLOOR * _HELD * dim^2 entries (4.7 MB at dim 48); close's parent chunks
+# stay sized by _CHUNK alone.
+_FLOOR = 32
 # dim x dim arrays held at once per query, per (query, member) pair of the
 # rule or per closure product: the matrix and about three of its size (the
 # member, difference and square; or the adjoint, P and Q of an element)
@@ -39,11 +45,17 @@ def _stack(mats, dim: int) -> np.ndarray:
     return np.asarray(mats, dtype=np.complex128).reshape(-1, dim, dim)
 
 
-def _chunks(count: int, dim: int, per_item: int = 1) -> list[slice]:
+def _chunks(count: int, dim: int, per_item: int = 1, floor: int = 1) -> list[slice]:
     """Consecutive slices of range(count), each of at most _CHUNK matrix
-    entries when an item stands for per_item dim x dim matrices."""
-    step = max(1, _CHUNK // max(1, per_item * dim * dim))
+    entries when an item stands for per_item dim x dim matrices, but of at
+    least floor items."""
+    step = max(floor, _CHUNK // max(1, per_item * dim * dim))
     return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _norms(flat: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(flat, axis=1) by its own formula, without its dispatch."""
+    return np.sqrt(np.add.reduce((flat.conj() * flat).real, axis=1))
 
 
 def _grown(a: np.ndarray, size: int, keep: int) -> np.ndarray:
@@ -62,28 +74,30 @@ class _Queries:
         k = len(mats)
         flat = mats.reshape(k, -1)
         self.mats = mats
-        self.norms = np.linalg.norm(flat, axis=1)
-        sketches = (flat @ store._direction.conj()).real
-        self.keys = (sketches // store._width).astype(np.int64).tolist()
+        self.norms = _norms(flat)
+        sketches = (flat @ store._direction_conj).real
         # one near radius for the stack, which also covers the members it
-        # may add; padded for the rounding of both sketches and of the distances
+        # may add
         scale = max(1.0, store._max_norm, float(self.norms.max(initial=0.0)))
-        reach = scale * (10.0 * store.cfg.eq_tol * (1.0 + 1e-6) + 8.0 * store.dim ** 2 * _EPS)
+        reach = scale * store._reach
         if 2.0 * reach > store._width:
+            self.keys = (sketches // store._width).astype(np.int64).tolist()
             self.cover = [None] * k
         else:
-            lo = ((sketches - reach) // store._width).astype(np.int64).tolist()
-            hi = ((sketches + reach) // store._width).astype(np.int64).tolist()
-            self.cover = [(a,) if a == b else (a, b) for a, b in zip(lo, hi)]
-        self.first = np.full(k, _NONE, dtype=np.intp)
-        self.near = np.full(k, _NONE, dtype=np.intp)
-        self.near_dist = np.full(k, np.inf)
+            # each query's cell, and the cells of s - reach and s + reach
+            cells = (np.add.outer(sketches, (0.0, -reach, reach)) // store._width)
+            cells = cells.astype(np.int64).tolist()
+            self.keys = [key for key, _, _ in cells]
+            self.cover = [(lo,) if lo == hi else (lo, hi) for _, lo, hi in cells]
+        self.first = [_NONE] * k
+        self.near = [_NONE] * k
+        self.near_dist = [np.inf] * k
 
     def found(self, i: int) -> Found:
         if self.first[i] != _NONE:
-            return int(self.first[i]), None
+            return self.first[i], None
         if self.near[i] != _NONE:
-            return None, (int(self.near[i]), float(self.near_dist[i]))
+            return None, (self.near[i], self.near_dist[i])
         return None, None
 
 
@@ -95,7 +109,8 @@ class _ElementStore:
     eq_tol under the approx_equal rule ||a-b|| <= eq_tol * max(1, ||a||, ||b||);
     retained elements that come within 10x of that band are flagged as
     tolerance-chain risks.  Queries come in stacks, with one sketch and norm
-    pass per stack, and one rule (_resolve) over (query, member) pairs.
+    pass per stack, and one rule (_resolve) over (query, member) pairs; a
+    stack holds _CHUNK's share of queries, but at least _FLOOR.
 
     Candidates come from a grid over the sketch s(M) = Re<g, vec M> with g a
     fixed unit vector, so |s(a) - s(b)| <= ||a - b||: every member within the
@@ -116,19 +131,24 @@ class _ElementStore:
         rng = np.random.default_rng([0x5EED, dim])
         g = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
         self._direction = g / np.linalg.norm(g)
+        self._direction_conj = self._direction.conj()
         self._width = 20.0 * cfg.eq_tol * max(1.0, np.sqrt(dim)) * _CELL_SLACK
+        # the near radius per unit of scale, padded for the rounding of both
+        # sketches and of the distances
+        self._reach = 10.0 * cfg.eq_tol * (1.0 + 1e-6) + 8.0 * dim ** 2 * _EPS
         self._cells: dict[int, list[int]] = {}
         for mat in mats:
             self.append(_square(mat, dim))
 
     def lookup(self, mat: np.ndarray) -> Found:
         """-> (match index | None, near-pair (index, distance) | None)."""
-        return self.lookup_batch(mat[None])[0]
+        return self._queries(_stack(mat, self.dim)).found(0)
 
     def lookup_batch(self, mats) -> list[Found]:
-        """lookup of each of a sequence of dim x dim matrices."""
+        """lookup of each of a sequence of dim x dim matrices, in stacks of
+        at least _FLOOR."""
         out: list[Found] = []
-        for part in _chunks(len(mats), self.dim, _HELD):
+        for part in _chunks(len(mats), self.dim, _HELD, _FLOOR):
             queries = self._queries(_stack(mats[part], self.dim))
             out += [queries.found(i) for i in range(len(queries.mats))]
         return out
@@ -137,12 +157,13 @@ class _ElementStore:
         """Look up each of a sequence of dim x dim matrices, in order, against
         the store as it stands at its turn, and append each that matches
         nothing while fewer than room members are held.  -> one lookup
-        result per matrix, ending at the first new one that found no room."""
+        result per matrix, ending at the first new one that found no room.
+        The matrices are looked up in stacks of at least _FLOOR."""
         out: list[Found] = []
-        for part in _chunks(len(mats), self.dim, _HELD):
+        for part in _chunks(len(mats), self.dim, _HELD, _FLOOR):
             queries = self._queries(_stack(mats[part], self.dim))
-            first, near = queries.first.tolist(), queries.near.tolist()
-            near_dist, norms, keys = queries.near_dist.tolist(), queries.norms.tolist(), queries.keys
+            first, near, near_dist = queries.first, queries.near, queries.near_dist
+            norms, keys = queries.norms.tolist(), queries.keys
             start = self.count
             # the chunk's new members get their cells and indices at their
             # turn, but reach the buffers in one write (flush) before anything
@@ -197,12 +218,13 @@ class _ElementStore:
         queries = _Queries(self, mats)
         qs: list[int] = []
         ms: list[int] = []
+        cell = self._cells.get
         for i, cover in enumerate(queries.cover):
             if cover is None:
                 self._resolve(queries, np.full(self.count, i), np.arange(self.count))
                 continue
             for key in cover:
-                found = self._cells.get(key)
+                found = cell(key)
                 if found:
                     ms += found
                     qs += [i] * len(found)
@@ -211,35 +233,35 @@ class _ElementStore:
         return queries
 
     def _resolve(self, queries: _Queries, qs: np.ndarray, ms: np.ndarray) -> None:
-        """The matching rule on (query, member) index pairs, folded into the
-        queries: a member within eq_tol * max(1, ||q||, ||m||) of its query
-        matches it, one within 10x that band is near it; each query keeps
-        its first match and its nearest near member, ties to the lower
-        index."""
+        """The matching rule on (query, member) index pairs, in stacks of at
+        least _FLOOR pairs, folded into the queries: a member within
+        eq_tol * max(1, ||q||, ||m||) of its query matches it, one within 10x
+        that band is near it; each query keeps its first match and its
+        nearest near member, ties to the lower index.  Only the pairs inside
+        the 10x band reach the fold."""
         tol = self.cfg.eq_tol
-        for part in _chunks(len(qs), self.dim, _HELD):
+        first, near, near_dist = queries.first, queries.near, queries.near_dist
+        for part in _chunks(len(qs), self.dim, _HELD, _FLOOR):
             q, m = qs[part], ms[part]
             norm_q, norm_m = queries.norms[q], self._norms[m]
             scale = np.maximum(1.0, np.maximum(norm_m, norm_q))
-            band = np.abs(norm_m - norm_q) <= 10.0 * tol * scale
-            q, m, scale = q[band], m[band], scale[band]
+            wide = 10.0 * tol * scale
+            band = np.abs(norm_m - norm_q) <= wide
+            if not band.all():
+                q, m, scale, wide = q[band], m[band], scale[band], wide[band]
             diffs = (self._buf[m] - queries.mats[q]).reshape(q.size, self.dim * self.dim)
-            dists = np.linalg.norm(diffs, axis=1)
-            hit = dists <= tol * scale
-            np.minimum.at(queries.first, q[hit], m[hit])
-            near = ~hit & (dists <= 10.0 * tol * scale)
-            q, m, dists = q[near], m[near], dists[near]
-            if not q.size:
+            dists = _norms(diffs)
+            inside = (dists <= wide).nonzero()[0].tolist()
+            if not inside:
                 continue
-            # the nearest member of each query, ties to the lower index
-            order = np.lexsort((m, dists, q))
-            q, m, dists = q[order], m[order], dists[order]
-            lead = np.r_[True, q[1:] != q[:-1]]
-            q, m, dists = q[lead], m[lead], dists[lead]
-            best = queries.near_dist[q]
-            better = (dists < best) | ((dists == best) & (m < queries.near[q]))
-            queries.near[q[better]] = m[better]
-            queries.near_dist[q[better]] = dists[better]
+            q, m, dists, scale = q.tolist(), m.tolist(), dists.tolist(), scale.tolist()
+            for p in inside:
+                i, j, dist = q[p], m[p], dists[p]
+                if dist <= tol * scale[p]:
+                    if j < first[i]:
+                        first[i] = j
+                elif dist < near_dist[i] or (dist == near_dist[i] and j < near[i]):
+                    near[i], near_dist[i] = j, dist
 
     def append(self, mat: np.ndarray) -> int:
         queries = _Queries(self, _stack(mat, self.dim))
@@ -274,6 +296,16 @@ class _ElementStore:
         while self.count > count:
             self.count -= 1
             self._cells[int(self._keys[self.count])].pop()
+
+    def trim(self) -> None:
+        """Shrink the buffers to the members held, but to no fewer than one
+        row, since _write grows them by doubling.  The buffers shrink in
+        place (realloc), so nothing is copied; no view of them may be alive."""
+        size = max(1, self.count)
+        if size < len(self._buf):
+            self._buf.resize((size, self.dim, self.dim))
+            self._norms.resize(size)
+            self._keys.resize(size)
 
     def find(self, mat) -> int | None:
         return self.lookup(_square(mat, self.dim))[0]

@@ -285,6 +285,7 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
                 word = words[chunk[parent]] + (names[gen],)
                 if not ok:
                     store.truncate(len(words))
+                    store.trim()
                     return ClosureResult(
                         dim, gens, name_map, words, store, FAILURE,
                         witness_word=word, witness_deviation=partial_isometry_defect(prods[p]),
@@ -302,6 +303,7 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
         level = range(start, len(words))
 
     status = TRUNCATED if limit_hit else CLOSED
+    store.trim()
     return ClosureResult(dim, gens, name_map, words, store, status, limit_hit=limit_hit,
                          near_duplicate_pairs=near_pairs, validated=monitor_pi)
 

@@ -141,6 +141,7 @@ def test_near_pair_tie_across_pair_chunks_goes_to_the_lower_index(order, monkeyp
     # one (query, member) pair per chunk of the rule: the tie is settled
     # between chunks, not within one
     monkeypatch.setattr(index, "_CHUNK", index._HELD * 4)
+    monkeypatch.setattr(index, "_FLOOR", 1)
     q = np.diag([1.0, 0.0])
     d = np.array([[0.0, 1.0], [0.0, 0.0]])
     t = 2.0 ** -26
@@ -162,6 +163,22 @@ def test_failure_closure_store_holds_the_elements():
     c = selfadjoint_closure(generator_set(zip("ABC", golden_generators()), dim=8))
     assert c.status == FAILURE
     assert_store_holds_the_elements(c)
+
+
+def test_close_trims_the_store_to_its_elements():
+    truncated = close(generic_unitary_gens(2, seed=2), Limits(100))
+    failure = selfadjoint_closure(generator_set(zip("ABC", golden_generators()), dim=8))
+    assert (truncated.status, failure.status) == (TRUNCATED, FAILURE)
+    for c in (units_closure(), truncated, failure):
+        assert [len(a) for a in (c.store._buf, c.store._norms, c.store._keys)] == [len(c)] * 3
+        assert_store_holds_the_elements(c)
+    # an empty store keeps one row, so that appending can double it again
+    store = _ElementStore(2, CFG)
+    store.trim()
+    assert len(store._buf) == 1
+    mats = [np.diag([1.0, 0.0]) * k for k in range(1, 6)]
+    store.add_batch(mats)
+    assert np.array_equal(store.stack(), np.array(mats))
 
 
 def scan_reference(mats, q, cfg):
@@ -261,6 +278,27 @@ def test_unitary_closure_lookups_take_few_candidates(dim, monkeypatch):
     assert len(covers) > 2000
     assert None not in covers  # the full scan never ran
     assert max(pairs.values()) <= 8
+
+
+def test_store_stacks_hold_at_least_the_floor(monkeypatch):
+    # at dim 34 _CHUNK alone leaves 3 queries per stack; the floor makes a
+    # 64-query batch two stacks of 32, in add_batch and in lookup_batch
+    dim = 34
+    assert index._CHUNK // (index._HELD * dim * dim) < index._FLOOR == 32
+    rng = np.random.default_rng(3)
+    mats = rng.standard_normal((64, dim, dim)) + 1j * rng.standard_normal((64, dim, dim))
+    mats /= np.linalg.norm(mats, axis=(1, 2))[:, None, None]  # on the grid: no full scan
+    store = _ElementStore(dim, CFG)
+    sizes = []
+    queries_of = _ElementStore._queries
+    monkeypatch.setattr(_ElementStore, "_queries",
+                        lambda self, stack: sizes.append(len(stack)) or queries_of(self, stack))
+    found = store.add_batch(mats)
+    assert sizes == [32, 32]
+    assert store.count == 64 and all(match is None for match, _ in found)
+    sizes.clear()
+    assert [match for match, _ in store.lookup_batch(mats)] == list(range(64))
+    assert sizes == [32, 32]
 
 
 def test_large_norm_find_scans_everything_and_agrees(monkeypatch):
@@ -425,6 +463,7 @@ def test_add_batch_agrees_with_the_per_query_store(case, per_chunk):
         if per_chunk is not None:
             # batches span several chunks of per_chunk queries
             patch.setattr(index, "_CHUNK", index._HELD * case["dim"] ** 2 * per_chunk)
+            patch.setattr(index, "_FLOOR", 1)
         add_batch_agrees_with_the_per_query_store(case)
 
 

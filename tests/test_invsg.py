@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pisomlab import invsg
 from pisomlab.invsg import (
     InvalidTable,
     NotIdempotent,
@@ -15,6 +16,7 @@ from pisomlab.invsg import (
     table_to_dict,
     validate_table,
 )
+from pisomlab.numlin import InvariantViolation
 from pisomlab.sgroup import CLOSED, generator_set, selfadjoint_closure
 
 
@@ -100,6 +102,41 @@ def test_barnes_i2_properties():
     for e in i2.idempotents():
         for f in i2.idempotents():
             assert np.array_equal(mats[e] @ mats[f], mats[f] @ mats[e])
+
+
+def dense_barnes(t):
+    """The left regular representation entry by entry: column c of the image
+    of s is basis_{s·c} when c·c* lies below s*·s, and zero otherwise."""
+    m, n = t.mult, t.n
+    mats = np.zeros((n, n, n))
+    for s in range(n):
+        for c in range(n):
+            cc_star = m[c, t.star[c]]
+            if m[cc_star, m[t.star[s], s]] == cc_star:
+                mats[s, m[s, c], c] = 1.0
+    return mats
+
+
+@pytest.mark.parametrize("table", (symmetric_inverse_table(2), symmetric_inverse_table(3),
+                                   cyclic_group_table(5)), ids=("I2", "I3", "Z5"))
+def test_barnes_images_equal_the_dense_construction(table):
+    images = barnes_representation(table)
+    want = dense_barnes(table)
+    assert len(images) == table.n
+    for pi, mat in zip(images, want):
+        assert pi.matrix.dtype == np.complex128
+        assert np.array_equal(pi.matrix, mat)
+        for s, t in ((pi.initial, mat.T @ mat), (pi.final, mat @ mat.T)):
+            assert np.array_equal(s, t)
+
+
+def test_barnes_reports_a_non_multiplicative_map(monkeypatch):
+    # the broken-associativity table, let past the axiom check: s0 maps to
+    # E_{0,1} and s1 to 0, so image(s0) image(s1) = 0 != image(s0·s1) = image(s0)
+    bad = make_table([[1, 0], [0, 0]], [0, 1])
+    monkeypatch.setattr(invsg, "validate_table", lambda t: [])
+    with pytest.raises(InvariantViolation, match=r"not multiplicative at \(s0, s1\)"):
+        barnes_representation(bad)
 
 
 def test_barnes_image_selfadjoint_closure():

@@ -23,7 +23,11 @@ and 0.  For each n the script prints
 - at n = 2 and 4, the median over RUNS runs of the wall time per element of
   the default-limit selfadjoint closure of a seeded pair of generic
   unitaries, each run a fresh closure.  The semigroup is infinite, so every
-  closure stops at the 20000-element limit.
+  closure stops at the 20000-element limit;
+- the median over RUNS runs of the wall time of `barnes_representation` on
+  the symmetric inverse semigroup I_3 (n = 34), and then of the `barnes`
+  command on fixtures/tables/i3.json, which adds the injectivity check and
+  the selfadjoint closure of the images.
 
 The time is taken around `pisomlab.cli.main` inside that process, so it
 leaves out interpreter start-up and imports; the RSS includes them.  The
@@ -33,6 +37,8 @@ the process that started it, which the closures below would raise.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -45,6 +51,8 @@ import tracemalloc
 
 import numpy as np
 
+from pisomlab.cli import main as cli_main
+from pisomlab.invsg import barnes_representation, symmetric_inverse_table
 from pisomlab.jsonio import matrix_to_json
 from pisomlab.sgroup import (Limits, brandt_structure, close, family_projections, generator_set,
                              is_irreducible, selfadjoint_closure)
@@ -142,6 +150,25 @@ def unitary_closure_runs(n: int) -> str:
             f"(median of {RUNS})")
 
 
+def barnes_runs() -> str:
+    table = symmetric_inverse_table(3)
+    path = ROOT / "fixtures" / "tables" / "i3.json"
+    representation, command = [], []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        barnes_representation(table)
+        middle = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["barnes", str(path), "--format", "json"])
+        command.append(time.perf_counter() - middle)
+        representation.append(middle - start)
+        if code != 0:
+            raise RuntimeError(f"barnes exited with {code}")
+    return (f"I_3 (n={table.n}): barnes_representation "
+            f"{statistics.median(representation) * 1e3:.1f} ms, barnes command "
+            f"{statistics.median(command) * 1e3:.0f} ms (median of {RUNS})")
+
+
 def report_runs(n: int, workdir: pathlib.Path) -> str:
     path = workdir / f"units-{n}.json"
     document = {"dim": n,
@@ -173,6 +200,7 @@ def main() -> None:
         print(irreducible_runs(n), flush=True)
     for n in UNITARY_SIZES:
         print(unitary_closure_runs(n), flush=True)
+    print(barnes_runs(), flush=True)
 
 
 if __name__ == "__main__":
