@@ -24,7 +24,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 problem = load_generator_problem(str(FIXTURES / "example-1-3.json"))
 gens = problem.gens
 
-base = close(gens, monitor_pi=True)
+base = close(gens)
 print(f"the semigroup itself closes with {len(base.elements)} elements:",
       [word_label(e.word) for e in base.elements])
 

@@ -37,13 +37,13 @@ print("standard projection over atoms {0,1} has trace", np.trace(e01).real)
 
 print("\n== the uniform multiplicity two fixture on C^2 (x) C^3 ==")
 problem = load_generator_problem(str(FIXTURES / "pauli-tensor-units.json"))
-base = close(problem.gens, monitor_pi=True)
+base = close(problem.gens)
 atoms = boolean_atoms(family_projections(base).q_set)
 profile = multiplicity_profile(atoms)
 print("atom ranks:", list(atoms.ranks), "uniform:", profile.uniform,
       "multiplicity:", profile.multiplicity)
 print("every element's initial projection lies in the span algebra:",
-      all(membership_in_span(e.require_pi().initial, atoms) for e in base.elements))
+      all(membership_in_span(e.pi.initial, atoms) for e in base.elements))
 ext = selfadjoint_closure(problem.gens)
 print("selfadjoint closure status:", ext.status,
       f"({len(ext.elements)} elements)")

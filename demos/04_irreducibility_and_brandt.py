@@ -36,7 +36,7 @@ print(f"matrix-unit cycle on C^{n}: span dimension {irr.span_dim} = {n * n},",
 print("A·S·B is nonzero for A = e11, B = e22:",
       check_asb_nonzero(gens, unit(n, 0, 0), unit(n, 1, 1)))
 
-result = close(gens, monitor_pi=True)
+result = close(gens)
 print(f"\nclosure has {len(result.elements)} elements:",
       [word_label(e.word) for e in result.elements])
 

@@ -88,12 +88,12 @@ class Session:
 
     @cached_property
     def base(self):
-        """Monitored closure of the generators."""
-        return close(self.problem.gens, self.limits, monitor_pi=True)
+        """Closure of the generators."""
+        return close(self.problem.gens, self.limits)
 
     @cached_property
     def extended(self):
-        """Monitored closure of the generators and their adjoints."""
+        """Closure of the generators and their adjoints."""
         return selfadjoint_closure(self.problem.gens, self.limits)
 
     @cached_property
@@ -317,6 +317,8 @@ def run(request: AnalysisRequest) -> tuple[int, dict]:
     """Run one analysis request; returns (exit_code, report dict)."""
     if request.command not in COMMANDS:
         raise SchemaError(f"unknown command {request.command!r}")
+    if request.seed < 0:
+        raise SchemaError(f"seed must be non-negative, got {request.seed}")
     if request.command == "barnes":
         return EXIT_OK, cmd_barnes(request)
     if request.command == "check":

@@ -104,10 +104,12 @@ class GeneratorProblem:
 
 def load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text at byte {err.start}") from err
     except json.JSONDecodeError as err:
         raise ParseError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"

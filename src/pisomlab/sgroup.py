@@ -1,4 +1,4 @@
-"""Semigroup engine: monitored closure, selfadjoint closure, the P/Q set
+"""Semigroup engine: closure, selfadjoint closure, the P/Q set
 predicates, projection enrichment, irreducibility, and Brandt structure.
 
 Finitely generated semigroups of partial isometries can be infinite, so every
@@ -38,8 +38,8 @@ from .numlin import (
     spin,
 )
 from .index import _HELD, _ElementStore, _chunks, _square, _stack
-from .pisom import (NotPartialIsometry, PartialIsometry, make_partial_isometry,
-                    partial_isometry_defect, partial_isometry_rule, validate_stack)
+from .pisom import (PartialIsometry, make_partial_isometry, partial_isometry_defect,
+                    partial_isometry_rule, validate_stack)
 from .projlat import AtomDecomposition, ProjectionFamily, boolean_atoms, projection_family
 
 CLOSED = "closed"
@@ -144,12 +144,7 @@ def check_generator_name(name, taken: set[str], include_zero: bool) -> None:
 class SemigroupElement:
     matrix: np.ndarray
     word: tuple[str, ...]
-    pi: PartialIsometry | None
-
-    def require_pi(self) -> PartialIsometry:
-        if self.pi is None:
-            raise NotPartialIsometry.of(self.matrix)
-        return self.pi
+    pi: PartialIsometry
 
 
 def word_label(word: tuple[str, ...]) -> str:
@@ -168,13 +163,14 @@ def evaluate_word(name_map: dict[str, np.ndarray], word, dim: int) -> np.ndarray
 
 @dataclass
 class ClosureResult:
-    """Outcome of a monitored closure run.
+    """Outcome of a closure run.
 
     status is CLOSED, TRUNCATED (limit_hit says which limit fired) or FAILURE
     (witness_word evaluates to a matrix failing validation by
     witness_deviation in operator norm).  The elements are held as columns:
     element k is the store's member k with the shortest witnessing word
     words[k]; on FAILURE they are the elements retained before the abort.
+    Every element is a partial isometry: close validated each but I.
     """
 
     dim: int
@@ -187,8 +183,6 @@ class ClosureResult:
     witness_word: tuple[str, ...] | None = None
     witness_deviation: float | None = None
     near_duplicate_pairs: list[tuple[int, int, float]] = field(default_factory=list)
-    # close applied the partial isometry rule to every product it kept
-    validated: bool = False
     # family_projections memo
     families: FamilyProjections | None = field(default=None, repr=False, compare=False)
 
@@ -205,8 +199,8 @@ class ClosureResult:
 
     @cached_property
     def elements(self) -> list[SemigroupElement]:
-        """The elements as objects, built on the first read; pi is None
-        exactly where the matrix fails the partial isometry rule."""
+        """The elements as objects with their partial isometries, built on
+        the first read."""
         mats = self.store.stack()
         pis = [pi for part in _chunks(len(self), self.dim, _HELD)
                for pi in validate_stack(mats[part], self.cfg)]
@@ -221,19 +215,18 @@ class ClosureResult:
         return evaluate_word(self.name_map, word, self.dim)
 
 
-def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
-          monitor_pi: bool = False) -> ClosureResult:
+def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
     """Breadth-first product closure of the generator set.
 
     Expansion is by right multiplication with generators, which enumerates
-    every word shortest-first; each product is looked up, in parent and
-    then generator order, against every element kept before it and merged
-    by approx_equal.  A BFS level is expanded in chunks of consecutive
-    parents, with one stacked product and one add_batch per chunk.  Only with
-    monitor_pi are the new products validated, and the first that fails
-    aborts with a FAILURE status carrying a minimal-length witness word and
-    its partial_isometry_defect.  Hitting a limit yields TRUNCATED; limits
-    are results, not errors.
+    every word shortest-first.  The closure reads stacks: the generators,
+    then each BFS level in chunks of consecutive parents, one stacked product
+    per chunk.  Each stack is looked up in order against every element kept
+    before it and merged by approx_equal (one add_batch), and its new members
+    are validated together, so every element but the identity passed
+    partial_isometry_rule.  The first that fails aborts with a FAILURE status
+    carrying a minimal-length witness word and its partial_isometry_defect.
+    Hitting a limit yields TRUNCATED; limits are results, not errors.
     """
     dim, cfg = gens.dim, gens.cfg
     name_map = dict(gens.named_generators)
@@ -244,68 +237,63 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS,
     store = _ElementStore(dim, cfg)
     words: list[tuple[str, ...]] = []
     near_pairs: list[tuple[int, int, float]] = []
-
     limit_hit: str | None = None
     if gens.include_identity:
         store.append(np.eye(dim, dtype=np.complex128))
         words.append(())
-    # the store's member len(words) is kept as the next element, with its
-    # near pair
     gen_stack = _stack(list(name_map.values()), dim)
-    for name, (match, near) in zip(names, store.add_batch(gen_stack, limits.max_elements)):
-        if match is None:
+
+    def stacks():
+        """(stack, word_of) for the generators and then every parent chunk;
+        word_of(p) is the word of the stack's member p."""
+        nonlocal limit_hit
+        yield gen_stack, lambda p: (names[p],)
+        # the elements of a level are consecutive, with words of
+        # nondecreasing length, and the store's member k is element k
+        level = range(len(words))
+        while level:
+            parents = [k for k in level if len(words[k]) < limits.max_word_length]
+            start = len(words)
+            for part in _chunks(len(parents), dim, _HELD * len(names)):
+                chunk = parents[part]
+                prods = (store.stack()[chunk][:, None] @ gen_stack[None]).reshape(-1, dim, dim)
+                yield prods, lambda p, chunk=chunk: (words[chunk[p // len(names)]]
+                                                     + (names[p % len(names)],))
+            if len(parents) < len(level):
+                limit_hit = limit_hit or "max_word_length"
+            level = range(start, len(words))
+
+    for mats, word_of in stacks():
+        # each member is looked up in order and a new one joins the store at
+        # once; the new ones are then validated together.  The first new
+        # member beyond max_elements is validated but not kept, since a
+        # failure witness outranks the limit.
+        new = [(p, near) for p, (match, near)
+               in enumerate(store.add_batch(mats, limits.max_elements)) if match is None]
+        if not new:
+            continue
+        valid = partial_isometry_rule(mats[[p for p, _ in new]], cfg)[0].tolist()
+        for (p, near), ok in zip(new, valid):
+            if not ok:
+                store.truncate(len(words))
+                store.trim()
+                return ClosureResult(
+                    dim, gens, name_map, words, store, FAILURE, witness_word=word_of(p),
+                    witness_deviation=partial_isometry_defect(mats[p]),
+                    near_duplicate_pairs=near_pairs)
             if len(words) >= limits.max_elements:
                 limit_hit = "max_elements"
                 break
             if near is not None:
                 near_pairs.append((near[0], len(words), near[1]))
-            words.append((name,))
-    # the elements of a level are consecutive, with words of nondecreasing
-    # length, and the store's member k is element k
-    level = range(len(words))
-    while level and limit_hit != "max_elements":
-        parents = [k for k in level if len(words[k]) < limits.max_word_length]
-        start = len(words)
-        for part in _chunks(len(parents), dim, _HELD * len(names)):
-            chunk = parents[part]
-            # each product is looked up in order and a new one joins the
-            # store at once; monitored, the new ones are then validated
-            # together.  The first new product beyond max_elements is
-            # validated but not stored, since a failure witness outranks the
-            # limit.
-            prods = (store.stack()[chunk][:, None] @ gen_stack[None]).reshape(-1, dim, dim)
-            new = [(p, near) for p, (match, near)
-                   in enumerate(store.add_batch(prods, limits.max_elements)) if match is None]
-            if not new:
-                continue
-            valid = (partial_isometry_rule(prods[[p for p, _ in new]], cfg)[0].tolist()
-                     if monitor_pi else [True] * len(new))
-            for (p, near), ok in zip(new, valid):
-                parent, gen = divmod(p, len(names))
-                word = words[chunk[parent]] + (names[gen],)
-                if not ok:
-                    store.truncate(len(words))
-                    store.trim()
-                    return ClosureResult(
-                        dim, gens, name_map, words, store, FAILURE,
-                        witness_word=word, witness_deviation=partial_isometry_defect(prods[p]),
-                        near_duplicate_pairs=near_pairs, validated=True)
-                if len(words) >= limits.max_elements:
-                    limit_hit = "max_elements"
-                    break
-                if near is not None:
-                    near_pairs.append((near[0], len(words), near[1]))
-                words.append(word)
-            if limit_hit == "max_elements":
-                break
-        if len(parents) < len(level):
-            limit_hit = limit_hit or "max_word_length"
-        level = range(start, len(words))
+            words.append(word_of(p))
+        if limit_hit == "max_elements":
+            break
 
     status = TRUNCATED if limit_hit else CLOSED
     store.trim()
     return ClosureResult(dim, gens, name_map, words, store, status, limit_hit=limit_hit,
-                         near_duplicate_pairs=near_pairs, validated=monitor_pi)
+                         near_duplicate_pairs=near_pairs)
 
 
 def adjoint_generator_set(gens: GeneratorSet) -> GeneratorSet:
@@ -319,14 +307,14 @@ def adjoint_generator_set(gens: GeneratorSet) -> GeneratorSet:
     adjoints = [(name + "*", frozen(adjoint(m))) for name, m in named]
     found = known.add_batch([m for _, m in adjoints])
     named += [item for item, (match, _) in zip(adjoints, found) if match is None]
-    # built directly: adjoints of validated partial isometries need no re-check,
-    # and the public factory reserves '*' for exactly these names
+    # built directly: the public factory reserves '*' for exactly these
+    # names, and close validates every generator
     return replace(gens, named_generators=tuple(named))
 
 
 def selfadjoint_closure(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
-    """Monitored closure of the generators together with their adjoints."""
-    return close(adjoint_generator_set(gens), limits, monitor_pi=True)
+    """Closure of the generators together with their adjoints."""
+    return close(adjoint_generator_set(gens), limits)
 
 
 @dataclass(frozen=True)
@@ -359,30 +347,19 @@ def _member_indices(store: _ElementStore, mats) -> list[int]:
 
 def family_projections(c: ClosureResult) -> FamilyProjections:
     """Deduplicated initial and final projection families of all elements and
-    the element map, built once per closure; NotPartialIsometry for the first
-    element that fails the partial isometry rule.  A validated closure's
-    products passed the rule in close, so only its seeds (I and the
-    generators, the words of length <= 1) are checked here."""
+    the element map, built once per closure.  close validated every element,
+    so P = V*V is formed directly."""
     if c.status == FAILURE:
         raise InvalidState("closure ended in a failure witness; no projection families")
     if c.families is None:
         cfg = c.cfg
-        checked = (next((k for k, word in enumerate(c.words) if len(word) > 1), len(c))
-                   if c.validated else len(c))
         ps, qs = _ElementStore(c.dim, cfg), _ElementStore(c.dim, cfg)
         p_of, q_of = [], []
         for part in _chunks(len(c), c.dim, _HELD):
             vs = c.store.stack()[part]
-            split = max(0, checked - part.start)
-            head, rest = vs[:split], vs[split:]
-            p = rest.conj().transpose(0, 2, 1) @ rest
-            if len(head):
-                ok, p_head = partial_isometry_rule(head, cfg)
-                if not ok.all():
-                    raise NotPartialIsometry.of(head[np.argmin(ok)])
-                p = np.concatenate([p_head, p])
-            p_of += _member_indices(ps, p)
-            q_of += _member_indices(qs, vs @ vs.conj().transpose(0, 2, 1))
+            vh = vs.conj().transpose(0, 2, 1)
+            p_of += _member_indices(ps, vh @ vs)
+            q_of += _member_indices(qs, vs @ vh)
         c.families = FamilyProjections(projection_family(ps.matrices(), c.dim, cfg),
                                        projection_family(qs.matrices(), c.dim, cfg),
                                        np.array(p_of, dtype=np.intp), np.array(q_of, dtype=np.intp))
@@ -426,7 +403,7 @@ def _fresh_name(base: str, taken: set[str]) -> str:
 def _adjoin_until_fixed(c: ClosureResult, propose, limits: Limits,
                         q_atoms: AtomDecomposition | None = None) -> ClosureResult:
     """Adjoin every proposed matrix that is not yet an element and re-close
-    (monitored) until nothing is missing; c itself when nothing is.
+    until nothing is missing; c itself when nothing is.
 
     propose(closure) yields (name, matrix) pairs; names are made fresh.  A
     failure witness or truncation found along the way is returned as-is.
@@ -452,7 +429,7 @@ def _adjoin_until_fixed(c: ClosureResult, propose, limits: Limits,
         added = generator_set(missing, dim=current.dim, cfg=current.cfg)
         gens = replace(current.generators,
                        named_generators=current.generators.named_generators + added.named_generators)
-        current = close(gens, limits, monitor_pi=True)
+        current = close(gens, limits)
         if current.status != CLOSED:
             return current
     else:
@@ -488,7 +465,7 @@ def adjoin_final_projections(c: ClosureResult,
 def adjoin_algebra_projections(c: ClosureResult, atoms: AtomDecomposition,
                                limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
     """Adjoin every atom of the Q algebra that is not yet an element and
-    re-close, monitored; c itself is returned when nothing is missing.
+    re-close; c itself is returned when nothing is missing.
 
     Atoms generate all standard projections multiplicatively, so adjoining
     them realizes adjoining every projection of the algebra.  On a closed
@@ -505,12 +482,12 @@ def enrich_projections(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> C
 
     Constructive stand-in for the maximal extensions produced by transfinite
     arguments: alternately adjoin every P and Q that is not yet an element
-    and re-close (monitored) until nothing is missing.  Unlike the Q-only
+    and re-close until nothing is missing.  Unlike the Q-only
     adjunction this may enlarge the Q algebra unless the uniform-multiplicity
     hypothesis holds, so no algebra-preservation assertion is made here.
     Each member is proposed once, in the order of its first element, Q first.
     """
-    result = close(gens, limits, monitor_pi=True)
+    result = close(gens, limits)
     if result.status != CLOSED:
         return result
     return _adjoin_until_fixed(result, lambda cur: _projection_proposals(cur, "QP"), limits)

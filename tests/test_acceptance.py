@@ -99,7 +99,7 @@ def test_criterion_01_golden_example():
         assert np.max(np.abs(pi.final - q_exp)) < 1e-12
 
     # (b) the final projection family commutes
-    base = close(gens, monitor_pi=True)
+    base = close(gens)
     fams = family_projections(base)
     assert fams.q_set.is_commuting()
 
@@ -180,7 +180,7 @@ def test_criterion_04_uniform_finite_multiplicity_suite():
         gens = generator_set(named, dim=n)
         result = selfadjoint_closure(gens, limits)
         assert result.status != FAILURE, f"seed {seed} produced a failure witness"
-        base = close(gens, limits, monitor_pi=True)
+        base = close(gens, limits)
         atoms = boolean_atoms(family_projections(base).q_set)
         profile = multiplicity_profile(atoms)
         assert profile.uniform and profile.multiplicity == m
@@ -197,13 +197,13 @@ def test_criterion_05_irreducible_uniformity_suite():
         gens = generator_set(named, dim=n)
         irr = is_irreducible(gens)
         assert irr.irreducible and irr.span_dim == n * n
-        base = close(gens, limits, monitor_pi=True)
+        base = close(gens, limits)
         assert base.status != FAILURE
         atoms = boolean_atoms(family_projections(base).q_set)
         assert multiplicity_profile(atoms).uniform
         # finite multiplicity: every initial projection lies in the span algebra
         for e in base.elements:
-            assert membership_in_span(e.require_pi().initial, atoms)
+            assert membership_in_span(e.pi.initial, atoms)
     budget.done("50/50 uniform with initial projections in the algebra")
 
 
@@ -211,20 +211,20 @@ def _closed_corpus():
     corpus = []
     A, B, C = golden_generators()
     corpus.append(("golden-base", close(
-        generator_set([("A", A), ("B", B), ("C", C)]), monitor_pi=True)))
+        generator_set([("A", A), ("B", B), ("C", C)]))))
     for n in (2, 3):
         named = [(f"E{i}{i + 1}", matrix_unit(n, i - 1, i)) for i in range(1, n)]
         named.append((f"E{n}1", matrix_unit(n, n - 1, 0)))
-        corpus.append((f"units-{n}", close(generator_set(named, dim=n), monitor_pi=True)))
+        corpus.append((f"units-{n}", close(generator_set(named, dim=n))))
     pauli = load_generator_problem(str(FIXTURES / "pauli-tensor-units.json"))
-    corpus.append(("pauli", close(pauli.gens, monitor_pi=True)))
+    corpus.append(("pauli", close(pauli.gens)))
     i2 = symmetric_inverse_table(2)
     images = barnes_representation(i2)
     named = [(i2.name_of(i), images[i].matrix) for i in range(i2.n)]
-    corpus.append(("barnes-i2", close(generator_set(named, dim=7), monitor_pi=True)))
+    corpus.append(("barnes-i2", close(generator_set(named, dim=7))))
     for seed in (1, 2):
         n, m, k, named = uniform_multiplicity_instance(seed)
-        result = close(generator_set(named, dim=n), Limits(1500, 16), monitor_pi=True)
+        result = close(generator_set(named, dim=n), Limits(1500, 16))
         if result.status == CLOSED:
             corpus.append((f"uniform-{seed}", result))
     return corpus
@@ -259,7 +259,7 @@ def test_criterion_08_brandt_suite():
     for n in range(2, 6):
         named = [(f"E{i}{i + 1}", matrix_unit(n, i - 1, i)) for i in range(1, n)]
         named.append((f"E{n}1", matrix_unit(n, n - 1, 0)))
-        result = close(generator_set(named, dim=n), monitor_pi=True)
+        result = close(generator_set(named, dim=n))
         assert result.status == CLOSED
         structure = brandt_structure(result)
         assert sorted(structure.family_ranks) == [1] * n
@@ -270,7 +270,7 @@ def test_criterion_08_brandt_suite():
             assert brandt_membership(e.matrix, structure)
 
     gens = _golden_problem().gens
-    base = close(gens, monitor_pi=True)
+    base = close(gens)
     with pytest.raises((NoMinimalWithLoop, CoverageGap, MembershipViolation)):
         brandt_structure(base)
     budget.done("matrix units n=2..5 pass; golden example raises")
@@ -302,7 +302,7 @@ def test_criterion_09_barnes_representation():
 def _verdict_and_ranks(gens, limits=Limits(2000, 16)):
     ext = selfadjoint_closure(gens, limits)
     verdict = {CLOSED: "Extendable", FAILURE: "NotExtendable"}.get(ext.status, "Inconclusive")
-    base = close(gens, limits, monitor_pi=True)
+    base = close(gens, limits)
     if base.status == FAILURE:
         return verdict, None
     fams = family_projections(base)

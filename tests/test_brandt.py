@@ -71,7 +71,7 @@ def structure_of(kind, m, rng, cfg):
     n = named[0][1].shape[0]
     w = random_unitary(rng, n)
     gens = generator_set([(name, w @ g @ w.conj().T) for name, g in named], dim=n, cfg=cfg)
-    c = close(gens, monitor_pi=True)
+    c = close(gens)
     return c, brandt_structure(c)
 
 
@@ -168,7 +168,7 @@ def test_family_order_does_not_round_diagonals():
         p_u, p_v = np.outer(ut, ut), np.outer(vt, vt)
         assert np.max(np.abs(np.diag(p_u) - np.diag(p_v))) < 1e-9
         named = [(name, frame @ g @ frame.T) for name, g in cyclic_units(4)]
-        s = brandt_structure(close(generator_set(named, dim=4), monitor_pi=True))
+        s = brandt_structure(close(generator_set(named, dim=4)))
         labels = [frame.T @ member.projection @ frame for member in s.family]
         orders.append([int(np.argmax(np.abs(np.diag(x)))) for x in labels])
     assert sorted(orders[0]) == [0, 1, 2, 3]

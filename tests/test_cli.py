@@ -201,6 +201,28 @@ def test_main_exit_codes(fixtures_dir, tmp_path, capsys):
     assert main(["report", str(fixtures_dir / "identity-only.json"), "--tol", "0.5"]) == EXIT_INPUT
 
 
+def test_negative_seed_is_an_input_error(fixtures_dir, capsys):
+    path = str(fixtures_dir / "identity-only.json")
+    with pytest.raises(SchemaError, match="seed must be non-negative"):
+        run(AnalysisRequest("report", path, seed=-1))
+    assert main(["report", path, "--seed", "-1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("command,document", [
+    ("report", b'{"dim": 1, "generators": [{"name": "\xe9", "matrix": [[1]]}]}'),
+    ("barnes", b'{"n": 1, "mult": [[0]], "star": [0], "names": ["\xe9"]}'),
+])
+def test_non_utf8_input_is_a_parse_error(command, document, tmp_path, capsys):
+    # a Latin-1 e-acute: one byte that starts no UTF-8 sequence
+    path = tmp_path / "latin1.json"
+    path.write_bytes(document)
+    with pytest.raises(ParseError, match="not UTF-8 text at byte"):
+        run(AnalysisRequest(command, str(path)))
+    assert main([command, str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text at byte ")
+
+
 @pytest.mark.parametrize("flag", ["--max-elements", "--max-word-len"])
 def test_zero_limit_is_an_input_error(fixtures_dir, capsys, flag):
     assert main(["closure", str(fixtures_dir / "identity-only.json"), flag, "0"]) == EXIT_INPUT
@@ -415,7 +437,7 @@ def _verdict_and_ranks(gens):
     ext = selfadjoint_closure(gens)
     verdict = {"closed": "Extendable", "failure": "NotExtendable",
                "truncated": "Inconclusive"}[ext.status]
-    base = close(gens, monitor_pi=True)
+    base = close(gens)
     atoms = boolean_atoms(family_projections(base).q_set)
     return verdict, tuple(sorted(atoms.ranks))
 

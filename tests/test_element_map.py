@@ -69,7 +69,7 @@ def projections(c):
 
 @pytest.mark.parametrize("name", CLOSURES)
 def test_every_element_maps_to_its_own_projections(name):
-    c = close(CLOSURES[name](), monitor_pi=True)
+    c = close(CLOSURES[name]())
     fams = family_projections(c)
     assert len(fams.p_of) == len(fams.q_of) == len(c)
     if name == "empty":
@@ -101,7 +101,7 @@ def reference_loops(c, family):
 @pytest.mark.parametrize("n", range(4, 13))
 @pytest.mark.parametrize("conjugate_seed", (None, 7))
 def test_brandt_loops_are_the_per_element_loops(n, conjugate_seed):
-    c = close(units(n, conjugate_seed), monitor_pi=True)
+    c = close(units(n, conjugate_seed))
     s = brandt_structure(c)
     assert s.family_ranks == (1,) * n
     loops = [member.loop for member in s.family]
@@ -117,8 +117,7 @@ def test_brandt_loops_are_the_first_of_several(seed):
     rot[:2, :2] = [[0, -1], [1, 0]]
     w = random_unitary(np.random.default_rng(seed), 3)
     named = [("D", np.diag([1.0, 1.0, 0.0])), ("F", np.diag([0.0, 0.0, 1.0])), ("R", rot)]
-    c = close(generator_set([(name, w @ g @ w.conj().T) for name, g in named], dim=3),
-              monitor_pi=True)
+    c = close(generator_set([(name, w @ g @ w.conj().T) for name, g in named], dim=3))
     s = brandt_structure(c)
     assert sorted(s.family_ranks) == [1, 2]
     family = [member.projection for member in s.family]
@@ -147,7 +146,7 @@ def reference_adjoin_final(c):
 
 
 def reference_enrich(gens):
-    result = close(gens, DEFAULT_LIMITS, monitor_pi=True)
+    result = close(gens, DEFAULT_LIMITS)
     return result if result.status != CLOSED else _adjoin_until_fixed(
         result, reference_finals_and_initials, DEFAULT_LIMITS)
 
@@ -170,6 +169,6 @@ def adjunction_input(name):
 @pytest.mark.parametrize("name", ["golden"] + [f"uniform-{seed}" for seed in range(8)])
 def test_adjunctions_propose_as_the_per_element_proposers(name):
     gens = adjunction_input(name)
-    base = close(gens, monitor_pi=True)
+    base = close(gens)
     assert outcome(adjoin_final_projections, base) == outcome(reference_adjoin_final, base)
     assert outcome(enrich_projections, gens) == outcome(reference_enrich, gens)

@@ -421,7 +421,7 @@ def test_brandt_family_must_be_orthogonal():
     u = np.array([1.0, 0.0])
     v = np.array([np.cos(theta), np.sin(theta)])
     named = [("P", np.outer(u, u)), ("Q", np.outer(v, v))]
-    c = close(generator_set(named, include_identity=False), monitor_pi=True)
+    c = close(generator_set(named, include_identity=False))
     members = [m for _, m in named]
     pair = reference_first_overlap(members, DEFAULT_TOL.proj_tol * 2)
     assert pair == (0, 1)

@@ -1,8 +1,8 @@
 """Golden closure snapshots: what `close` and `selfadjoint_closure` retain.
 
 For each closure the snapshot holds the status, the limit that fired, every
-element's word, which elements carry no validated partial isometry, the
-near-duplicate pairs, the witness word and its deviation.  Words, indices and
+element's word, the near-duplicate pairs, the witness word and its
+deviation; every element it keeps is a partial isometry.  Words, indices and
 statuses must match exactly; distances and deviations within 1e-6 relative.
 The inputs are infinite semigroups cut at a limit, tiny rotations that sit
 on the equality tolerance, projection pairs whose products cross the
@@ -21,6 +21,7 @@ import pytest
 
 from factories import pq_equal_instance, random_unitary
 from pisomlab.numlin import ToleranceConfig
+from pisomlab.pisom import partial_isometry_rule
 from pisomlab.sgroup import Limits, close, generator_set, selfadjoint_closure, word_label
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "closures.json"
@@ -58,7 +59,7 @@ def _conjugated_pq_equal(seed: int):
 def _matrix_units(n: int):
     named = [(f"E{i}{j}", np.eye(n, dtype=complex)[:, [i]] @ np.eye(n)[[j], :])
              for i in range(n) for j in range(n) if i != j]
-    return close(generator_set(named, dim=n), monitor_pi=True)
+    return close(generator_set(named, dim=n))
 
 
 def cases() -> dict:
@@ -67,20 +68,16 @@ def cases() -> dict:
     for n in (2, 4):
         for seed in (1, 2):
             out[f"unitary-n{n}-s{seed}"] = lambda n=n, seed=seed: _unitary_pair(n, seed)
+    # "-mon" (monitored) names a validated closure, as every closure is
     for theta in ANGLES:
         for eq_tol in (1e-8, 1e-6):
-            for monitor in (True, False):
-                out[f"rotation-{theta:g}-tol{eq_tol:g}-{'mon' if monitor else 'raw'}"] = (
-                    lambda theta=theta, eq_tol=eq_tol, monitor=monitor: close(
-                        generator_set([("R", rotation(theta)), ("P", P)], dim=2,
-                                      cfg=ToleranceConfig(eq_tol=eq_tol)),
-                        SMALL, monitor_pi=monitor))
+            out[f"rotation-{theta:g}-tol{eq_tol:g}-mon"] = (
+                lambda theta=theta, eq_tol=eq_tol: close(
+                    generator_set([("R", rotation(theta)), ("P", P)], dim=2,
+                                  cfg=ToleranceConfig(eq_tol=eq_tol)), SMALL))
     for d in OFFSETS:
-        for monitor in (True, False):
-            out[f"pq-{d:g}-{'mon' if monitor else 'raw'}"] = (
-                lambda d=d, monitor=monitor: close(
-                    generator_set([("P", P), ("Q", line_projection(d))], dim=2),
-                    SMALL, monitor_pi=monitor))
+        out[f"pq-{d:g}-mon"] = lambda d=d: close(
+            generator_set([("P", P), ("Q", line_projection(d))], dim=2), SMALL)
     out["units-4"] = lambda: _matrix_units(4)
     out["pq-equal-5-conjugated"] = lambda: _conjugated_pq_equal(5)
     return out
@@ -91,7 +88,6 @@ def summary(c) -> dict:
         "status": c.status,
         "limit_hit": c.limit_hit,
         "words": [word_label(e.word) for e in c.elements],
-        "unvalidated": [i for i, e in enumerate(c.elements) if e.pi is None],
         "near_duplicate_pairs": [list(p) for p in c.near_duplicate_pairs],
         "witness_word": None if c.witness_word is None else list(c.witness_word),
         "witness_deviation": c.witness_deviation,
@@ -116,13 +112,19 @@ def test_snapshot_covers_every_case(golden):
 @pytest.mark.parametrize("name", list(cases()))
 def test_closure_matches_snapshot(name, golden):
     got, want = summary(cases()[name]()), golden[name]
-    for key in ("status", "limit_hit", "words", "unvalidated", "witness_word"):
+    for key in ("status", "limit_hit", "words", "witness_word"):
         assert got[key] == want[key], key
     assert _close_enough(got["witness_deviation"], want["witness_deviation"])
     pairs, want_pairs = got["near_duplicate_pairs"], want["near_duplicate_pairs"]
     assert [p[:2] for p in pairs] == [p[:2] for p in want_pairs]
     for p, w in zip(pairs, want_pairs):
         assert _close_enough(p[2], w[2]), (p, w)
+
+
+@pytest.mark.parametrize("name", list(cases()))
+def test_every_element_is_a_partial_isometry(name):
+    c = cases()[name]()
+    assert partial_isometry_rule(c.store.stack(), c.cfg)[0].all()
 
 
 if __name__ == "__main__":

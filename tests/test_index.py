@@ -4,6 +4,7 @@ against the per-parent closure it replaced, the batched validation of
 closure products, the projection-family memo and the adjoin fixpoint."""
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def first_match(mats, q, cfg):
 
 def units_closure(n=3, cfg=CFG):
     named = [(f"E{i}{j}", matrix_unit(n, i, j)) for i in range(n) for j in range(n) if i != j]
-    return close(generator_set(named, dim=n, cfg=cfg), monitor_pi=True)
+    return close(generator_set(named, dim=n, cfg=cfg))
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,31 +319,24 @@ def test_large_norm_find_scans_everything_and_agrees(monkeypatch):
     assert set(pairs.values()) == {len(mats)}
 
 
-@pytest.mark.parametrize("monitor", (True, False))
-def test_batched_validation_matches_make_partial_isometry(monitor):
-    statuses, unvalidated = set(), 0
+def test_batched_validation_matches_make_partial_isometry():
+    statuses = set()
     for d in np.geomspace(1e-6, 1e-3, 13):
         v = np.array([1.0, d]) / np.hypot(1.0, d)
         gens = generator_set([("P", np.diag([1.0, 0.0])), ("Q", np.outer(v, v))], dim=2)
-        c = close(gens, Limits(200, 16), monitor_pi=monitor)
+        c = close(gens, Limits(200, 16))
         statuses.add(c.status)
         for e in c.elements:
-            try:
-                want = make_partial_isometry(e.matrix)
-            except NotPartialIsometry:
-                want = None
-            assert (e.pi is None) == (want is None)
-            unvalidated += e.pi is None
-            if want is not None:
-                for field in ("matrix", "initial", "final"):
-                    assert np.array_equal(getattr(e.pi, field), getattr(want, field))
+            want = make_partial_isometry(e.matrix)
+            for field in ("matrix", "initial", "final"):
+                assert np.array_equal(getattr(e.pi, field), getattr(want, field))
         if c.status == FAILURE:
             with pytest.raises(NotPartialIsometry) as err:
                 make_partial_isometry(c.evaluate(c.witness_word))
             assert c.witness_deviation == err.value.deviation
             assert_store_holds_the_elements(c)
     # the sweep crosses proj_tol: both outcomes occur
-    assert (FAILURE in statuses) if monitor else unvalidated > 0
+    assert FAILURE in statuses
     assert statuses - {FAILURE}
 
 
@@ -358,7 +352,7 @@ def test_truncated_closure_looks_up_nothing_past_the_limit(dim, monkeypatch):
 
     gens = adjoint_generator_set(generic_unitary_gens(dim, seed=dim))
     monkeypatch.setattr(_ElementStore, "add_batch", recording)
-    c = close(gens, Limits(301), monitor_pi=True)
+    c = close(gens, Limits(301))
     assert c.limit_hit == "max_elements"
     assert c.store.count == len(c)
     # generic unitaries give no duplicates within one level, so every
@@ -569,20 +563,20 @@ def test_exact_closures_find_in_batch_copies_without_lookup(label, monkeypatch):
     copy_since = _ElementStore._copy_since
     monkeypatch.setattr(_ElementStore, "_copy_since",
                         lambda *args: copies.append(copy_since(*args)) or copies[-1])
-    c = close(gens, limits, monitor_pi=True)
+    c = close(gens, limits)
     assert calls == [] and None not in copies and bool(copies) == meets_copies
-    words, near_pairs, status, limit_hit, witness = reference_close(gens, limits, True)
+    words, near_pairs, status, limit_hit, witness = reference_close(gens, limits)
     assert [e.word for e in c.elements] == words
     assert (c.status, c.limit_hit, c.witness_word) == (status, limit_hit, witness)
     assert c.near_duplicate_pairs == near_pairs == []
     assert_store_holds_the_elements(c)
 
 
-def reference_close(gens, limits, monitor_pi):
+def reference_close(gens, limits):
     """close as it was before level batching, for generator sets without
     include_zero: one parent at a time, each product looked up against
-    every element kept before it.  -> (words, near pairs, status, limit
-    hit, witness word)."""
+    every element kept before it and validated, the generators too.
+    -> (words, near pairs, status, limit hit, witness word)."""
     dim, cfg = gens.dim, gens.cfg
     store = ReferenceStore(dim, cfg)
     words, near_pairs, queue = [], [], deque()
@@ -599,6 +593,8 @@ def reference_close(gens, limits, monitor_pi):
     for name, mat in gens.named_generators:
         match, near = store.lookup(mat)
         if match is None:
+            if not partial_isometry_rule(mat[None], cfg)[0][0]:
+                return words, near_pairs, FAILURE, None, (name,)
             if len(words) >= limits.max_elements:
                 return words, near_pairs, TRUNCATED, "max_elements", None
             store.append(mat)
@@ -624,7 +620,7 @@ def reference_close(gens, limits, monitor_pi):
         valid = partial_isometry_rule(prods[[i for i, _ in new]], cfg)[0]
         for (i, near), ok in zip(new, valid):
             word = words[k] + (gens.names[i],)
-            if not ok and monitor_pi:
+            if not ok:
                 return words, near_pairs, FAILURE, None, word
             if len(words) >= limits.max_elements:
                 return words, near_pairs, TRUNCATED, "max_elements", None
@@ -636,26 +632,30 @@ def chunk_cases():
     e = np.diag([1.0, 0.0])
     v = np.array([1.0, 1e-4]) / np.hypot(1.0, 1e-4)
     units = [(f"E{i}{j}", matrix_unit(4, i, j)) for i in range(4) for j in range(4) if i != j]
+    projections = generator_set([("P", e), ("Q", np.outer(v, v))], dim=2)
     return {
-        "unitary-n2": (adjoint_generator_set(generic_unitary_gens(2, seed=7)), Limits(700), True),
-        "unitary-n4": (adjoint_generator_set(generic_unitary_gens(4, seed=8)), Limits(1500), True),
-        "units-n4": (generator_set(units, dim=4), Limits(5000), True),
-        "units-n4-short": (generator_set(units, dim=4), Limits(5000, 2), True),
+        "unitary-n2": (adjoint_generator_set(generic_unitary_gens(2, seed=7)), Limits(700)),
+        "unitary-n4": (adjoint_generator_set(generic_unitary_gens(4, seed=8)), Limits(1500)),
+        "units-n4": (generator_set(units, dim=4), Limits(5000)),
+        "units-n4-short": (generator_set(units, dim=4), Limits(5000, 2)),
         "golden-8": (adjoint_generator_set(generator_set(zip("ABC", golden_generators()), dim=8)),
-                     Limits(5000), True),
-        "projections-raw": (generator_set([("P", e), ("Q", np.outer(v, v))], dim=2),
-                            Limits(200, 16), False),
+                     Limits(5000)),
+        "projections": (projections, Limits(200, 16)),
+        # a generator that is no partial isometry, past the factory's check
+        "projections-seed-failure": (
+            replace(projections, named_generators=projections.named_generators
+                    + (("X", np.array([[1.0, 0.5], [0.0, 0.0]])),)), Limits(200, 16)),
     }
 
 
 @pytest.mark.parametrize("chunk", (64, 256, None))
 @pytest.mark.parametrize("label", sorted(chunk_cases()))
 def test_level_batched_closure_agrees_with_the_per_parent_closure(label, chunk, monkeypatch):
-    gens, limits, monitor = chunk_cases()[label]
+    gens, limits = chunk_cases()[label]
     if chunk is not None:  # a few parents per chunk: every level spans several
         monkeypatch.setattr(index, "_CHUNK", chunk)
-    c = close(gens, limits, monitor_pi=monitor)
-    words, near_pairs, status, limit_hit, witness = reference_close(gens, limits, monitor)
+    c = close(gens, limits)
+    words, near_pairs, status, limit_hit, witness = reference_close(gens, limits)
     assert [e.word for e in c.elements] == words
     assert (c.status, c.limit_hit, c.witness_word) == (status, limit_hit, witness)
     assert [p[:2] for p in c.near_duplicate_pairs] == [p[:2] for p in near_pairs]
@@ -667,7 +667,7 @@ def test_level_batched_closure_agrees_with_the_per_parent_closure(label, chunk, 
 def test_default_chunk_splits_a_level():
     # the fifth level of the free group on U, V has 324 elements, more
     # parents than a chunk holds with four generators in dimension 4
-    gens, limits, _ = chunk_cases()["unitary-n4"]
+    gens, limits = chunk_cases()["unitary-n4"]
     assert len(index._chunks(324, 4, index._HELD * len(gens.names))) > 1
-    words = [e.word for e in close(gens, limits, monitor_pi=True).elements]
+    words = [e.word for e in close(gens, limits).elements]
     assert sum(len(w) == 5 for w in words) == 324

@@ -5,13 +5,14 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pisomlab.numlin import ToleranceConfig, approx_equal
 from pisomlab import index, sgroup
-from pisomlab.pisom import NotPartialIsometry, make_partial_isometry, partial_isometry_defect
+from pisomlab.pisom import partial_isometry_defect
 from pisomlab.projlat import boolean_atoms, multiplicity_profile
 from pisomlab.sgroup import (
     CLOSED,
@@ -74,7 +75,7 @@ def test_close_identity_only():
 
 
 def test_close_golden_base():
-    result = close(golden_gens(), monitor_pi=True)
+    result = close(golden_gens())
     assert result.status == CLOSED
     # I, A, B, C, and the zero matrix generated by any length-two product
     assert len(result.elements) == 5
@@ -82,7 +83,7 @@ def test_close_golden_base():
 
 
 def test_close_matrix_units_m2():
-    result = close(m2_gens(), monitor_pi=True)
+    result = close(m2_gens())
     assert result.status == CLOSED
     expected = [np.eye(2), matrix_unit(2, 0, 1), matrix_unit(2, 1, 0),
                 matrix_unit(2, 0, 0), matrix_unit(2, 1, 1), np.zeros((2, 2))]
@@ -93,7 +94,7 @@ def test_close_matrix_units_m2():
 
 def test_close_include_zero():
     gens = generator_set([("V", matrix_unit(2, 0, 1))], include_zero=True)
-    result = close(gens, monitor_pi=True)
+    result = close(gens)
     assert result.status == CLOSED
     idx = result.find(np.zeros((2, 2)))
     assert idx is not None
@@ -106,7 +107,7 @@ def test_include_zero_reserves_the_name_zero():
     named = [("0", np.array([[0.0, 1.0], [1.0, 0.0]])), ("A", matrix_unit(2, 1, 0))]
     with pytest.raises(ValueError, match=r"^generator name '0' is reserved for the zero matrix$"):
         generator_set(named, include_zero=True)
-    c = close(generator_set(named), monitor_pi=True)
+    c = close(generator_set(named))
     assert all(approx_equal(c.evaluate(e.word), e.matrix) for e in c.elements)
 
 
@@ -114,7 +115,7 @@ def test_every_result_keeps_the_generators_tolerance():
     cfg = ToleranceConfig(eq_tol=1e-6, proj_tol=1e-7, rank_tol=1e-7)
     named = [(f"E{i}{i + 1}", matrix_unit(3, i - 1, i)) for i in (1, 2)]
     gens = generator_set(named + [("E31", matrix_unit(3, 2, 0))], dim=3, cfg=cfg)
-    c = close(gens, monitor_pi=True)
+    c = close(gens)
     fams = family_projections(c)
     atoms = boolean_atoms(fams.q_set)
     results = [adjoint_generator_set(gens), c, fams.p_set, fams.q_set, atoms,
@@ -140,16 +141,16 @@ def test_close_respects_element_limit():
 
 def test_close_deterministic_element_set_under_shuffle():
     A, B, C = golden_generators()
-    base = close(generator_set([("A", A), ("B", B), ("C", C)]), monitor_pi=True)
+    base = close(generator_set([("A", A), ("B", B), ("C", C)]))
     for order in [("B", B), ("C", C), ("A", A)], [("C", C), ("A", A), ("B", B)]:
-        other = close(generator_set(list(order)), monitor_pi=True)
+        other = close(generator_set(list(order)))
         assert len(other.elements) == len(base.elements)
         for e in base.elements:
             assert other.find(e.matrix) is not None
 
 
 def test_closed_status_certifies_products():
-    result = close(m2_gens(), monitor_pi=True)
+    result = close(m2_gens())
     for a in result.elements:
         for b in result.elements:
             assert result.find(a.matrix @ b.matrix) is not None
@@ -173,8 +174,8 @@ def test_selfadjoint_closure_witness_is_minimal_length():
 
 
 def test_close_bitwise_deterministic():
-    first = close(golden_gens(), monitor_pi=True)
-    second = close(golden_gens(), monitor_pi=True)
+    first = close(golden_gens())
+    second = close(golden_gens())
     assert [e.word for e in first.elements] == [e.word for e in second.elements]
     for a, b in zip(first.elements, second.elements):
         assert np.array_equal(a.matrix, b.matrix)
@@ -194,7 +195,7 @@ def test_selfadjoint_closure_pq_equal_instance():
 
 
 def test_family_projections_golden():
-    base = close(golden_gens(), monitor_pi=True)
+    base = close(golden_gens())
     fams = family_projections(base)
     A, B, C = golden_generators()
     expected_q = [m @ m.conj().T for m in (A, B, C)] + [np.eye(8), np.zeros((8, 8))]
@@ -213,59 +214,43 @@ def test_family_projections_requires_valid_closure():
         family_projections(failed)
 
 
-def test_family_projections_names_the_first_element_that_is_no_partial_isometry():
-    v = np.array([1.0, 0.5]) / np.hypot(1.0, 0.5)
-    gens = generator_set([("P", np.diag([1.0, 0.0])), ("Q", np.outer(v, v))], dim=2)
-    kept = close(gens, Limits(50, 4))  # unmonitored: keeps P.Q, P.Q.P, ...
-    failures = []
-    for mat in kept.matrices():
-        try:
-            make_partial_isometry(mat)
-        except NotPartialIsometry as err:
-            failures.append(err)
-    # the deviations differ along the closure, so the first one is pinned
-    assert len({err.deviation for err in failures}) > 1
-    with pytest.raises(NotPartialIsometry) as err:
-        family_projections(kept)
-    assert err.value.deviation == failures[0].deviation
-    assert str(err.value) == str(failures[0])
-
-
-@pytest.mark.parametrize("monitor", (True, False))
 @pytest.mark.parametrize("per_chunk", (None, 3))
-def test_family_projections_checks_what_close_did_not(monitor, per_chunk, monkeypatch):
-    # a validated closure's products passed the rule in close, so only its
-    # seeds (I and the generators) meet it again, across chunks as well
+def test_family_projections_checks_what_close_did_not(per_chunk, monkeypatch):
+    # close validated every element but I, seeds included, so
+    # family_projections applies the rule to none, across chunks as well
     gens = units_gens(4)
-    c = close(gens, Limits(100, 5), monitor_pi=monitor)
     want = family_projections(close(gens, Limits(100, 5)))
     checked = []
     rule = sgroup.partial_isometry_rule
     monkeypatch.setattr(sgroup, "partial_isometry_rule",
                         lambda ms, cfg: checked.append(len(ms)) or rule(ms, cfg))
+    c = close(gens, Limits(100, 5))
+    assert sum(checked) == len(c) - 1 and all(checked)
+    checked.clear()
     if per_chunk is not None:
         monkeypatch.setattr(index, "_CHUNK", index._HELD * 16 * per_chunk)
     fams = family_projections(c)
-    assert c.validated == monitor
-    assert sum(checked) == (1 + len(gens.named_generators) if monitor else len(c))
-    assert all(checked)
+    assert checked == []
     assert np.array_equal(fams.p_of, want.p_of) and np.array_equal(fams.q_of, want.q_of)
     for got, ref in ((fams.p_set, want.p_set), (fams.q_set, want.q_set)):
         assert np.array_equal(np.array(got.members), np.array(ref.members))
 
 
-def test_unmonitored_close_validates_nothing(monkeypatch):
-    gens = units_gens(4)
-    for name in ("partial_isometry_rule", "validate_stack", "make_partial_isometry"):
-        monkeypatch.setattr(sgroup, name, None)
-    assert len(close(gens, Limits(100, 5))) == 18
+def test_close_validates_its_generators():
+    # the factory rejects X, so it is put in past the factory's check
+    x = np.array([[1.0, 0.5], [0.0, 0.0]])
+    gens = replace(generator_set([], dim=2), named_generators=(("X", x),))
+    c = close(gens)
+    assert (c.status, c.witness_word, c.words) == (FAILURE, ("X",), [()])
+    # X*X = [[1, .5], [.5, .25]] has idempotency defect 1/4 + 1/16
+    assert c.witness_deviation == pytest.approx(0.3125, rel=1e-12)
 
 
 def test_close_holds_one_copy_of_each_element():
     gens = units_gens(16)
     tracemalloc.start()
     try:
-        result = close(gens, Limits(1000, 17), monitor_pi=True)
+        result = close(gens, Limits(1000, 17))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -274,14 +259,14 @@ def test_close_holds_one_copy_of_each_element():
 
 
 def test_closure_matrices_are_read_only():
-    result = close(units_gens(3), monitor_pi=True)
+    result = close(units_gens(3))
     for mat in result.matrices() + [e.matrix for e in result.elements]:
         with pytest.raises(ValueError):
             mat[0, 0] = 1.0
 
 
 def test_pq_checks_matrix_units():
-    result = close(m2_gens(), monitor_pi=True)
+    result = close(m2_gens())
     assert check_pq_equal(result)
     assert check_pq_contained(result)
 
@@ -294,19 +279,19 @@ def test_pq_checks_identity():
 
 def test_adjoin_final_projections_fixed_point():
     # matrix units already contain their projections: unchanged
-    result = close(m2_gens(), monitor_pi=True)
+    result = close(m2_gens())
     enriched = adjoin_final_projections(result)
     assert len(enriched.elements) == len(result.elements)
 
     # S = {I, V} with V = e1 e2*: gains Q_V = e11
     v = matrix_unit(2, 0, 1)
-    c = close(generator_set([("V", v)]), monitor_pi=True)
+    c = close(generator_set([("V", v)]))
     assert c.find(matrix_unit(2, 0, 0)) is None
     enriched = adjoin_final_projections(c)
     assert enriched.status == CLOSED
     assert enriched.find(matrix_unit(2, 0, 0)) is not None
     for e in enriched.elements:
-        assert enriched.find(e.require_pi().final) is not None
+        assert enriched.find(e.pi.final) is not None
 
     # identity alone: unchanged
     ident = close(generator_set([], dim=2))
@@ -339,7 +324,7 @@ def test_adjoin_after_adjoints_names_fresh_generators():
 
 
 def test_adjoin_algebra_projections_golden():
-    base = close(golden_gens(), monitor_pi=True)
+    base = close(golden_gens())
     atoms = boolean_atoms(family_projections(base).q_set)
     enriched = adjoin_algebra_projections(base, atoms)
     # adjoining commuting projections on the non-adjoint side stays closed
@@ -397,7 +382,7 @@ def test_check_asb_nonzero():
 
 def test_brandt_structure_matrix_units():
     for n in (2, 3):
-        result = close(units_gens(n), monitor_pi=True)
+        result = close(units_gens(n))
         structure = brandt_structure(result)
         assert sorted(structure.family_ranks) == [1] * n
         for e in result.elements:
@@ -411,13 +396,13 @@ def test_brandt_structure_identity():
 
 
 def test_brandt_structure_golden_fails():
-    base = close(golden_gens(), monitor_pi=True)
+    base = close(golden_gens())
     with pytest.raises((NoMinimalWithLoop, CoverageGap, MembershipViolation)):
         brandt_structure(base)
 
 
 def test_brandt_membership_violation():
-    result = close(units_gens(2), monitor_pi=True)
+    result = close(units_gens(2))
     structure = brandt_structure(result)
     # a matrix whose initial space is a strict sub-projection inside e22
     bad = np.zeros((2, 2))
@@ -426,13 +411,13 @@ def test_brandt_membership_violation():
 
 
 def test_intertwining_identity_matrix_units():
-    result = close(units_gens(3), monitor_pi=True)
+    result = close(units_gens(3))
     report = check_intertwining_identity(result, samples=100, seed=1)
     assert report.max_residual <= 1e-12
 
 
 def test_intertwining_identity_golden():
-    base = close(golden_gens(), monitor_pi=True)
+    base = close(golden_gens())
     report = check_intertwining_identity(base, samples=200, seed=2)
     assert report.max_residual <= 1e-12
 
@@ -444,7 +429,7 @@ def test_intertwining_single_factor_identity_case():
 
 
 def test_evaluate_word_empty_is_identity():
-    result = close(m2_gens(), monitor_pi=True)
+    result = close(m2_gens())
     assert np.allclose(result.evaluate(()), np.eye(2))
     with pytest.raises(KeyError):
         evaluate_word(result.name_map, ("missing",), 2)
@@ -460,7 +445,7 @@ def test_pq_equal_implies_no_failure(seed):
     gens = generator_set(named, dim=n)
     result = selfadjoint_closure(gens, Limits(300, 8))
     assert result.status != FAILURE
-    base = close(gens, Limits(300, 8), monitor_pi=True)
+    base = close(gens, Limits(300, 8))
     if base.status == CLOSED:
         assert check_pq_equal(base)
 
@@ -471,7 +456,7 @@ def test_uniform_multiplicity_implies_no_failure(seed):
     gens = generator_set(named, dim=n)
     result = selfadjoint_closure(gens, Limits(300, 8))
     assert result.status != FAILURE
-    base = close(gens, Limits(300, 8), monitor_pi=True)
+    base = close(gens, Limits(300, 8))
     if base.status == CLOSED:
         atoms = boolean_atoms(family_projections(base).q_set)
         profile = multiplicity_profile(atoms)
@@ -490,7 +475,7 @@ def test_masa_case_never_fails(seed):
         cycle[order[(i + 1) % n], order[i]] = 1.0
     named = [("D", diagonal_indicator(n, [int(order[0])])), ("P", cycle)]
     gens = generator_set(named, dim=n)
-    base = close(gens, Limits(600, 12), monitor_pi=True)
+    base = close(gens, Limits(600, 12))
     assert base.status != FAILURE
     if base.status == CLOSED:
         atoms = boolean_atoms(family_projections(base).q_set)
@@ -501,8 +486,8 @@ def test_masa_case_never_fails(seed):
 
 def test_closed_commuting_pq_with_stable_adjunction_is_selfadjoint():
     """Closed + nothing to adjoin + commuting P/Q forces adjoint-closedness."""
-    corpus = [close(m2_gens(), monitor_pi=True),
-              close(units_gens(3), monitor_pi=True),
+    corpus = [close(m2_gens()),
+              close(units_gens(3)),
               close(generator_set([], dim=2))]
     for result in corpus:
         fams = family_projections(result)
@@ -524,9 +509,8 @@ def test_enrichment_pipeline_contains_all_projections(seed):
     result = enrich_projections(gens, Limits(1500, 16))
     assert result.status == CLOSED
     for e in result.elements:
-        pi = e.require_pi()
-        assert result.find(pi.initial) is not None
-        assert result.find(pi.final) is not None
+        assert result.find(e.pi.initial) is not None
+        assert result.find(e.pi.final) is not None
 
 
 def test_near_duplicate_diagnostic():

@@ -8,7 +8,8 @@ The inputs are the shipped fixtures and tables, the benchmark's corpus and
 units inputs for seeds 1-3 (built by perfbench/inputs.py, which is imported
 without writing anything next to it), pairs of projections on either side
 of the tolerances (also with a tolerance in the file), generator and table
-files with badly typed fields, a generator named "0" next to include_zero,
+files with badly typed fields, a generator file and a table file that are
+not UTF-8 text, a generator named "0" next to include_zero,
 the benchmark's generic unitary pairs at n = 2 and 4 (seed 1), whose
 closures are infinite, and cyclic matrix units at n = 16 and 20, plain and
 conjugated by a seeded signed permutation, with the benchmark's limits.
@@ -19,7 +20,8 @@ run `barnes`.  The fixtures and the near-threshold pairs also run with
 `--tol 1e-6`, and the pairs that carry a tolerance also with `--tol 1e-8`,
 which covers the flag > file > default rule for the tolerance.  The unitary
 pairs run only with `--max-elements 301` and `2000`, limits that cut a BFS
-level and one of its chunks, so the truncation point is compared too.
+level and one of its chunks, so the truncation point is compared too.  The
+golden fixture also runs `report --seed -1`, an input error.
 
 Runs are in-process, through `pisomlab.cli.main`; an exception that escapes
 it (exit 1 and a traceback at the command line) is recorded as exit 1 with
@@ -117,6 +119,13 @@ def badly_typed_inputs() -> dict[str, dict]:
     return out
 
 
+def non_utf8_inputs() -> tuple[dict[str, bytes], dict[str, bytes]]:
+    """A generator file and a table file with a Latin-1 e-acute in a name,
+    a byte that starts no UTF-8 sequence: (generator files, table files)."""
+    return ({"encoding-latin1": b'{"dim": 1, "generators": [{"name": "\xe9", "matrix": [[1]]}]}'},
+            {"encoding-table-latin1": b'{"n": 1, "mult": [[0]], "star": [0], "names": ["\xe9"]}'})
+
+
 def large_units_inputs(bench) -> dict[str, dict]:
     """Cyclic units of LARGE_UNITS, plain and conjugated by a signed
     permutation, which keeps every entry exactly 0 or +-1."""
@@ -133,8 +142,9 @@ def large_units_inputs(bench) -> dict[str, dict]:
     return out
 
 
-def collect_inputs() -> tuple[dict[str, dict], dict[str, dict]]:
-    """-> (generator files, table files), each label -> JSON document."""
+def collect_inputs() -> tuple[dict[str, dict | bytes], dict[str, dict | bytes]]:
+    """-> (generator files, table files), each label -> JSON document, or
+    the file's bytes where they are no JSON text."""
     gens, tables = {}, {}
     for path in sorted((ROOT / "fixtures").glob("*.json")):
         gens[f"fixture-{path.stem}"] = json.loads(path.read_text())
@@ -153,6 +163,9 @@ def collect_inputs() -> tuple[dict[str, dict], dict[str, dict]]:
     gens.update(badly_typed_inputs())
     gens.update(zero_name_input())
     tables.update(badly_typed_tables())
+    raw_gens, raw_tables = non_utf8_inputs()
+    gens.update(raw_gens)
+    tables.update(raw_tables)
     return gens, tables
 
 
@@ -166,6 +179,9 @@ def flag_sets(label: str) -> list[tuple[str, list[str]]]:
     elif label.startswith(("fixture-", "near-")):
         tols = ("1e-6",)
     return [("", [])] + [(f"__tol{tol}", ["--tol", tol]) for tol in tols]
+
+
+SEED_RUN = ("fixture-example-1-3", "report", "__seed-1", ["--seed", "-1"])
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -187,10 +203,12 @@ def write_outputs(outdir: pathlib.Path) -> int:
     (outdir / "runs").mkdir()
     os.chdir(outdir)
     for label, doc in {**gens, **tables}.items():
-        pathlib.Path("inputs", f"{label}.json").write_text(json.dumps(doc))
+        data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+        pathlib.Path("inputs", f"{label}.json").write_bytes(data)
     runs = [(label, command, suffix, flags) for label in gens for command in GENERATOR_COMMANDS
             for suffix, flags in flag_sets(label)]
     runs += [(label, "barnes", "", []) for label in tables]
+    runs.append(SEED_RUN)
     for label, command, suffix, flags in runs:
         for fmt in FORMATS:
             code, out, err = run_cli([command, f"inputs/{label}.json", "--format", fmt, *flags])

@@ -8,12 +8,12 @@ and 0.  For each n the script prints
 
 - the wall time of `pisomlab report` on these generators and the peak RSS
   of its process, for RUNS runs, each in a fresh Python process;
-- the memory that tracemalloc counts as held after the monitored base
-  closure (`close(..., monitor_pi=True)`), its peak during the closure, and
-  the bytes of the element matrices and of the store's buffer;
+- the memory that tracemalloc counts as held after the base closure
+  (`close`, which validates every element it keeps), its peak during the
+  closure, and the bytes of the element matrices and of the store's buffer;
 - the median over RUNS runs of the wall time of `family_projections` and
-  then of `brandt_structure` (which reuses the families) on the monitored
-  base closure, each run on a fresh closure, since a closure keeps its
+  then of `brandt_structure` (which reuses the families) on the base
+  closure, each run on a fresh closure, since a closure keeps its
   families once built;
 - the median over RUNS runs of the wall time of `is_irreducible` on cyclic
   units of size n/2 tensored with I_2, and its tracemalloc peak in one more
@@ -87,7 +87,7 @@ def closure_memory(n: int) -> str:
     gens = generator_set(cyclic_units(n), dim=n)
     tracemalloc.start()
     try:
-        result = close(gens, Limits(20000, n + 1), monitor_pi=True)
+        result = close(gens, Limits(20000, n + 1))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -100,7 +100,7 @@ def stage_times(n: int) -> str:
     gens = generator_set(cyclic_units(n), dim=n)
     families, brandt = [], []
     for _ in range(RUNS):
-        result = close(gens, Limits(20000, n + 1), monitor_pi=True)
+        result = close(gens, Limits(20000, n + 1))
         start = time.perf_counter()
         family_projections(result)
         middle = time.perf_counter()
