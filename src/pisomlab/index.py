@@ -9,8 +9,8 @@ import numpy as np
 
 from .numlin import ShapeMismatch, ToleranceConfig, as_matrix
 
-# A near ball (radius 10 * eq_tol * max(1, norms)) spans at most two cells of
-# the sketch grid when the cell width is at least twice its radius.  Partial
+# A match ball (radius eq_tol * max(1, norms)) spans at most two cells of the
+# sketch grid when the cell width is at least twice its radius.  Partial
 # isometry norms come out a few ulps above sqrt(rank), so the width is padded
 # by this factor; members up to 25% above sqrt(dim) still use the grid.
 _CELL_SLACK = 1.25
@@ -29,9 +29,6 @@ _FLOOR = 32
 # member, difference and square; or the adjoint, P and Q of an element)
 _HELD = 4
 _NONE = np.iinfo(np.intp).max
-
-# a lookup result: (match index | None, near pair (index, distance) | None)
-Found = tuple[int | None, tuple[int, float] | None]
 
 
 def _square(mat, dim: int) -> np.ndarray:
@@ -67,8 +64,8 @@ def _grown(a: np.ndarray, size: int, keep: int) -> np.ndarray:
 
 class _Queries:
     """A stack of queries to one store: their norms and sketch cells, the
-    cells that cover each near radius (None: scan every member), and the
-    first match and nearest near member found so far."""
+    cells that cover each match radius (None: scan every member), and the
+    first match found so far."""
 
     def __init__(self, store: _ElementStore, mats: np.ndarray):
         k = len(mats)
@@ -76,7 +73,7 @@ class _Queries:
         self.mats = mats
         self.norms = _norms(flat)
         sketches = (flat @ store._direction_conj).real
-        # one near radius for the stack, which also covers the members it
+        # one match radius for the stack, which also covers the members it
         # may add
         scale = max(1.0, store._max_norm, float(self.norms.max(initial=0.0)))
         reach = scale * store._reach
@@ -90,15 +87,9 @@ class _Queries:
             self.keys = [key for key, _, _ in cells]
             self.cover = [(lo,) if lo == hi else (lo, hi) for _, lo, hi in cells]
         self.first = [_NONE] * k
-        self.near = [_NONE] * k
-        self.near_dist = [np.inf] * k
 
-    def found(self, i: int) -> Found:
-        if self.first[i] != _NONE:
-            return self.first[i], None
-        if self.near[i] != _NONE:
-            return None, (self.near[i], self.near_dist[i])
-        return None, None
+    def found(self, i: int) -> int | None:
+        return None if self.first[i] == _NONE else self.first[i]
 
 
 class _ElementStore:
@@ -106,15 +97,14 @@ class _ElementStore:
     tolerance-aware set behind closures, projection families and adjunction.
 
     A query matches the first retained element (in insertion order) within
-    eq_tol under the approx_equal rule ||a-b|| <= eq_tol * max(1, ||a||, ||b||);
-    retained elements that come within 10x of that band are flagged as
-    tolerance-chain risks.  Queries come in stacks, with one sketch and norm
-    pass per stack, and one rule (_resolve) over (query, member) pairs; a
-    stack holds _CHUNK's share of queries, but at least _FLOOR.
+    eq_tol under the approx_equal rule ||a-b|| <= eq_tol * max(1, ||a||, ||b||).
+    Queries come in stacks, with one sketch and norm pass per stack, and one
+    rule (_resolve) over (query, member) pairs; a stack holds _CHUNK's share
+    of queries, but at least _FLOOR.
 
     Candidates come from a grid over the sketch s(M) = Re<g, vec M> with g a
     fixed unit vector, so |s(a) - s(b)| <= ||a - b||: every member within the
-    near radius R of a query lies in one of the (at most two) cells that
+    match radius R of a query lies in one of the (at most two) cells that
     cover [s - R, s + R].  A stack whose R exceeds half a cell (members or a
     query of large norm, or an eq_tol near rounding) scans every member.
     """
@@ -132,38 +122,37 @@ class _ElementStore:
         g = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
         self._direction = g / np.linalg.norm(g)
         self._direction_conj = self._direction.conj()
-        self._width = 20.0 * cfg.eq_tol * max(1.0, np.sqrt(dim)) * _CELL_SLACK
-        # the near radius per unit of scale, padded for the rounding of both
-        # sketches and of the distances
-        self._reach = 10.0 * cfg.eq_tol * (1.0 + 1e-6) + 8.0 * dim ** 2 * _EPS
+        self._width = 2.0 * cfg.eq_tol * max(1.0, np.sqrt(dim)) * _CELL_SLACK
+        # the match radius per unit of scale, padded for the rounding of the
+        # sketches, norms and distances
+        self._reach = cfg.eq_tol * (1.0 + 1e-6) + 8.0 * dim ** 2 * _EPS
         self._cells: dict[int, list[int]] = {}
         for mat in mats:
             self.append(_square(mat, dim))
 
-    def lookup(self, mat: np.ndarray) -> Found:
-        """-> (match index | None, near-pair (index, distance) | None)."""
+    def lookup(self, mat: np.ndarray) -> int | None:
+        """-> the index of the first member that matches mat, or None."""
         return self._queries(_stack(mat, self.dim)).found(0)
 
-    def lookup_batch(self, mats) -> list[Found]:
+    def lookup_batch(self, mats) -> list[int | None]:
         """lookup of each of a sequence of dim x dim matrices, in stacks of
         at least _FLOOR."""
-        out: list[Found] = []
+        out: list[int | None] = []
         for part in _chunks(len(mats), self.dim, _HELD, _FLOOR):
             queries = self._queries(_stack(mats[part], self.dim))
             out += [queries.found(i) for i in range(len(queries.mats))]
         return out
 
-    def add_batch(self, mats, room: int | None = None) -> list[Found]:
+    def add_batch(self, mats, room: int | None = None) -> list[int | None]:
         """Look up each of a sequence of dim x dim matrices, in order, against
         the store as it stands at its turn, and append each that matches
         nothing while fewer than room members are held.  -> one lookup
         result per matrix, ending at the first new one that found no room.
         The matrices are looked up in stacks of at least _FLOOR."""
-        out: list[Found] = []
+        out: list[int | None] = []
         for part in _chunks(len(mats), self.dim, _HELD, _FLOOR):
             queries = self._queries(_stack(mats[part], self.dim))
-            first, near, near_dist = queries.first, queries.near, queries.near_dist
-            norms, keys = queries.norms.tolist(), queries.keys
+            first, norms, keys = queries.first, queries.norms.tolist(), queries.keys
             start = self.count
             # the chunk's new members get their cells and indices at their
             # turn, but reach the buffers in one write (flush) before anything
@@ -179,9 +168,9 @@ class _ElementStore:
 
             for i, cover in enumerate(queries.cover):
                 if first[i] != _NONE:
-                    out.append((first[i], None))
+                    out.append(first[i])
                     continue
-                found: Found = (None, (near[i], near_dist[i]) if near[i] != _NONE else None)
+                found = None
                 if touched and (cover is None or not touched.isdisjoint(cover)):
                     # a member this batch appended may lie within reach: a copy
                     # of one is its first match, since at its own turn it
@@ -189,9 +178,9 @@ class _ElementStore:
                     # as it stands
                     flush()
                     copy = self._copy_since(start, queries.mats[i], cover)
-                    found = (copy, None) if copy is not None else self.lookup(queries.mats[i])
+                    found = copy if copy is not None else self.lookup(queries.mats[i])
                 out.append(found)
-                if found[0] is not None:
+                if found is not None:
                     continue
                 if room is not None and self.count >= room:
                     flush()
@@ -235,33 +224,23 @@ class _ElementStore:
     def _resolve(self, queries: _Queries, qs: np.ndarray, ms: np.ndarray) -> None:
         """The matching rule on (query, member) index pairs, in stacks of at
         least _FLOOR pairs, folded into the queries: a member within
-        eq_tol * max(1, ||q||, ||m||) of its query matches it, one within 10x
-        that band is near it; each query keeps its first match and its
-        nearest near member, ties to the lower index.  Only the pairs inside
-        the 10x band reach the fold."""
-        tol = self.cfg.eq_tol
-        first, near, near_dist = queries.first, queries.near, queries.near_dist
+        eq_tol * max(1, ||q||, ||m||) of its query matches it, and each query
+        keeps its first match (the lowest index).  Pairs whose norms differ
+        by more than the padded match radius cannot match and are skipped."""
+        tol, reach = self.cfg.eq_tol, self._reach
+        first = queries.first
         for part in _chunks(len(qs), self.dim, _HELD, _FLOOR):
             q, m = qs[part], ms[part]
             norm_q, norm_m = queries.norms[q], self._norms[m]
             scale = np.maximum(1.0, np.maximum(norm_m, norm_q))
-            wide = 10.0 * tol * scale
-            band = np.abs(norm_m - norm_q) <= wide
+            band = np.abs(norm_m - norm_q) <= reach * scale
             if not band.all():
-                q, m, scale, wide = q[band], m[band], scale[band], wide[band]
+                q, m, scale = q[band], m[band], scale[band]
             diffs = (self._buf[m] - queries.mats[q]).reshape(q.size, self.dim * self.dim)
-            dists = _norms(diffs)
-            inside = (dists <= wide).nonzero()[0].tolist()
-            if not inside:
-                continue
-            q, m, dists, scale = q.tolist(), m.tolist(), dists.tolist(), scale.tolist()
-            for p in inside:
-                i, j, dist = q[p], m[p], dists[p]
-                if dist <= tol * scale[p]:
-                    if j < first[i]:
-                        first[i] = j
-                elif dist < near_dist[i] or (dist == near_dist[i] and j < near[i]):
-                    near[i], near_dist[i] = j, dist
+            matched = (_norms(diffs) <= tol * scale).nonzero()[0]
+            for i, j in zip(q[matched].tolist(), m[matched].tolist()):
+                if j < first[i]:
+                    first[i] = j
 
     def append(self, mat: np.ndarray) -> int:
         queries = _Queries(self, _stack(mat, self.dim))
@@ -298,17 +277,17 @@ class _ElementStore:
             self._cells[int(self._keys[self.count])].pop()
 
     def trim(self) -> None:
-        """Shrink the buffers to the members held, but to no fewer than one
-        row, since _write grows them by doubling.  The buffers shrink in
-        place (realloc), so nothing is copied; no view of them may be alive."""
+        """Shrink the buffers to copies of the members held, but to no fewer
+        than one row, since _write grows them by doubling.  A copy, unlike an
+        in-place resize, leaves any live view of the old buffers valid and
+        works under trace and profile hooks."""
         size = max(1, self.count)
         if size < len(self._buf):
-            self._buf.resize((size, self.dim, self.dim))
-            self._norms.resize(size)
-            self._keys.resize(size)
+            self._buf, self._norms, self._keys = (a[:size].copy()
+                                                  for a in (self._buf, self._norms, self._keys))
 
     def find(self, mat) -> int | None:
-        return self.lookup(_square(mat, self.dim))[0]
+        return self.lookup(_square(mat, self.dim))
 
     def stack(self) -> np.ndarray:
         """The members as one count x dim x dim array (a read-only view)."""

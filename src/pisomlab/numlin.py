@@ -123,8 +123,15 @@ def projection_rule(ps: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> np.nd
     whose hermiticity and idempotency defects are both within
     proj_tol * max(1, ||P||)."""
     bound = cfg.proj_tol ** 2 * np.maximum(1.0, _squared_norms(ps))
-    ok = _squared_norms(ps - ps.conj().transpose(0, 2, 1)) <= bound
-    ok &= _squared_norms(ps @ ps - ps) <= bound
+    # both defects are formed in place in one C-ordered stack d, so at most
+    # one stack besides ps is held; conj(P) - P^T is the entrywise conjugate
+    # of P - P*, whose norm is the same to the bit
+    d = np.conj(ps, order="C")
+    d -= ps.transpose(0, 2, 1)
+    ok = _squared_norms(d) <= bound
+    np.matmul(ps, ps, out=d)
+    d -= ps
+    ok &= _squared_norms(d) <= bound
     return ok
 
 

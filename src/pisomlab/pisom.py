@@ -106,7 +106,9 @@ def partial_isometry_rule(ms: np.ndarray,
     -> (mask of the members that pass, the stack of their P)."""
     p = ms.conj().transpose(0, 2, 1) @ ms
     ok = projection_rule(p, cfg)
-    ok &= _squared_norms(ms @ p - ms) <= cfg.proj_tol ** 2 * np.maximum(1.0, _squared_norms(ms))
+    d = ms @ p
+    d -= ms
+    ok &= _squared_norms(d) <= cfg.proj_tol ** 2 * np.maximum(1.0, _squared_norms(ms))
     return ok, p
 
 

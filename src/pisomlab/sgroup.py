@@ -182,7 +182,6 @@ class ClosureResult:
     limit_hit: str | None = None
     witness_word: tuple[str, ...] | None = None
     witness_deviation: float | None = None
-    near_duplicate_pairs: list[tuple[int, int, float]] = field(default_factory=list)
     # family_projections memo
     families: FamilyProjections | None = field(default=None, repr=False, compare=False)
 
@@ -236,7 +235,6 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
 
     store = _ElementStore(dim, cfg)
     words: list[tuple[str, ...]] = []
-    near_pairs: list[tuple[int, int, float]] = []
     limit_hit: str | None = None
     if gens.include_identity:
         store.append(np.eye(dim, dtype=np.complex128))
@@ -268,32 +266,28 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
         # once; the new ones are then validated together.  The first new
         # member beyond max_elements is validated but not kept, since a
         # failure witness outranks the limit.
-        new = [(p, near) for p, (match, near)
-               in enumerate(store.add_batch(mats, limits.max_elements)) if match is None]
+        new = [p for p, match in enumerate(store.add_batch(mats, limits.max_elements))
+               if match is None]
         if not new:
             continue
-        valid = partial_isometry_rule(mats[[p for p, _ in new]], cfg)[0].tolist()
-        for (p, near), ok in zip(new, valid):
+        valid = partial_isometry_rule(mats[new], cfg)[0].tolist()
+        for p, ok in zip(new, valid):
             if not ok:
                 store.truncate(len(words))
                 store.trim()
                 return ClosureResult(
                     dim, gens, name_map, words, store, FAILURE, witness_word=word_of(p),
-                    witness_deviation=partial_isometry_defect(mats[p]),
-                    near_duplicate_pairs=near_pairs)
+                    witness_deviation=partial_isometry_defect(mats[p]))
             if len(words) >= limits.max_elements:
                 limit_hit = "max_elements"
                 break
-            if near is not None:
-                near_pairs.append((near[0], len(words), near[1]))
             words.append(word_of(p))
         if limit_hit == "max_elements":
             break
 
     status = TRUNCATED if limit_hit else CLOSED
     store.trim()
-    return ClosureResult(dim, gens, name_map, words, store, status, limit_hit=limit_hit,
-                         near_duplicate_pairs=near_pairs)
+    return ClosureResult(dim, gens, name_map, words, store, status, limit_hit=limit_hit)
 
 
 def adjoint_generator_set(gens: GeneratorSet) -> GeneratorSet:
@@ -306,7 +300,7 @@ def adjoint_generator_set(gens: GeneratorSet) -> GeneratorSet:
     known = _ElementStore(gens.dim, gens.cfg, [m for _, m in named])
     adjoints = [(name + "*", frozen(adjoint(m))) for name, m in named]
     found = known.add_batch([m for _, m in adjoints])
-    named += [item for item, (match, _) in zip(adjoints, found) if match is None]
+    named += [item for item, match in zip(adjoints, found) if match is None]
     # built directly: the public factory reserves '*' for exactly these
     # names, and close validates every generator
     return replace(gens, named_generators=tuple(named))
@@ -336,13 +330,13 @@ def same_projection_set(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     in_a, in_b = (_ElementStore(as_matrix(a[0]).shape[0], cfg, x) for x in (a, b))
     return all(match is not None
                for this, other in ((in_a, in_b), (in_b, in_a))
-               for match, _ in other.lookup_batch(this.stack()))
+               for match in other.lookup_batch(this.stack()))
 
 
 def _member_indices(store: _ElementStore, mats) -> list[int]:
     """add_batch of mats into store -> the member each matched or became."""
     new = iter(range(store.count, store.count + len(mats)))
-    return [next(new) if match is None else match for match, _ in store.add_batch(mats)]
+    return [next(new) if match is None else match for match in store.add_batch(mats)]
 
 
 def family_projections(c: ClosureResult) -> FamilyProjections:
@@ -387,7 +381,7 @@ def check_pq_equal(c: ClosureResult) -> bool:
 def check_pq_contained(c: ClosureResult) -> bool:
     fams = family_projections(c)
     found = c.store.lookup_batch(list(fams.p_set.members) + list(fams.q_set.members))
-    return all(match is not None for match, _ in found)
+    return all(match is not None for match in found)
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -414,10 +408,10 @@ def _adjoin_until_fixed(c: ClosureResult, propose, limits: Limits,
         taken = set(current.name_map)
         proposed = [(base, _square(mat, current.dim)) for base, mat in propose(current)]
         found = current.store.lookup_batch([mat for _, mat in proposed])
-        fresh = [item for item, (match, _) in zip(proposed, found) if match is None]
+        fresh = [item for item, match in zip(proposed, found) if match is None]
         pending = _ElementStore(current.dim, current.cfg)
         missing: list[tuple[str, np.ndarray]] = []
-        for (base, mat), (match, _) in zip(fresh, pending.add_batch([m for _, m in fresh])):
+        for (base, mat), match in zip(fresh, pending.add_batch([m for _, m in fresh])):
             if match is not None:
                 continue
             name = _fresh_name(base, taken)
@@ -677,7 +671,7 @@ def brandt_structure(c: ClosureResult) -> BrandtStructure:
 
     # element k is a loop of minimal projection i when its P and Q members look up to i
     family = _ElementStore(c.dim, cfg, minimal)
-    p_in, q_in = ([i for i, _ in family.lookup_batch(f.members)] for f in (fams.p_set, fams.q_set))
+    p_in, q_in = (family.lookup_batch(f.members) for f in (fams.p_set, fams.q_set))
     loops: dict[int, int] = {}
     for k, (p, q) in enumerate(zip(fams.p_of, fams.q_of)):
         if p_in[p] is not None and p_in[p] == q_in[q]:

@@ -1,6 +1,7 @@
 """Serialization round-trips and the command line front door."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -107,6 +108,28 @@ def test_report_provenance_records_seed(fixtures_dir):
     _, report = run(AnalysisRequest("report", str(fixtures_dir / "identity-only.json"),
                                     seed=17))
     assert report["certificate"]["provenance"]["seed"] == 17
+
+
+def _no_op_hook(frame, event, arg):
+    return None
+
+
+@pytest.mark.parametrize("command", ("closure", "report"))
+@pytest.mark.parametrize("hook", ("setprofile", "settrace"))
+def test_commands_run_alike_under_a_profile_or_trace_hook(command, hook, fixtures_dir, capsys):
+    # profilers, debuggers and coverage tools install such hooks
+    argv = [command, str(fixtures_dir / "example-1-3.json")]
+    assert main(argv) == EXIT_OK
+    plain = capsys.readouterr().out
+    install = getattr(sys, hook)
+    previous = sys.getprofile() if hook == "setprofile" else sys.gettrace()
+    install(_no_op_hook)
+    try:
+        code = main(argv)
+    finally:
+        install(previous)
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == plain
 
 
 def test_run_report_identity(fixtures_dir):

@@ -92,8 +92,8 @@ def reference_loops(c, family):
     store = _ElementStore(c.dim, c.cfg, family)
     loops = [None] * len(family)
     for k, (p, q) in enumerate(zip(*projections(c))):
-        i = store.lookup(p)[0]
-        if i is not None and loops[i] is None and store.lookup(q)[0] == i:
+        i = store.lookup(p)
+        if i is not None and loops[i] is None and store.lookup(q) == i:
             loops[i] = k
     return loops
 

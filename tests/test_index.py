@@ -74,7 +74,7 @@ def test_store_agrees_with_first_match_scan(seed, dim, size, gaps, shifts):
                 q = x + t * unit * d
                 want = first_match(mats, q, cfg)
                 assert store.find(q) == want
-                assert store.lookup(q)[0] == want
+                assert store.lookup(q) == want
 
 
 @pytest.mark.parametrize("cfg", (CFG,) + OTHER_CFGS)
@@ -124,32 +124,31 @@ def test_adjoin_algebra_projections_keeps_closure_when_atoms_are_elements():
     assert adjoin_algebra_projections(c, atoms) is c
 
 
+# exact binary entries: each step moves q by exactly t = 2^-28 < eq_tol
+TIE_QUERY = np.diag([1.0, 0.0])
+TIE_STEPS = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 0.0]]),
+             np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
 @pytest.mark.parametrize("order", (1, -1))
-def test_near_pair_tie_goes_to_the_lower_index(order):
-    # exact binary entries: both members lie exactly t from q, with
-    # eq_tol < t <= 10 eq_tol
-    q = np.diag([1.0, 0.0])
-    d = np.array([[0.0, 1.0], [0.0, 0.0]])
-    t = 2.0 ** -26
+def test_match_tie_goes_to_the_lower_index(order):
+    # both members match q at the same distance t
     store = _ElementStore(2, CFG)
-    for sign in (order, -order):
-        store.append(q + sign * t * d)
-    assert store.lookup(q) == (None, (0, t))
+    for step in TIE_STEPS[:2][::order]:
+        store.append(TIE_QUERY + 2.0 ** -28 * step)
+    assert store.lookup(TIE_QUERY) == 0
 
 
 @pytest.mark.parametrize("order", (1, -1))
-def test_near_pair_tie_across_pair_chunks_goes_to_the_lower_index(order, monkeypatch):
-    # one (query, member) pair per chunk of the rule: the tie is settled
-    # between chunks, not within one
+def test_match_tie_across_pair_chunks_goes_to_the_lower_index(order, monkeypatch):
+    # one (query, member) pair per chunk of the rule: the tie between three
+    # members is settled between chunks, not within one
     monkeypatch.setattr(index, "_CHUNK", index._HELD * 4)
     monkeypatch.setattr(index, "_FLOOR", 1)
-    q = np.diag([1.0, 0.0])
-    d = np.array([[0.0, 1.0], [0.0, 0.0]])
-    t = 2.0 ** -26
     store = _ElementStore(2, CFG)
-    for sign in (order, -order, 3 * order):
-        store.append(q + sign * t * d)
-    assert store.lookup(q) == (None, (0, t))
+    for step in TIE_STEPS[::order]:
+        store.append(TIE_QUERY + 2.0 ** -28 * step)
+    assert store.lookup(TIE_QUERY) == 0
 
 
 def assert_store_holds_the_elements(c):
@@ -182,18 +181,6 @@ def test_close_trims_the_store_to_its_elements():
     assert np.array_equal(store.stack(), np.array(mats))
 
 
-def scan_reference(mats, q, cfg):
-    """Brute force: (first match, None), else (None, the nearest member within
-    10x the band as (index, distance)), else (None, None)."""
-    match = first_match(mats, q, cfg)
-    if match is not None:
-        return match, None
-    loose = ToleranceConfig(eq_tol=10.0 * cfg.eq_tol)
-    near = [(float(np.linalg.norm(m - q)), i) for i, m in enumerate(mats)
-            if approx_equal(m, q, loose)]
-    return None, (min(near)[::-1] if near else None)
-
-
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
        size=st.floats(0.1, 0.9), along=st.floats(0.6, 1.0), cut=st.floats(0.05, 0.95),
@@ -218,31 +205,23 @@ def test_grid_across_a_cell_boundary_agrees_with_the_scan(seed, dim, size, along
     unit = CFG.eq_tol
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     x *= size / np.linalg.norm(x)
-    # move x along g so that a cell boundary cuts the members' sketches at `cut`
+    # move x along g so that a cell boundary cuts the members' sketches at
+    # `cut`; a cell is 2.5 eq_tol sqrt(dim) wide, so wider pools cross more
     boundary = round(sketch(x) / store._width) * store._width
     spread = offsets[-1] * unit * sketch(d)
     x = x + (boundary - cut * spread - sketch(x)) * g
     mats = [x + t * unit * d for t in offsets]
     for m in mats:
         store.append(m)
-    assert len(store._cells) == 2
+    assert len(store._cells) >= 2
     for pos in offsets:
         for shift in shifts:
             t = pos + shift
-            if any(abs(abs(t - o) - edge) < 1e-6 for o in offsets for edge in (1.0, 10.0)):
-                continue  # a distance exactly at a threshold is a coin flip
+            if any(abs(abs(t - o) - 1.0) < 1e-6 for o in offsets):
+                continue  # a distance exactly at the threshold is a coin flip
             q = x + t * unit * d
             assert _Queries(store, q[None]).cover[0] is not None  # the grid, no full scan
-            match, near = store.lookup(q)
-            want_match, want_near = scan_reference(mats, q, CFG)
-            assert match == want_match
-            nearest = sorted(abs(t - o) for o in offsets) + [np.inf]
-            if nearest[1] - nearest[0] < 1e-6:
-                continue  # two members equally near: rounding picks one
-            assert (near is None) == (want_near is None)
-            if near is not None:
-                assert near[0] == want_near[0]
-                assert near[1] == pytest.approx(want_near[1], rel=1e-9)
+            assert store.lookup(q) == first_match(mats, q, CFG)
 
 
 def generic_unitary_gens(dim, seed):
@@ -296,14 +275,14 @@ def test_store_stacks_hold_at_least_the_floor(monkeypatch):
                         lambda self, stack: sizes.append(len(stack)) or queries_of(self, stack))
     found = store.add_batch(mats)
     assert sizes == [32, 32]
-    assert store.count == 64 and all(match is None for match, _ in found)
+    assert store.count == 64 and all(match is None for match in found)
     sizes.clear()
-    assert [match for match, _ in store.lookup_batch(mats)] == list(range(64))
+    assert store.lookup_batch(mats) == list(range(64))
     assert sizes == [32, 32]
 
 
 def test_large_norm_find_scans_everything_and_agrees(monkeypatch):
-    # members of norm 10 sqrt(dim) put the near radius beyond half a cell
+    # members of norm 10 sqrt(dim) put the match radius beyond half a cell
     mats = [10.0 * np.sqrt(3) * m / np.linalg.norm(m) for m in units_closure().matrices()
             if m.any()]
     store = _ElementStore(3, CFG, mats)
@@ -347,7 +326,7 @@ def test_truncated_closure_looks_up_nothing_past_the_limit(dim, monkeypatch):
 
     def recording(self, mats, room=None):
         found = original(self, mats, room)
-        outcomes.extend(match is not None for match, _ in found)
+        outcomes.extend(match is not None for match in found)
         return found
 
     gens = adjoint_generator_set(generic_unitary_gens(dim, seed=dim))
@@ -375,22 +354,10 @@ class ReferenceStore:
         self.norms = np.zeros(0)
 
     def lookup(self, q):
-        tol = self.cfg.eq_tol
-        norm = np.linalg.norm(q)
-        scale = np.maximum(1.0, np.maximum(self.norms, norm))
-        idxs = np.flatnonzero(np.abs(self.norms - norm) <= 10.0 * tol * scale)
-        if idxs.size == 0:
-            return None, None
-        scale = scale[idxs]
-        dists = np.linalg.norm((self.mats[idxs] - q).reshape(idxs.size, -1), axis=1)
-        matches = dists <= tol * scale
-        if np.any(matches):
-            return int(idxs[np.argmax(matches)]), None
-        near = dists <= 10.0 * tol * scale
-        if np.any(near):
-            pos = int(np.argmin(np.where(near, dists, np.inf)))
-            return None, (int(idxs[pos]), float(dists[pos]))
-        return None, None
+        scale = np.maximum(1.0, np.maximum(self.norms, np.linalg.norm(q)))
+        dists = np.linalg.norm((self.mats - q).reshape(len(self.mats), q.size), axis=1)
+        matches = np.flatnonzero(dists <= self.cfg.eq_tol * scale)
+        return int(matches[0]) if matches.size else None
 
     def append(self, mat):
         self.mats = np.concatenate([self.mats, mat[None]])
@@ -400,21 +367,11 @@ class ReferenceStore:
         out = []
         for mat in mats:
             out.append(self.lookup(mat))
-            if out[-1][0] is None:
+            if out[-1] is None:
                 if room is not None and len(self.mats) >= room:
                     break
                 self.append(mat)
         return out
-
-
-def assert_same_found(got, want):
-    assert len(got) == len(want)
-    for (match, near), (want_match, want_near) in zip(got, want):
-        assert match == want_match
-        assert (near is None) == (want_near is None)
-        if near is not None:
-            assert near[0] == want_near[0]
-            assert near[1] == pytest.approx(want_near[1], rel=1e-12)
 
 
 @st.composite
@@ -465,7 +422,7 @@ def add_batch_agrees_with_the_per_query_store(case):
     dim, pool = case["dim"], np.array(case["pool"])
     gaps = np.abs(pool[:, None] - pool[None, :])
     # a distance at a threshold is a coin flip between two norm roundings
-    assume(not np.any((np.abs(gaps - 1.0) < 1e-6) | (np.abs(gaps - 10.0) < 1e-6)))
+    assume(not np.any(np.abs(gaps - 1.0) < 1e-6))
     rng = np.random.default_rng(case["seed"])
     store, ref = _ElementStore(dim, CFG), ReferenceStore(dim, CFG)
     zeros = np.array(case["zeros"]).reshape(dim, dim)
@@ -492,11 +449,10 @@ def add_batch_agrees_with_the_per_query_store(case):
         store.append(point(k, negative_zeros))
         ref.append(point(k, negative_zeros))
     mats = np.array([point(k, neg) for k, neg in case["batch"]]).reshape(-1, dim, dim)
-    assert_same_found(store.add_batch(mats, case["room"]),
-                      ref.add_batch(mats, case["room"]))
+    assert store.add_batch(mats, case["room"]) == ref.add_batch(mats, case["room"])
     assert store.count == len(ref.mats)
     assert np.array_equal(store.stack(), ref.mats)
-    assert_same_found(store.lookup_batch(mats), [ref.lookup(m) for m in mats])
+    assert store.lookup_batch(mats) == [ref.lookup(m) for m in mats]
 
 
 def count_lookups(monkeypatch):
@@ -510,9 +466,10 @@ def count_lookups(monkeypatch):
 
 @pytest.mark.parametrize("negative_zeros", (False, True))
 def test_copy_after_a_near_member_of_the_batch_is_its_first_match(negative_zeros, monkeypatch):
-    # b lies 3 eq_tol from a: near, no match, and looked up since a came
-    # first in the batch.  The copies of b and a that follow match them
-    # without a lookup; c, 2 eq_tol beyond b, is no copy and is looked up
+    # b lies 3 eq_tol from a: simply a distinct member, looked up since a came
+    # first in the batch and lies in its cells.  The copies of b and a that follow
+    # match them without a lookup; c, 2 eq_tol beyond b, is no copy and is
+    # looked up
     rng = np.random.default_rng(5)
     a = np.zeros((2, 2), dtype=complex)
     a[0] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -529,9 +486,8 @@ def test_copy_after_a_near_member_of_the_batch_is_its_first_match(negative_zeros
         store, ref = _ElementStore(2, CFG), ReferenceStore(2, CFG)
         calls.clear()
         got = store.add_batch(batch, room)
-        assert_same_found(got, ref.add_batch(batch, room))
-        assert got[:4] == [(None, None), (None, (0, pytest.approx(3.0 * CFG.eq_tol))),
-                           (1, None), (0, None)]
+        assert got == ref.add_batch(batch, room)
+        assert got[:4] == [None, None, 1, 0]
         assert len(calls) == 2
         assert np.array_equal(calls[0], b) and np.array_equal(calls[1], c)
         assert np.array_equal(store.stack(), ref.mats)
@@ -565,10 +521,9 @@ def test_exact_closures_find_in_batch_copies_without_lookup(label, monkeypatch):
                         lambda *args: copies.append(copy_since(*args)) or copies[-1])
     c = close(gens, limits)
     assert calls == [] and None not in copies and bool(copies) == meets_copies
-    words, near_pairs, status, limit_hit, witness = reference_close(gens, limits)
+    words, status, limit_hit, witness = reference_close(gens, limits)
     assert [e.word for e in c.elements] == words
     assert (c.status, c.limit_hit, c.witness_word) == (status, limit_hit, witness)
-    assert c.near_duplicate_pairs == near_pairs == []
     assert_store_holds_the_elements(c)
 
 
@@ -576,29 +531,26 @@ def reference_close(gens, limits):
     """close as it was before level batching, for generator sets without
     include_zero: one parent at a time, each product looked up against
     every element kept before it and validated, the generators too.
-    -> (words, near pairs, status, limit hit, witness word)."""
+    -> (words, status, limit hit, witness word)."""
     dim, cfg = gens.dim, gens.cfg
     store = ReferenceStore(dim, cfg)
-    words, near_pairs, queue = [], [], deque()
+    words, queue = [], deque()
 
-    def retain(mat, word, near):
-        if near is not None:
-            near_pairs.append((near[0], len(words), near[1]))
+    def retain(word):
         words.append(word)
         queue.append(len(words) - 1)
 
     if gens.include_identity:
         store.append(np.eye(dim, dtype=complex))
-        retain(None, (), None)
+        retain(())
     for name, mat in gens.named_generators:
-        match, near = store.lookup(mat)
-        if match is None:
+        if store.lookup(mat) is None:
             if not partial_isometry_rule(mat[None], cfg)[0][0]:
-                return words, near_pairs, FAILURE, None, (name,)
+                return words, FAILURE, None, (name,)
             if len(words) >= limits.max_elements:
-                return words, near_pairs, TRUNCATED, "max_elements", None
+                return words, TRUNCATED, "max_elements", None
             store.append(mat)
-            retain(mat, (name,), near)
+            retain((name,))
     gen_stack = np.array([m for _, m in gens.named_generators]).reshape(-1, dim, dim)
     limit_hit = None
     while queue:
@@ -609,23 +561,22 @@ def reference_close(gens, limits):
         prods = store.mats[k] @ gen_stack
         new = []
         for i, prod in enumerate(prods):
-            match, near = store.lookup(prod)
-            if match is None:
-                new.append((i, near))
+            if store.lookup(prod) is None:
+                new.append(i)
                 if len(store.mats) >= limits.max_elements:
                     break
                 store.append(prod)
         if not new:
             continue
-        valid = partial_isometry_rule(prods[[i for i, _ in new]], cfg)[0]
-        for (i, near), ok in zip(new, valid):
+        valid = partial_isometry_rule(prods[new], cfg)[0]
+        for i, ok in zip(new, valid):
             word = words[k] + (gens.names[i],)
             if not ok:
-                return words, near_pairs, FAILURE, None, word
+                return words, FAILURE, None, word
             if len(words) >= limits.max_elements:
-                return words, near_pairs, TRUNCATED, "max_elements", None
-            retain(prods[i], word, near)
-    return words, near_pairs, TRUNCATED if limit_hit else CLOSED, limit_hit, None
+                return words, TRUNCATED, "max_elements", None
+            retain(word)
+    return words, TRUNCATED if limit_hit else CLOSED, limit_hit, None
 
 
 def chunk_cases():
@@ -655,12 +606,9 @@ def test_level_batched_closure_agrees_with_the_per_parent_closure(label, chunk, 
     if chunk is not None:  # a few parents per chunk: every level spans several
         monkeypatch.setattr(index, "_CHUNK", chunk)
     c = close(gens, limits)
-    words, near_pairs, status, limit_hit, witness = reference_close(gens, limits)
+    words, status, limit_hit, witness = reference_close(gens, limits)
     assert [e.word for e in c.elements] == words
     assert (c.status, c.limit_hit, c.witness_word) == (status, limit_hit, witness)
-    assert [p[:2] for p in c.near_duplicate_pairs] == [p[:2] for p in near_pairs]
-    for got, want in zip(c.near_duplicate_pairs, near_pairs):
-        assert got[2] == pytest.approx(want[2], rel=1e-12)
     assert_store_holds_the_elements(c)
 
 

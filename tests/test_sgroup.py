@@ -513,10 +513,9 @@ def test_enrichment_pipeline_contains_all_projections(seed):
         assert result.find(e.pi.final) is not None
 
 
-def test_near_duplicate_diagnostic():
-    eps = 5e-8  # within 10x of eq_tol but not a match
-    u1 = np.eye(2)
-    u2 = np.array([[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]])
-    gens = generator_set([("U", u2)], include_identity=True)
-    result = close(gens, Limits(10, 2))
-    assert result.near_duplicate_pairs
+def test_rotation_just_beyond_eq_tol_is_a_new_element():
+    eps = 5e-8  # ||U - I|| = sqrt(2) eps: within 10x of eq_tol but no match
+    u = np.array([[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]])
+    result = close(generator_set([("U", u)], include_identity=True), Limits(10, 2))
+    assert result.words == [(), ("U",), ("U", "U")]
+    assert (result.status, result.limit_hit) == (TRUNCATED, "max_word_length")
