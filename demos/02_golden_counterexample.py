@@ -25,8 +25,8 @@ problem = load_generator_problem(str(FIXTURES / "example-1-3.json"))
 gens = problem.gens
 
 base = close(gens)
-print(f"the semigroup itself closes with {len(base.elements)} elements:",
-      [word_label(e.word) for e in base.elements])
+print(f"the semigroup itself closes with {len(base)} elements:",
+      [word_label(w) for w in base.words])
 
 fams = family_projections(base)
 print("final projections commute:", fams.q_set.is_commuting())

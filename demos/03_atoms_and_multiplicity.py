@@ -43,10 +43,10 @@ profile = multiplicity_profile(atoms)
 print("atom ranks:", list(atoms.ranks), "uniform:", profile.uniform,
       "multiplicity:", profile.multiplicity)
 print("every element's initial projection lies in the span algebra:",
-      all(membership_in_span(e.pi.initial, atoms) for e in base.elements))
+      all(membership_in_span(v.conj().T @ v, atoms) for v in base.matrices()))
 ext = selfadjoint_closure(problem.gens)
 print("selfadjoint closure status:", ext.status,
-      f"({len(ext.elements)} elements)")
+      f"({len(ext)} elements)")
 
 print("\n== block decomposition along atoms ==")
 blocks = decompose_by_atoms(problem.gens.named_generators[0][1] @

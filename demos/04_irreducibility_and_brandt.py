@@ -37,13 +37,13 @@ print("A·S·B is nonzero for A = e11, B = e22:",
       check_asb_nonzero(gens, unit(n, 0, 0), unit(n, 1, 1)))
 
 result = close(gens)
-print(f"\nclosure has {len(result.elements)} elements:",
-      [word_label(e.word) for e in result.elements])
+print(f"\nclosure has {len(result)} elements:",
+      [word_label(w) for w in result.words])
 
 structure = brandt_structure(result)
 print("Brandt family ranks:", list(structure.family_ranks), structure.checks)
 print("every element passes the pair condition:",
-      all(brandt_membership(e.matrix, structure) for e in result.elements))
+      all(brandt_membership(m, structure) for m in result.matrices()))
 
 print("\nA strict sub-isometry into one of the blocks is rejected:")
 bad = np.zeros((n, n))

@@ -36,4 +36,4 @@ print(np.asarray(images[swap].matrix).real.astype(int))
 gens = generator_set([(i2.name_of(i), images[i].matrix) for i in range(i2.n)], dim=7)
 closure = selfadjoint_closure(gens)
 print(f"\nselfadjoint closure of the image: {closure.status} with",
-      f"{len(closure.elements)} elements (the image itself).")
+      f"{len(closure)} elements (the image itself).")

@@ -33,6 +33,7 @@ from .sgroup import (
     FAILURE,
     TRUNCATED,
     DEFAULT_LIMITS,
+    GeneratorSet,
     Limits,
     _ElementStore,
     brandt_structure,
@@ -40,7 +41,6 @@ from .sgroup import (
     family_projections,
     check_pq_contained,
     check_pq_equal,
-    generator_set,
     is_irreducible,
     selfadjoint_closure,
     word_label,
@@ -252,8 +252,9 @@ def cmd_barnes(request: AnalysisRequest) -> dict:
     images = barnes_representation(table, cfg)
     distinct = _ElementStore(table.n, cfg)
     distinct.add_batch([pi.matrix for pi in images])
-    gens = generator_set([(f"s{i}", pi.matrix) for i, pi in enumerate(images)],
-                         dim=table.n, include_identity=True, cfg=cfg)
+    # built directly: barnes_representation validated every image
+    gens = GeneratorSet(table.n, tuple((f"s{i}", pi.matrix) for i, pi in enumerate(images)),
+                        include_identity=True, include_zero=False, cfg=cfg)
     closure = selfadjoint_closure(gens, request.limits or DEFAULT_LIMITS)
     out.update({
         "injective": distinct.count == table.n,

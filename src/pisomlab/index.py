@@ -78,7 +78,11 @@ class _Queries:
         scale = max(1.0, store._max_norm, float(self.norms.max(initial=0.0)))
         reach = scale * store._reach
         if 2.0 * reach > store._width:
-            self.keys = (sketches // store._width).astype(np.int64).tolist()
+            # clipped, since a tiny eq_tol or a large norm can put a cell past
+            # int64; a store that holds such a cell never reads the grid again
+            bound = 2.0 ** 62 * store._width
+            cells = np.clip(sketches, -bound, bound) // store._width
+            self.keys = cells.astype(np.int64).tolist()
             self.cover = [None] * k
         else:
             # each query's cell, and the cells of s - reach and s + reach
@@ -285,9 +289,6 @@ class _ElementStore:
         if size < len(self._buf):
             self._buf, self._norms, self._keys = (a[:size].copy()
                                                   for a in (self._buf, self._norms, self._keys))
-
-    def find(self, mat) -> int | None:
-        return self.lookup(_square(mat, self.dim))
 
     def stack(self) -> np.ndarray:
         """The members as one count x dim x dim array (a read-only view)."""

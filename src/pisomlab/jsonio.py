@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .numlin import PisomError, ToleranceConfig
+from .pisom import partial_isometry_defect
 from .sgroup import GeneratorSet, Limits, check_generator_name, generator_set
 from .invsg import InverseSemigroupTable, table_from_dict
 
@@ -31,12 +32,17 @@ def scalar_to_json(z: complex) -> list[float]:
 
 
 def scalar_from_json(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
-    if (isinstance(obj, list) and len(obj) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)):
-        return complex(obj[0], obj[1])
-    raise SchemaError(f"{where}: expected [re, im] or a number, got {obj!r}")
+    """A number or [re, im] of finite doubles; json also reads NaN, Infinity
+    and integers beyond every double."""
+    parts = obj if isinstance(obj, list) and len(obj) == 2 else [obj]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        raise SchemaError(f"{where}: expected [re, im] or a number, got {obj!r}")
+    try:
+        if np.isfinite(z := complex(*parts)):
+            return z
+    except OverflowError:
+        pass
+    raise SchemaError(f"{where}: expected finite numbers, got {obj!r}")
 
 
 def matrix_to_json(a) -> list:
@@ -156,6 +162,14 @@ def parse_generator_file(data) -> RawGeneratorFile:
         mat = matrix_from_json(item["matrix"], f"{where}.matrix")
         if mat.shape != (dim, dim):
             raise SchemaError(f"{where}.matrix: shape {mat.shape}, expected ({dim}, {dim})")
+        # finite entries may still overflow the defect (about 1e77 and above)
+        with np.errstate(all="ignore"):
+            try:
+                defect = partial_isometry_defect(mat)
+            except np.linalg.LinAlgError:
+                defect = np.inf
+        if not np.isfinite(defect):
+            raise SchemaError(f"{where}: the partial isometry defect of {item['name']!r} overflows")
         named.append((item["name"], mat))
     include_identity = data.get("include_identity", True)
     include_zero = data.get("include_zero", False)

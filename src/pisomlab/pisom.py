@@ -85,18 +85,17 @@ def partial_isometry_defect(m) -> float:
 
 
 def make_partial_isometry(m, cfg: ToleranceConfig = DEFAULT_TOL) -> PartialIsometry:
-    """Validate m and return it with cached P = m*m and Q = mm*.
-
-    The rule is validate_stack's; a matrix that fails it raises
-    NotPartialIsometry with partial_isometry_defect(m) as the deviation.
-    """
+    """Validate m by partial_isometry_rule and return read-only copies of m,
+    P = m*m and Q = mm*; a matrix that fails the rule raises
+    NotPartialIsometry with partial_isometry_defect(m) as the deviation."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise NotSquare(f"partial isometries must be square, got {m.shape}")
-    pi = validate_stack(m[None], cfg)[0]
-    if pi is None:
+    ok, p = partial_isometry_rule(m[None], cfg)
+    if not ok[0]:
         raise NotPartialIsometry.of(m)
-    return pi
+    q = m[None] @ m[None].conj().transpose(0, 2, 1)
+    return PartialIsometry(frozen(m), frozen(p[0]), frozen(q[0]))
 
 
 def partial_isometry_rule(ms: np.ndarray,
@@ -110,18 +109,6 @@ def partial_isometry_rule(ms: np.ndarray,
     d -= ms
     ok &= _squared_norms(d) <= cfg.proj_tol ** 2 * np.maximum(1.0, _squared_norms(ms))
     return ok, p
-
-
-def validate_stack(ms: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
-    """Entry i is PartialIsometry(V, P, Q) with V = ms[i], P = V*V and
-    Q = VV* when V passes partial_isometry_rule over the k x n x n stack ms,
-    otherwise None."""
-    ok, p = partial_isometry_rule(ms, cfg)
-    # one read-only copy of each stack; the members are views into them
-    vs, p = frozen(ms), frozen(p)
-    q = frozen(ms @ ms.conj().transpose(0, 2, 1))
-    return [PartialIsometry(vs[i], p[i], q[i]) if ok[i] else None
-            for i in range(ms.shape[0])]
 
 
 @dataclass(frozen=True)

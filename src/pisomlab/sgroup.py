@@ -38,8 +38,7 @@ from .numlin import (
     spin,
 )
 from .index import _HELD, _ElementStore, _chunks, _square, _stack
-from .pisom import (PartialIsometry, make_partial_isometry, partial_isometry_defect,
-                    partial_isometry_rule, validate_stack)
+from .pisom import make_partial_isometry, partial_isometry_defect, partial_isometry_rule
 from .projlat import AtomDecomposition, ProjectionFamily, boolean_atoms, projection_family
 
 CLOSED = "closed"
@@ -144,7 +143,6 @@ def check_generator_name(name, taken: set[str], include_zero: bool) -> None:
 class SemigroupElement:
     matrix: np.ndarray
     word: tuple[str, ...]
-    pi: PartialIsometry
 
 
 def word_label(word: tuple[str, ...]) -> str:
@@ -198,17 +196,14 @@ class ClosureResult:
 
     @cached_property
     def elements(self) -> list[SemigroupElement]:
-        """The elements as objects with their partial isometries, built on
-        the first read."""
-        mats = self.store.stack()
-        pis = [pi for part in _chunks(len(self), self.dim, _HELD)
-               for pi in validate_stack(mats[part], self.cfg)]
-        return [SemigroupElement(m, word, pi) for m, word, pi in zip(mats, self.words, pis)]
+        """The elements as (matrix, word) rows, the matrices read-only views
+        of the store's stack, built on the first read."""
+        return [SemigroupElement(m, word) for m, word in zip(self.store.stack(), self.words)]
 
     def find(self, mat) -> int | None:
         """Index of the first element, in insertion order, equal to mat under
         approx_equal (ShapeMismatch unless mat is dim x dim)."""
-        return self.store.find(mat)
+        return self.store.lookup(_square(mat, self.dim))
 
     def evaluate(self, word) -> np.ndarray:
         return evaluate_word(self.name_map, word, self.dim)

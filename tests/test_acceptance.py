@@ -203,7 +203,7 @@ def test_criterion_05_irreducible_uniformity_suite():
         assert multiplicity_profile(atoms).uniform
         # finite multiplicity: every initial projection lies in the span algebra
         for e in base.elements:
-            assert membership_in_span(e.pi.initial, atoms)
+            assert membership_in_span(e.matrix.conj().T @ e.matrix, atoms)
     budget.done("50/50 uniform with initial projections in the algebra")
 
 

@@ -343,6 +343,36 @@ def test_generator_names_are_input_errors_for_every_command(tmp_path, capsys, co
     assert capsys.readouterr().err == f"error: generators: {message}\n"
 
 
+@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "barnes"])
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "1e100", "1e200"])
+def test_unrepresentable_entries_are_input_errors(tmp_path, capsys, command, entry):
+    # json reads NaN and Infinity; 1e100 and 1e200 are doubles, but the
+    # partial isometry defect of a matrix holding them overflows.  Warnings
+    # are errors in this suite, so none may be raised on the way.
+    path = tmp_path / "entry.json"
+    path.write_text('{"dim": 2, "generators": [{"name": "A", "matrix": [[0, %s], [0, 0]]}]}'
+                    % entry)
+    assert main([command, str(path), "--format", "json"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: generators") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["closure", "report"])
+@pytest.mark.parametrize("eq_tol", [1e-20, 1e-300])
+def test_tiny_eq_tol_is_accepted_without_warnings(tmp_path, capsys, command, eq_tol):
+    # any eq_tol in (0, 1e-2] is valid; A = E12 still closes to I, A and 0
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"dim": 2, "tolerance": {"eq_tol": eq_tol}, "generators": [
+        {"name": "A", "matrix": [[0, 1], [0, 0]]}]}))
+    assert main([command, str(path), "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    if command == "closure":
+        assert report["words"] == ["I", "A", "A.A"]
+    else:
+        assert report["base_closure"] == {"status": "closed", "element_count": 3}
+
+
 @pytest.mark.parametrize("flag,file_tol,want", [
     (None, None, 1e-8), (None, 1e-2, 1e-2), (1e-3, 1e-2, 1e-3)])
 def test_check_takes_the_tolerance_of_the_analysis_commands(tmp_path, flag, file_tol, want):

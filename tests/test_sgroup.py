@@ -291,7 +291,7 @@ def test_adjoin_final_projections_fixed_point():
     assert enriched.status == CLOSED
     assert enriched.find(matrix_unit(2, 0, 0)) is not None
     for e in enriched.elements:
-        assert enriched.find(e.pi.final) is not None
+        assert enriched.find(e.matrix @ e.matrix.conj().T) is not None
 
     # identity alone: unchanged
     ident = close(generator_set([], dim=2))
@@ -509,8 +509,8 @@ def test_enrichment_pipeline_contains_all_projections(seed):
     result = enrich_projections(gens, Limits(1500, 16))
     assert result.status == CLOSED
     for e in result.elements:
-        assert result.find(e.pi.initial) is not None
-        assert result.find(e.pi.final) is not None
+        assert result.find(e.matrix.conj().T @ e.matrix) is not None
+        assert result.find(e.matrix @ e.matrix.conj().T) is not None
 
 
 def test_rotation_just_beyond_eq_tol_is_a_new_element():

@@ -9,10 +9,13 @@ units inputs for seeds 1-3 (built by perfbench/inputs.py, which is imported
 without writing anything next to it), pairs of projections on either side
 of the tolerances (also with a tolerance in the file), generator and table
 files with badly typed fields, a generator file and a table file that are
-not UTF-8 text, a generator named "0" next to include_zero,
-the benchmark's generic unitary pairs at n = 2 and 4 (seed 1), whose
-closures are infinite, and cyclic matrix units at n = 16 and 20, plain and
-conjugated by a seeded signed permutation, with the benchmark's limits.
+not UTF-8 text, a generator named "0" next to include_zero, generator files
+with an entry that is not finite or whose partial isometry defect
+overflows, E12 with an eq_tol of 1e-20 and 1e-300 (run by `closure` and
+`report` only), the benchmark's generic unitary pairs at n = 2 and 4
+(seed 1), whose closures are infinite, and cyclic matrix units at n = 16
+and 20, plain and conjugated by a seeded signed permutation, with the
+benchmark's limits.
 Each input is written to OUTDIR/inputs/ and every run reads it from there
 by a relative path, so no output depends on where OUTDIR is.
 Generator files run every generator command in json and text format, tables
@@ -47,6 +50,7 @@ SEEDS = (1, 2, 3)
 FORMATS = ("json", "text")
 GENERATOR_COMMANDS = tuple(c for c in COMMANDS if c != "barnes")
 LARGE_UNITS = (16, 20)
+TINY_TOL = "tiny-eq-tol-"
 
 
 def load_bench_inputs():
@@ -84,6 +88,21 @@ def zero_name_input() -> dict[str, dict]:
     """A generator named "0" while include_zero adjoins the zero matrix."""
     return {"schema-zero-name": {"dim": 2, "include_zero": True, "generators": [
         {"name": "0", "matrix": [[0, 1], [1, 0]]}, {"name": "A", "matrix": [[0, 0], [1, 0]]}]}}
+
+
+def unrepresentable_inputs() -> dict[str, dict]:
+    """A generator with an entry of NaN or Infinity (json writes and reads
+    both), or of 1e100 or 1e200, which overflow its defect."""
+    return {f"entry-{label}": {"dim": 2, "generators": [
+        {"name": "A", "matrix": [[0, value], [0, 0]]}]}
+        for label, value in (("nan", float("nan")), ("inf", float("inf")),
+                             ("1e100", 1e100), ("1e200", 1e200))}
+
+
+def tiny_tolerance_inputs() -> dict[str, dict]:
+    """E12 with an eq_tol far below rounding, which every store scans."""
+    return {f"{TINY_TOL}{tol:g}": {"dim": 2, "tolerance": {"eq_tol": tol}, "generators": [
+        {"name": "A", "matrix": [[0, 1], [0, 0]]}]} for tol in (1e-20, 1e-300)}
 
 
 def badly_typed_tables() -> dict[str, dict]:
@@ -162,6 +181,8 @@ def collect_inputs() -> tuple[dict[str, dict | bytes], dict[str, dict | bytes]]:
     gens.update(file_tolerance_inputs())
     gens.update(badly_typed_inputs())
     gens.update(zero_name_input())
+    gens.update(unrepresentable_inputs())
+    gens.update(tiny_tolerance_inputs())
     tables.update(badly_typed_tables())
     raw_gens, raw_tables = non_utf8_inputs()
     gens.update(raw_gens)
@@ -179,6 +200,11 @@ def flag_sets(label: str) -> list[tuple[str, list[str]]]:
     elif label.startswith(("fixture-", "near-")):
         tols = ("1e-6",)
     return [("", [])] + [(f"__tol{tol}", ["--tol", tol]) for tol in tols]
+
+
+def commands(label: str) -> tuple[str, ...]:
+    """The commands that run an input."""
+    return ("closure", "report") if label.startswith(TINY_TOL) else GENERATOR_COMMANDS
 
 
 SEED_RUN = ("fixture-example-1-3", "report", "__seed-1", ["--seed", "-1"])
@@ -205,7 +231,7 @@ def write_outputs(outdir: pathlib.Path) -> int:
     for label, doc in {**gens, **tables}.items():
         data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
         pathlib.Path("inputs", f"{label}.json").write_bytes(data)
-    runs = [(label, command, suffix, flags) for label in gens for command in GENERATOR_COMMANDS
+    runs = [(label, command, suffix, flags) for label in gens for command in commands(label)
             for suffix, flags in flag_sets(label)]
     runs += [(label, "barnes", "", []) for label in tables]
     runs.append(SEED_RUN)
