@@ -85,11 +85,12 @@ class _Queries:
             self.keys = cells.astype(np.int64).tolist()
             self.cover = [None] * k
         else:
-            # each query's cell, and the cells of s - reach and s + reach
+            # each query's cell, and the cells (lo, hi) of s - reach and
+            # s + reach, which may be one cell
             cells = (np.add.outer(sketches, (0.0, -reach, reach)) // store._width)
-            cells = cells.astype(np.int64).tolist()
-            self.keys = [key for key, _, _ in cells]
-            self.cover = [(lo,) if lo == hi else (lo, hi) for _, lo, hi in cells]
+            cells = cells.astype(np.int64).T.tolist()
+            self.keys = cells[0]
+            self.cover = list(zip(cells[1], cells[2]))
         self.first = [_NONE] * k
 
     def found(self, i: int) -> int | None:
@@ -154,20 +155,23 @@ class _ElementStore:
         result per matrix, ending at the first new one that found no room.
         The matrices are looked up in stacks of at least _FLOOR."""
         out: list[int | None] = []
+        room = _NONE if room is None else room
+        member = self.count     # the index of the next new member
+        cells = self._cells
         for part in _chunks(len(mats), self.dim, _HELD, _FLOOR):
             queries = self._queries(_stack(mats[part], self.dim))
             first, norms, keys = queries.first, queries.norms.tolist(), queries.keys
             start = self.count
-            # the chunk's new members get their cells and indices at their
-            # turn, but reach the buffers in one write (flush) before anything
-            # reads them
+            # the chunk's new members join their cells at their turn, but are
+            # counted and reach the buffers in one write (flush) before
+            # anything reads them
             new: list[int] = []
             touched: set[int] = set()
 
             def flush() -> None:
                 if new:
-                    self._write(self.count - len(new), queries.mats[new],
-                                [norms[i] for i in new], [keys[i] for i in new])
+                    self._write(queries.mats[new], [norms[i] for i in new],
+                                [keys[i] for i in new])
                     new.clear()
 
             for i, cover in enumerate(queries.cover):
@@ -186,10 +190,11 @@ class _ElementStore:
                 out.append(found)
                 if found is not None:
                     continue
-                if room is not None and self.count >= room:
+                if member >= room:
                     flush()
                     return out
-                self._index(norms[i], keys[i])
+                cells.setdefault(keys[i], []).append(member)
+                member += 1
                 new.append(i)
                 touched.add(keys[i])
             flush()
@@ -216,11 +221,14 @@ class _ElementStore:
             if cover is None:
                 self._resolve(queries, np.full(self.count, i), np.arange(self.count))
                 continue
-            for key in cover:
-                found = cell(key)
-                if found:
-                    ms += found
-                    qs += [i] * len(found)
+            lo, hi = cover
+            found = cell(lo)
+            if found:
+                ms += found
+                qs += [i] * len(found)
+            if hi != lo and (found := cell(hi)):
+                ms += found
+                qs += [i] * len(found)
         if qs:
             self._resolve(queries, np.array(qs), np.array(ms))
         return queries
@@ -248,21 +256,15 @@ class _ElementStore:
 
     def append(self, mat: np.ndarray) -> int:
         queries = _Queries(self, _stack(mat, self.dim))
-        member = self._index(float(queries.norms[0]), queries.keys[0])
-        self._write(member, queries.mats, queries.norms, queries.keys)
+        member = self.count
+        self._cells.setdefault(queries.keys[0], []).append(member)
+        self._write(queries.mats, queries.norms.tolist(), queries.keys)
         return member
 
-    def _index(self, norm: float, key: int) -> int:
-        """Give the next member its index and its cell entry."""
-        self._max_norm = max(self._max_norm, norm)
-        self._cells.setdefault(key, []).append(self.count)
-        self.count += 1
-        return self.count - 1
-
-    def _write(self, start: int, mats: np.ndarray, norms, keys) -> None:
-        """Write indexed members from index start on into the buffers,
-        doubling them until they fit."""
-        end = start + len(mats)
+    def _write(self, mats: np.ndarray, norms: list[float], keys: list[int]) -> None:
+        """Count members that already joined their cells, and write them
+        from index count on into the buffers, doubling them until they fit."""
+        start, end = self.count, self.count + len(mats)
         if end > len(self._buf):
             size = len(self._buf)
             while size < end:
@@ -272,6 +274,8 @@ class _ElementStore:
         self._buf[start:end] = mats
         self._norms[start:end] = norms
         self._keys[start:end] = keys
+        self.count = end
+        self._max_norm = max(self._max_norm, *norms)
 
     def truncate(self, count: int) -> None:
         """Drop the members appended after the first count; each is the last

@@ -8,13 +8,14 @@ are always written back in the strict form.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .numlin import PisomError, ToleranceConfig
-from .pisom import partial_isometry_defect
+from .pisom import NotPartialIsometry, partial_isometry_defect, partial_isometry_rule
 from .sgroup import GeneratorSet, Limits, check_generator_name, generator_set
 from .invsg import InverseSemigroupTable, table_from_dict
 
@@ -38,7 +39,7 @@ def scalar_from_json(obj, where: str) -> complex:
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
         raise SchemaError(f"{where}: expected [re, im] or a number, got {obj!r}")
     try:
-        if np.isfinite(z := complex(*parts)):
+        if cmath.isfinite(z := complex(*parts)):
             return z
     except OverflowError:
         pass
@@ -188,10 +189,17 @@ def _tolerance(raw: RawGeneratorFile, cfg: ToleranceConfig | None) -> ToleranceC
 def parse_generator_problem(data, cfg: ToleranceConfig | None = None) -> GeneratorProblem:
     """Parse and validate a generator file."""
     raw = parse_generator_file(data)
+    cfg = _tolerance(raw, cfg)
     try:
         gens = generator_set(raw.named, dim=raw.dim,
                              include_identity=raw.include_identity,
-                             include_zero=raw.include_zero, cfg=_tolerance(raw, cfg))
+                             include_zero=raw.include_zero, cfg=cfg)
+    except NotPartialIsometry as err:
+        # generator_set validates in order: the first generator that fails
+        # the rule raised
+        i, name = next((i, name) for i, (name, mat) in enumerate(raw.named)
+                       if not partial_isometry_rule(mat[None], cfg)[0][0])
+        raise SchemaError(f"generators[{i}]: {name!r} is not a partial isometry: {err}") from err
     except ValueError as err:
         raise SchemaError(f"generators: {err}") from err
     return GeneratorProblem(gens, raw.tolerance, raw.limits)

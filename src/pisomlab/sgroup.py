@@ -214,12 +214,13 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
 
     Expansion is by right multiplication with generators, which enumerates
     every word shortest-first.  The closure reads stacks: the generators,
-    then each BFS level in chunks of consecutive parents, one stacked product
-    per chunk.  Each stack is looked up in order against every element kept
-    before it and merged by approx_equal (one add_batch), and its new members
-    are validated together, so every element but the identity passed
-    partial_isometry_rule.  The first that fails aborts with a FAILURE status
-    carrying a minimal-length witness word and its partial_isometry_defect.
+    then each BFS level in chunks of consecutive parents, whose products take
+    one GEMM per letter.  Each stack is looked up in order against every
+    element kept before it and merged by approx_equal (one add_batch), and
+    its new members are validated together, so every element but the
+    identity passed partial_isometry_rule.  The first that fails aborts with
+    a FAILURE status carrying a minimal-length witness word and its
+    partial_isometry_defect.
     Hitting a limit yields TRUNCATED; limits are results, not errors.
     """
     dim, cfg = gens.dim, gens.cfg
@@ -235,28 +236,34 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
         store.append(np.eye(dim, dtype=np.complex128))
         words.append(())
     gen_stack = _stack(list(name_map.values()), dim)
+    letters = len(names)
 
     def stacks():
-        """(stack, word_of) for the generators and then every parent chunk;
-        word_of(p) is the word of the stack's member p."""
+        """(stack, words_of) for the generators and then every parent chunk;
+        words_of(ps) is the list of words of the stack's members ps."""
         nonlocal limit_hit
-        yield gen_stack, lambda p: (names[p],)
+        yield gen_stack, lambda ps: [(names[p],) for p in ps]
         # the elements of a level are consecutive, with words of
         # nondecreasing length, and the store's member k is element k
         level = range(len(words))
         while level:
             parents = [k for k in level if len(words[k]) < limits.max_word_length]
             start = len(words)
-            for part in _chunks(len(parents), dim, _HELD * len(names)):
+            for part in _chunks(len(parents), dim, _HELD * letters):
                 chunk = parents[part]
-                prods = (store.stack()[chunk][:, None] @ gen_stack[None]).reshape(-1, dim, dim)
-                yield prods, lambda p, chunk=chunk: (words[chunk[p // len(names)]]
-                                                     + (names[p % len(names)],))
+                # one GEMM per letter over the chunk's stacked rows, laid out
+                # parent-major: product p is parent chunk[p // letters] times
+                # letter p % letters
+                prods = store.stack()[chunk].reshape(-1, dim) @ gen_stack
+                prods = prods.reshape(letters, len(chunk), dim, dim).transpose(1, 0, 2, 3)
+                yield (prods.reshape(-1, dim, dim),
+                       lambda ps, chunk=chunk: [words[chunk[p // letters]] + (names[p % letters],)
+                                                for p in ps])
             if len(parents) < len(level):
                 limit_hit = limit_hit or "max_word_length"
             level = range(start, len(words))
 
-    for mats, word_of in stacks():
+    for mats, words_of in stacks():
         # each member is looked up in order and a new one joins the store at
         # once; the new ones are then validated together.  The first new
         # member beyond max_elements is validated but not kept, since a
@@ -266,18 +273,18 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
         if not new:
             continue
         valid = partial_isometry_rule(mats[new], cfg)[0].tolist()
-        for p, ok in zip(new, valid):
-            if not ok:
-                store.truncate(len(words))
-                store.trim()
-                return ClosureResult(
-                    dim, gens, name_map, words, store, FAILURE, witness_word=word_of(p),
-                    witness_deviation=partial_isometry_defect(mats[p]))
-            if len(words) >= limits.max_elements:
-                limit_hit = "max_elements"
-                break
-            words.append(word_of(p))
-        if limit_hit == "max_elements":
+        # the new members before the first that fails, within max_elements
+        bad = valid.index(False) if False in valid else len(new)
+        kept = min(bad, limits.max_elements - len(words))
+        words += words_of(new[:kept])
+        if bad == kept < len(new):     # a member failed within the limit
+            store.truncate(len(words))
+            store.trim()
+            return ClosureResult(
+                dim, gens, name_map, words, store, FAILURE, witness_word=words_of([new[bad]])[0],
+                witness_deviation=partial_isometry_defect(mats[new[bad]]))
+        if kept < len(new):
+            limit_hit = "max_elements"
             break
 
     status = TRUNCATED if limit_hit else CLOSED

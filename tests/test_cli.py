@@ -358,6 +358,18 @@ def test_unrepresentable_entries_are_input_errors(tmp_path, capsys, command, ent
     assert err.startswith("error: generators") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c not in ("barnes", "check")])
+def test_generator_that_is_no_partial_isometry_is_named(tmp_path, capsys, command):
+    # check reports such a generator; every other generator command refuses
+    # the file and names the generator that failed
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"dim": 2, "generators": [
+        {"name": "A", "matrix": [[1, 0], [0, 0]]}, {"name": "B", "matrix": [[2, 0], [0, 0]]}]}))
+    assert main([command, str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == ("error: generators[1]: 'B' is not a partial isometry: "
+                                       "V*V is not a projection (idempotency defect 12)\n")
+
+
 @pytest.mark.parametrize("command", ["closure", "report"])
 @pytest.mark.parametrize("eq_tol", [1e-20, 1e-300])
 def test_tiny_eq_tol_is_accepted_without_warnings(tmp_path, capsys, command, eq_tol):

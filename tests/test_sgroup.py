@@ -45,6 +45,7 @@ from conftest import golden_generators, matrix_unit
 from factories import (
     diagonal_indicator,
     pq_equal_instance,
+    random_unitary,
     uniform_multiplicity_instance,
 )
 
@@ -234,6 +235,30 @@ def test_family_projections_checks_what_close_did_not(per_chunk, monkeypatch):
     assert np.array_equal(fams.p_of, want.p_of) and np.array_equal(fams.q_of, want.q_of)
     for got, ref in ((fams.p_set, want.p_set), (fams.q_set, want.q_set)):
         assert np.array_equal(np.array(got.members), np.array(ref.members))
+
+
+@pytest.mark.parametrize("per_chunk", (None, 3))
+@pytest.mark.parametrize("kind, n", [("unitary", 2), ("unitary", 3), ("unitary", 5),
+                                     ("units", 4)])
+def test_products_are_parent_times_letter_bit_for_bit(kind, n, per_chunk, monkeypatch):
+    # close multiplies a chunk of parents by one letter at a time; each
+    # element must still be exactly its parent times its last letter, with
+    # chunks of a few parents as well as of the default size
+    if per_chunk is not None:
+        monkeypatch.setattr(index, "_CHUNK", index._HELD * 4 * n * n * per_chunk)
+    if kind == "unitary":
+        rng = np.random.default_rng([7, n])
+        gens = generator_set([("a", random_unitary(rng, n)), ("b", random_unitary(rng, n))])
+        c = selfadjoint_closure(gens, Limits(1500, 16))
+    else:
+        c = close(units_gens(n))
+    rows = c.store.stack()
+    member = {word: k for k, word in enumerate(c.words)}
+    longer = [k for k, word in enumerate(c.words) if len(word) >= 2]
+    assert len(longer) > len(c) // 2
+    for k in longer:
+        word = c.words[k]
+        assert np.array_equal(rows[k], rows[member[word[:-1]]] @ c.name_map[word[-1]]), word
 
 
 def test_close_validates_its_generators():

@@ -9,13 +9,13 @@ units inputs for seeds 1-3 (built by perfbench/inputs.py, which is imported
 without writing anything next to it), pairs of projections on either side
 of the tolerances (also with a tolerance in the file), generator and table
 files with badly typed fields, a generator file and a table file that are
-not UTF-8 text, a generator named "0" next to include_zero, generator files
-with an entry that is not finite or whose partial isometry defect
+not UTF-8 text, a generator named "0" next to include_zero, a generator
+that is no partial isometry, generator files with an entry that is not finite or whose partial isometry defect
 overflows, E12 with an eq_tol of 1e-20 and 1e-300 (run by `closure` and
 `report` only), the benchmark's generic unitary pairs at n = 2 and 4
-(seed 1), whose closures are infinite, and cyclic matrix units at n = 16
-and 20, plain and conjugated by a seeded signed permutation, with the
-benchmark's limits.
+(seed 1) and seeded generic unitary pairs at n = 3 and 5, whose closures
+are infinite, and cyclic matrix units at n = 16 and 20, plain and
+conjugated by a seeded signed permutation, with the benchmark's limits.
 Each input is written to OUTDIR/inputs/ and every run reads it from there
 by a relative path, so no output depends on where OUTDIR is.
 Generator files run every generator command in json and text format, tables
@@ -50,6 +50,9 @@ SEEDS = (1, 2, 3)
 FORMATS = ("json", "text")
 GENERATOR_COMMANDS = tuple(c for c in COMMANDS if c != "barnes")
 LARGE_UNITS = (16, 20)
+# generic unitary pairs beside the benchmark's n = 2 and 4: product
+# dimensions that are not multiples of 4
+ODD_UNITARY_DIMS = (3, 5)
 TINY_TOL = "tiny-eq-tol-"
 
 
@@ -88,6 +91,12 @@ def zero_name_input() -> dict[str, dict]:
     """A generator named "0" while include_zero adjoins the zero matrix."""
     return {"schema-zero-name": {"dim": 2, "include_zero": True, "generators": [
         {"name": "0", "matrix": [[0, 1], [1, 0]]}, {"name": "A", "matrix": [[0, 0], [1, 0]]}]}}
+
+
+def no_partial_isometry_input() -> dict[str, dict]:
+    """A = diag(1, 0) beside B = diag(2, 0), which is no partial isometry."""
+    return {"schema-no-partial-isometry": {"dim": 2, "generators": [
+        {"name": "A", "matrix": [[1, 0], [0, 0]]}, {"name": "B", "matrix": [[2, 0], [0, 0]]}]}}
 
 
 def unrepresentable_inputs() -> dict[str, dict]:
@@ -161,6 +170,16 @@ def large_units_inputs(bench) -> dict[str, dict]:
     return out
 
 
+def odd_unitary_inputs(bench) -> dict[str, dict]:
+    """A seeded generic unitary pair at each of ODD_UNITARY_DIMS."""
+    out = {}
+    for n in ODD_UNITARY_DIMS:
+        rng = np.random.default_rng([1, n])
+        named = [("a", bench.random_unitary(rng, n)), ("b", bench.random_unitary(rng, n))]
+        out[f"unitary-s1-u{n}"] = bench.generator_file(n, named)
+    return out
+
+
 def collect_inputs() -> tuple[dict[str, dict | bytes], dict[str, dict | bytes]]:
     """-> (generator files, table files), each label -> JSON document, or
     the file's bytes where they are no JSON text."""
@@ -176,11 +195,13 @@ def collect_inputs() -> tuple[dict[str, dict | bytes], dict[str, dict | bytes]]:
             target[f"bench-s{seed}-{item.label}"] = item.document
     for item in bench.closure_inputs(1)[:2]:
         gens[f"unitary-s1-{item.label}"] = bench.generator_file(item.dim, item.named)
+    gens.update(odd_unitary_inputs(bench))
     gens.update(large_units_inputs(bench))
     gens.update(near_threshold_inputs())
     gens.update(file_tolerance_inputs())
     gens.update(badly_typed_inputs())
     gens.update(zero_name_input())
+    gens.update(no_partial_isometry_input())
     gens.update(unrepresentable_inputs())
     gens.update(tiny_tolerance_inputs())
     tables.update(badly_typed_tables())
