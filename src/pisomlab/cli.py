@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .invsg import barnes_representation, validate_table
+from .invsg import InvalidTable, barnes_representation
 from .jsonio import (
     GeneratorProblem,
     ParseError,
@@ -242,14 +242,17 @@ def cmd_brandt(s: Session) -> dict:
 
 def cmd_barnes(request: AnalysisRequest) -> dict:
     table = load_table_file(request.input_path)
-    violations = validate_table(table)
+    cfg = request.tolerance or DEFAULT_TOL
+    violations = []
+    try:
+        images = barnes_representation(table, cfg)
+    except InvalidTable as exc:
+        violations = exc.violations
     out = {"command": "barnes", "n": table.n,
            "valid": not violations,
            "violations": [str(v) for v in violations[:20]]}
     if violations:
         return out
-    cfg = request.tolerance or DEFAULT_TOL
-    images = barnes_representation(table, cfg)
     distinct = _ElementStore(table.n, cfg)
     distinct.add_batch([pi.matrix for pi in images])
     # built directly: barnes_representation validated every image

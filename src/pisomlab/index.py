@@ -119,7 +119,6 @@ class _ElementStore:
         self.cfg = cfg
         self._buf = np.zeros((64, dim, dim), dtype=np.complex128)
         self._norms = np.zeros(64)
-        self._keys = np.zeros(64, dtype=np.int64)
         self.count = 0
         self._max_norm = 0.0
         # the sketch direction g: fixed per dimension, from its own generator
@@ -170,8 +169,7 @@ class _ElementStore:
 
             def flush() -> None:
                 if new:
-                    self._write(queries.mats[new], [norms[i] for i in new],
-                                [keys[i] for i in new])
+                    self._write(queries.mats[new], [norms[i] for i in new])
                     new.clear()
 
             for i, cover in enumerate(queries.cover):
@@ -258,41 +256,30 @@ class _ElementStore:
         queries = _Queries(self, _stack(mat, self.dim))
         member = self.count
         self._cells.setdefault(queries.keys[0], []).append(member)
-        self._write(queries.mats, queries.norms.tolist(), queries.keys)
+        self._write(queries.mats, queries.norms.tolist())
         return member
 
-    def _write(self, mats: np.ndarray, norms: list[float], keys: list[int]) -> None:
+    def _write(self, mats: np.ndarray, norms: list[float]) -> None:
         """Count members that already joined their cells, and write them
-        from index count on into the buffers, doubling them until they fit."""
+        from index count on into the buffers, which grow by a quarter, or
+        to fit."""
         start, end = self.count, self.count + len(mats)
         if end > len(self._buf):
-            size = len(self._buf)
-            while size < end:
-                size *= 2
-            self._buf, self._norms, self._keys = (_grown(a, size, start)
-                                                  for a in (self._buf, self._norms, self._keys))
+            size = max(end, len(self._buf) + len(self._buf) // 4)
+            self._buf, self._norms = (_grown(a, size, start) for a in (self._buf, self._norms))
         self._buf[start:end] = mats
         self._norms[start:end] = norms
-        self._keys[start:end] = keys
         self.count = end
         self._max_norm = max(self._max_norm, *norms)
 
     def truncate(self, count: int) -> None:
-        """Drop the members appended after the first count; each is the last
-        index of its cell.  The largest member norm stays an upper bound."""
-        while self.count > count:
-            self.count -= 1
-            self._cells[int(self._keys[self.count])].pop()
-
-    def trim(self) -> None:
-        """Shrink the buffers to copies of the members held, but to no fewer
-        than one row, since _write grows them by doubling.  A copy, unlike an
-        in-place resize, leaves any live view of the old buffers valid and
-        works under trace and profile hooks."""
-        size = max(1, self.count)
-        if size < len(self._buf):
-            self._buf, self._norms, self._keys = (a[:size].copy()
-                                                  for a in (self._buf, self._norms, self._keys))
+        """Drop the members from index count on; each cell lists its members
+        in increasing order, so they are its last.  The largest member norm
+        stays an upper bound."""
+        for members in self._cells.values():
+            while members and members[-1] >= count:
+                members.pop()
+        self.count = count
 
     def stack(self) -> np.ndarray:
         """The members as one count x dim x dim array (a read-only view)."""

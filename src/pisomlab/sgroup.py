@@ -279,7 +279,6 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
         words += words_of(new[:kept])
         if bad == kept < len(new):     # a member failed within the limit
             store.truncate(len(words))
-            store.trim()
             return ClosureResult(
                 dim, gens, name_map, words, store, FAILURE, witness_word=words_of([new[bad]])[0],
                 witness_deviation=partial_isometry_defect(mats[new[bad]]))
@@ -288,7 +287,6 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
             break
 
     status = TRUNCATED if limit_hit else CLOSED
-    store.trim()
     return ClosureResult(dim, gens, name_map, words, store, status, limit_hit=limit_hit)
 
 

@@ -180,20 +180,88 @@ def test_failure_closure_store_holds_the_elements():
     assert_store_holds_the_elements(c)
 
 
-def test_close_trims_the_store_to_its_elements():
+def assert_cells_list_the_members(store):
+    """Each member below count is listed once, in increasing order within
+    its cell, and no other index is listed."""
+    cells = list(store._cells.values())
+    assert all(members == sorted(members) for members in cells)
+    assert sorted(m for members in cells for m in members) == list(range(store.count))
+
+
+def test_closed_truncated_and_failed_stores_hold_their_elements():
     truncated = close(generic_unitary_gens(2, seed=2), Limits(100))
     failure = selfadjoint_closure(generator_set(zip("ABC", golden_generators()), dim=8))
-    assert (truncated.status, failure.status) == (TRUNCATED, FAILURE)
-    for c in (units_closure(), truncated, failure):
-        assert [len(a) for a in (c.store._buf, c.store._norms, c.store._keys)] == [len(c)] * 3
+    closed = units_closure()
+    assert (closed.status, truncated.status, failure.status) == (CLOSED, TRUNCATED, FAILURE)
+    for c in (closed, truncated):
+        # the buffers grow by a quarter, or to fit, from 64 rows
+        assert len(c.store._buf) == len(c.store._norms) <= max(64, 1.25 * len(c))
+    for c in (closed, truncated, failure):
+        assert_cells_list_the_members(c.store)
         assert_store_holds_the_elements(c)
-    # an empty store keeps one row, so that appending can double it again
+
+
+def spread_matrices(dim, clusters, per_cluster, seed):
+    """Distinct dim x dim matrices of norm about 1, per_cluster of them in
+    each cluster sharing one sketch (so one grid cell) 3 eq_tol apart, the
+    clusters interleaved."""
+    rng = np.random.default_rng(seed)
+    g = _ElementStore(dim, CFG)._direction.reshape(dim, dim)
+    out = []
+    for _ in range(clusters):
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        d = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        d -= np.vdot(g, d).real * g     # no move along g: the sketch stays
+        d *= 3 * CFG.eq_tol / np.linalg.norm(d)
+        out.append([x / np.linalg.norm(x) + k * d for k in range(per_cluster)])
+    return [m for row in zip(*out) for m in row]
+
+
+def test_truncate_after_growth_answers_as_a_fresh_store():
+    mats = spread_matrices(2, 30, 10, seed=5)
     store = _ElementStore(2, CFG)
-    store.trim()
-    assert len(store._buf) == 1
-    mats = [np.diag([1.0, 0.0]) * k for k in range(1, 6)]
-    store.add_batch(mats)
-    assert np.array_equal(store.stack(), np.array(mats))
+    sizes = set()
+    for batch in (mats[start:start + 12] for start in range(0, len(mats), 12)):
+        assert store.add_batch(batch) == [None] * len(batch)
+        sizes.add(len(store._buf))
+    assert store.count == 300 and len(sizes) > 4
+    store.truncate(70)      # inside the buffer's first growth, 64 -> 80 rows
+    assert_cells_list_the_members(store)
+    fresh = _ElementStore(2, CFG)
+    assert fresh.add_batch(mats[:70]) == [None] * 70
+    near = [m + CFG.eq_tol / 4 for m in mats[::7]]
+    queries = mats + near + spread_matrices(2, 5, 4, seed=6)
+    assert store.lookup_batch(queries) == fresh.lookup_batch(queries)
+    assert store.add_batch(queries) == fresh.add_batch(queries)
+    assert np.array_equal(store.stack(), fresh.stack())
+    assert_cells_list_the_members(store)
+    assert store.lookup_batch(queries) == fresh.lookup_batch(queries)
+
+
+def shift_projection_gens(n=24):
+    """The cyclic shift e_i -> e_i+1, E_11 and the projection onto
+    (e_9 + e_17)/sqrt(2): P.S^8.Q fails the rule late in the closure."""
+    v = np.zeros(n)
+    v[[8, 16]] = 1 / np.sqrt(2)
+    p = np.zeros((n, n))
+    p[0, 0] = 1.0
+    return generator_set([("S", np.roll(np.eye(n), 1, axis=0)), ("P", p), ("Q", np.outer(v, v))],
+                         dim=n)
+
+
+@pytest.mark.parametrize("closure, kept", ((close, 121), (selfadjoint_closure, 346)))
+def test_late_failure_store_answers_as_a_fresh_store(closure, kept):
+    c = closure(shift_projection_gens())
+    assert (c.status, len(c), c.witness_word) == (FAILURE, kept, ("P",) + ("S",) * 8 + ("Q",))
+    assert len(c.store._buf) > kept     # rows past the failure were written, then dropped
+    assert_cells_list_the_members(c.store)
+    assert_store_holds_the_elements(c)
+    fresh = _ElementStore(c.dim, CFG)
+    assert fresh.add_batch(c.matrices()) == [None] * kept
+    queries = np.concatenate([c.store.stack() @ g for g in c.name_map.values()])
+    assert c.store.lookup_batch(queries) == fresh.lookup_batch(queries)
+    assert c.store.add_batch(queries) == fresh.add_batch(queries)
+    assert np.array_equal(c.store.stack(), fresh.stack())
 
 
 @settings(max_examples=150, deadline=None)

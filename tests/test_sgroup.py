@@ -283,6 +283,19 @@ def test_close_holds_one_copy_of_each_element():
     assert held < 2 * result.store._buf.nbytes
 
 
+def test_close_peaks_below_two_and_a_half_times_its_elements():
+    # the store copies its rows only to grow them by a quarter
+    gens = units_gens(24)
+    tracemalloc.start()
+    try:
+        result = close(gens, Limits(20000, 25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.status, len(result)) == (CLOSED, 24 * 24 + 2)
+    assert peak < 2.5 * len(result) * 24 * 24 * 16
+
+
 def test_closure_matrices_are_read_only():
     result = close(units_gens(3))
     for mat in result.matrices() + [e.matrix for e in result.elements]:

@@ -14,8 +14,11 @@ that is no partial isometry, generator files with an entry that is not finite or
 overflows, E12 with an eq_tol of 1e-20 and 1e-300 (run by `closure` and
 `report` only), the benchmark's generic unitary pairs at n = 2 and 4
 (seed 1) and seeded generic unitary pairs at n = 3 and 5, whose closures
-are infinite, and cyclic matrix units at n = 16 and 20, plain and
-conjugated by a seeded signed permutation, with the benchmark's limits.
+are infinite, cyclic matrix units at n = 16 and 20, plain and conjugated by
+a seeded signed permutation, with the benchmark's limits, and a late
+failure at n = 24: the cyclic shift, E_11 and the projection onto
+(e_9 + e_17)/sqrt(2), whose closures fail at P.S^8.Q after their stores
+have grown past the elements they keep.
 Each input is written to OUTDIR/inputs/ and every run reads it from there
 by a relative path, so no output depends on where OUTDIR is.
 Generator files run every generator command in json and text format, tables
@@ -180,6 +183,17 @@ def odd_unitary_inputs(bench) -> dict[str, dict]:
     return out
 
 
+def late_failure_input(bench) -> dict[str, dict]:
+    """S: e_i -> e_i+1 at n = 24, P = E_11 and Q onto (e_9 + e_17)/sqrt(2)."""
+    n = 24
+    v = np.zeros(n)
+    v[[8, 16]] = 1 / np.sqrt(2)
+    p = np.zeros((n, n))
+    p[0, 0] = 1.0
+    named = [("S", np.roll(np.eye(n), 1, axis=0)), ("P", p), ("Q", np.outer(v, v))]
+    return {"late-failure-24": bench.generator_file(n, named)}
+
+
 def collect_inputs() -> tuple[dict[str, dict | bytes], dict[str, dict | bytes]]:
     """-> (generator files, table files), each label -> JSON document, or
     the file's bytes where they are no JSON text."""
@@ -197,6 +211,7 @@ def collect_inputs() -> tuple[dict[str, dict | bytes], dict[str, dict | bytes]]:
         gens[f"unitary-s1-{item.label}"] = bench.generator_file(item.dim, item.named)
     gens.update(odd_unitary_inputs(bench))
     gens.update(large_units_inputs(bench))
+    gens.update(late_failure_input(bench))
     gens.update(near_threshold_inputs())
     gens.update(file_tolerance_inputs())
     gens.update(badly_typed_inputs())
