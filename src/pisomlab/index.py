@@ -42,11 +42,14 @@ def _stack(mats, dim: int) -> np.ndarray:
     return np.asarray(mats, dtype=np.complex128).reshape(-1, dim, dim)
 
 
+def _step(dim: int, per_item: int = 1, floor: int = 1) -> int:
+    """Items in _CHUNK entries, an item being per_item dim x dim matrices; >= floor."""
+    return max(floor, _CHUNK // max(1, per_item * dim * dim))
+
+
 def _chunks(count: int, dim: int, per_item: int = 1, floor: int = 1) -> list[slice]:
-    """Consecutive slices of range(count), each of at most _CHUNK matrix
-    entries when an item stands for per_item dim x dim matrices, but of at
-    least floor items."""
-    step = max(floor, _CHUNK // max(1, per_item * dim * dim))
+    """Consecutive slices of range(count), each of _step items."""
+    step = _step(dim, per_item, floor)
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
@@ -131,8 +134,9 @@ class _ElementStore:
         # sketches, norms and distances
         self._reach = cfg.eq_tol * (1.0 + 1e-6) + 8.0 * dim ** 2 * _EPS
         self._cells: dict[int, list[int]] = {}
-        for mat in mats:
-            self.append(_square(mat, dim))
+        mats = [_square(mat, dim) for mat in mats]
+        for part in _chunks(len(mats), dim, _HELD, _FLOOR):
+            self._extend(_stack(mats[part], dim))
 
     def lookup(self, mat: np.ndarray) -> int | None:
         """-> the index of the first member that matches mat, or None."""
@@ -253,11 +257,17 @@ class _ElementStore:
                     first[i] = j
 
     def append(self, mat: np.ndarray) -> int:
-        queries = _Queries(self, _stack(mat, self.dim))
-        member = self.count
-        self._cells.setdefault(queries.keys[0], []).append(member)
+        """Add mat as a member without looking it up -> its index."""
+        self._extend(_stack(mat, self.dim))
+        return self.count - 1
+
+    def _extend(self, mats: np.ndarray) -> None:
+        """Add a stack as members without looking them up, in one pass and write."""
+        queries = _Queries(self, mats)
+        cell = self._cells.setdefault
+        for member, key in enumerate(queries.keys, self.count):
+            cell(key, []).append(member)
         self._write(queries.mats, queries.norms.tolist())
-        return member
 
     def _write(self, mats: np.ndarray, norms: list[float]) -> None:
         """Count members that already joined their cells, and write them

@@ -19,6 +19,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -165,19 +166,26 @@ def commutator_norm(a, b) -> float:
 
 
 def _rank_from_singular_values(s: np.ndarray, cfg: ToleranceConfig,
-                               ambiguity_factor: float | None = None) -> int:
-    # everything here is a contraction, so a top singular value below
-    # rank_tol means the matrix is zero, not that its noise has rank
-    if s.size == 0 or s[0] <= cfg.rank_tol:
-        return 0
-    cut = cfg.rank_tol * s[0]
+                               ambiguity_factor: float | None = None) -> np.ndarray:
+    """Rank of each row of descending singular values: the count above rank_tol
+    times the largest, 0 if that is below rank_tol (all here are contractions),
+    -1 (_ill_conditioned) if a value lies within ambiguity_factor of the cut."""
+    cut = cfg.rank_tol * s[:, :1]
+    nonzero = s[:, 0] > cfg.rank_tol
+    ranks = np.where(nonzero, (s > cut).sum(axis=1), 0)
     if ambiguity_factor is not None:
         band = (s >= cut / ambiguity_factor) & (s <= cut * ambiguity_factor)
-        if np.any(band):
-            raise IllConditionedSplit(
-                f"singular value {s[band][0]:.3e} lies within a factor "
-                f"{ambiguity_factor:g} of the rank cutoff {cut:.3e}")
-    return int(np.sum(s > cut))
+        ranks[nonzero & band.any(axis=1)] = -1
+    return ranks
+
+
+def _ill_conditioned(s: np.ndarray, cfg: ToleranceConfig,
+                     ambiguity_factor: float) -> IllConditionedSplit:
+    """The error of a row of singular values of rank -1."""
+    cut = cfg.rank_tol * s[0]
+    value = s[(s >= cut / ambiguity_factor) & (s <= cut * ambiguity_factor)][0]
+    return IllConditionedSplit(f"singular value {value:.3e} lies within a factor "
+                               f"{ambiguity_factor:g} of the rank cutoff {cut:.3e}")
 
 
 def rank(a, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -191,7 +199,7 @@ def rank(a, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    return _rank_from_singular_values(s, cfg)
+    return int(_rank_from_singular_values(s[None], cfg)[0])
 
 
 @dataclass(frozen=True)
@@ -217,9 +225,14 @@ class Subspace:
         return self.basis.shape[1]
 
     def projection(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
-        return self.basis @ adjoint(self.basis)
+        """basis @ basis*, formed on the first call and returned read-only."""
+        return self._projection
+
+    @cached_property
+    def _projection(self) -> np.ndarray:
+        proj = self.basis @ adjoint(self.basis)
+        proj.flags.writeable = False
+        return proj
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -237,7 +250,9 @@ def range_basis(a, cfg: ToleranceConfig = DEFAULT_TOL,
     if m.shape[1] == 0 or frobenius(m) == 0.0:
         return zero_subspace(m.shape[0])
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = _rank_from_singular_values(s, cfg, ambiguity_factor)
+    r = int(_rank_from_singular_values(s[None], cfg, ambiguity_factor)[0])
+    if r < 0:
+        raise _ill_conditioned(s, cfg, ambiguity_factor)
     return Subspace(m.shape[0], frozen(u[:, :r]))
 
 
@@ -248,7 +263,7 @@ def kernel_basis(a, cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     if m.shape[0] == 0 or frobenius(m) == 0.0:
         return full_subspace(n)
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    r = _rank_from_singular_values(s, cfg)
+    r = int(_rank_from_singular_values(s[None], cfg)[0])
     return Subspace(n, frozen(adjoint(vh[r:, :])))
 
 
@@ -263,38 +278,41 @@ def split_cells(cells, p, cfg: ToleranceConfig = DEFAULT_TOL,
     """Split each subspace s of cells into (s ∩ range(p), s ∩ ker(p)): the
     ranges of proj(s) @ p and proj(s) @ (I - p), which requires p to be a
     projection commuting, within proj_tol, with proj(s); their dimensions must
-    add up to dim(s).  One stacked commutator test and one stacked SVD serve
-    every cell; a failure raises the error of the first failing cell."""
+    add up to dim(s).  One stacked commutator test, one stacked SVD and one
+    rank rule over its singular values serve every cell; a failure raises
+    the first error (commutator, inside half, outside half, dimensions) of
+    the first failing cell."""
     p = as_matrix(p)
     n = cells[0].ambient_dim if cells else p.shape[0]
     if p.shape != (n, n):
         raise ShapeMismatch(f"projection shape {p.shape} does not match ambient dim {n}")
     if not cells:
         return []
+    k = len(cells)
     ps = np.array([s.projection() for s in cells])
-    commutators = np.sqrt(_squared_norms(ps @ p - p @ ps))
+    inside = ps @ p
+    commutators = np.sqrt(_squared_norms(inside - p @ ps))
     scales = np.maximum(1.0, np.maximum(np.sqrt(_squared_norms(ps)), frobenius(p)))
-    halves = np.concatenate([ps @ p, ps @ (np.eye(n) - p)])
+    halves = np.concatenate([inside, ps @ (np.eye(n) - p)])
     u, sv, _ = np.linalg.svd(halves, full_matrices=False)
-
-    def half(i: int) -> Subspace:
-        if not halves[i].any():
-            return zero_subspace(n)
-        r = _rank_from_singular_values(sv[i], cfg, ambiguity_factor)
-        return Subspace(n, frozen(u[i][:, :r]))
-
-    out = []
-    for i, s in enumerate(cells):
-        if commutators[i] > cfg.proj_tol * scales[i]:
+    ranks = _rank_from_singular_values(sv, cfg, ambiguity_factor)
+    dims = [s.dim for s in cells]
+    noncommuting = commutators > cfg.proj_tol * scales
+    failed = np.flatnonzero(noncommuting | (np.minimum(ranks[:k], ranks[k:]) < 0)
+                            | (ranks[:k] + ranks[k:] != dims))
+    if failed.size:
+        i = failed[0]
+        if noncommuting[i]:
             raise NonCommuting(
                 f"projection does not commute with the subspace projection "
                 f"(commutator norm {commutators[i]:.3e})")
-        inside, outside = half(i), half(len(cells) + i)
-        if inside.dim + outside.dim != s.dim:
-            raise InvariantViolation(
-                f"cell of dimension {s.dim} split into {inside.dim} + {outside.dim}")
-        out.append((inside, outside))
-    return out
+        for h in (i, k + i):
+            if ranks[h] < 0:
+                raise _ill_conditioned(sv[h], cfg, ambiguity_factor)
+        raise InvariantViolation(
+            f"cell of dimension {dims[i]} split into {ranks[i]} + {ranks[k + i]}")
+    bases = [frozen(u[h][:, :r]) for h, r in enumerate(ranks.tolist())]
+    return [(Subspace(n, bases[i]), Subspace(n, bases[k + i])) for i in range(k)]
 
 
 def spin(seeds: np.ndarray, mats: np.ndarray, cfg: ToleranceConfig) -> Subspace:

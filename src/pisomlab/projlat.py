@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,14 +67,26 @@ class NotStandard(PisomError):
 
 @dataclass(frozen=True)
 class ProjectionFamily:
+    """Validated projections; their commutator table is formed on first read."""
+
     dim: int
     members: tuple[np.ndarray, ...]
-    max_pairwise_commutator: float
-    worst_pair: tuple[int, int] | None
     cfg: ToleranceConfig
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def _commutators(self) -> np.ndarray:
+        return pair_table(np.array(self.members).reshape(len(self), self.dim, self.dim))[1]
+
+    @cached_property
+    def max_pairwise_commutator(self) -> float:
+        return float(self._commutators.max(initial=0.0))
+
+    @cached_property
+    def worst_pair(self) -> tuple[int, int] | None:
+        return worst_pair(self._commutators)
 
     def is_commuting(self) -> bool:
         scale = max([1.0] + [frobenius(p) for p in self.members])
@@ -82,9 +95,10 @@ class ProjectionFamily:
 
 def projection_family(members, dim: int | None = None,
                       cfg: ToleranceConfig = DEFAULT_TOL) -> ProjectionFamily:
-    """Validate a list of projections and record the largest commutator norm
-    and the worst pair (numlin.worst_pair: the first in row-major order within
-    rel 1e-12 of it); cfg is the tolerance of every analysis of the family."""
+    """Validate a list of projections; the family's largest commutator norm
+    and worst pair (numlin.worst_pair: the first in row-major order within
+    rel 1e-12 of it) are formed when first read.  cfg is the tolerance of
+    every analysis of the family."""
     mats = [as_matrix(p) for p in members]
     if dim is None:
         if not mats:
@@ -97,9 +111,7 @@ def projection_family(members, dim: int | None = None,
     failing = np.flatnonzero(~projection_rule(stack, cfg))
     if failing.size:
         raise NotProjection(f"member {failing[0]} is not a projection")
-    commutators = pair_table(stack)[1]
-    return ProjectionFamily(dim, tuple(frozen(stack)), float(commutators.max(initial=0.0)),
-                            worst_pair(commutators), cfg)
+    return ProjectionFamily(dim, tuple(frozen(stack)), cfg)
 
 
 @dataclass(frozen=True)

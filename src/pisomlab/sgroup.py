@@ -37,7 +37,7 @@ from .numlin import (
     range_basis,
     spin,
 )
-from .index import _HELD, _ElementStore, _chunks, _square, _stack
+from .index import _HELD, _ElementStore, _chunks, _square, _stack, _step
 from .pisom import make_partial_isometry, partial_isometry_defect, partial_isometry_rule
 from .projlat import AtomDecomposition, ProjectionFamily, boolean_atoms, projection_family
 
@@ -342,15 +342,19 @@ def _member_indices(store: _ElementStore, mats) -> list[int]:
 def family_projections(c: ClosureResult) -> FamilyProjections:
     """Deduplicated initial and final projection families of all elements and
     the element map, built once per closure.  close validated every element,
-    so P = V*V is formed directly."""
+    so P = V*V is formed directly.  Many elements share one P or Q, and
+    add_batch looks up again a repeat of its own stack's new member, so a
+    stack is no longer than the larger family so far (nor a _step of _HELD)."""
     if c.status == FAILURE:
         raise InvalidState("closure ended in a failure witness; no projection families")
     if c.families is None:
         cfg = c.cfg
         ps, qs = _ElementStore(c.dim, cfg), _ElementStore(c.dim, cfg)
         p_of, q_of = [], []
-        for part in _chunks(len(c), c.dim, _HELD):
-            vs = c.store.stack()[part]
+        stack, step, start = c.store.stack(), _step(c.dim, _HELD), 0
+        while start < len(c):
+            vs = stack[start:start + min(step, max(1, ps.count, qs.count))]
+            start += len(vs)
             vh = vs.conj().transpose(0, 2, 1)
             p_of += _member_indices(ps, vh @ vs)
             q_of += _member_indices(qs, vs @ vh)
@@ -664,9 +668,11 @@ def brandt_structure(c: ClosureResult) -> BrandtStructure:
     """
     cfg = c.cfg
     fams = family_projections(c)
-    distinct = _ElementStore(c.dim, cfg)
-    distinct.add_batch([proj for proj in fams.p_set.members + fams.q_set.members
-                        if frobenius(proj) > cfg.eq_tol])
+    # each P member matched no earlier one in the P store: only Q members are looked up
+    p_nonzero, q_nonzero = ([proj for proj in f.members if frobenius(proj) > cfg.eq_tol]
+                            for f in (fams.p_set, fams.q_set))
+    distinct = _ElementStore(c.dim, cfg, p_nonzero)
+    distinct.add_batch(q_nonzero)
     minimal = sorted(_minimal_projections(distinct.stack(), cfg), key=dominant_index)
 
     # element k is a loop of minimal projection i when its P and Q members look up to i

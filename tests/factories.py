@@ -9,7 +9,27 @@ the full block algebra.
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def bench_module(name: str):
+    """perfbench/<name>.py under its own name (which checks.py imports
+    oracle by), loaded without writing bytecode next to it."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            sys.dont_write_bytecode = dont_write
+    return sys.modules[name]
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

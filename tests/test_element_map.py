@@ -1,16 +1,23 @@
-"""The element map of family_projections (each element's P and Q member) and
-its readers against the per-element algorithms they replaced: the Brandt
-loop search over every element's P and Q, and the adjunction proposers over
-every element's Q, and over its Q and P interleaved."""
+"""The element map of family_projections (each element's P and Q member),
+built in stacks no longer than the families so far, against one element per
+stack, and its readers against the per-element algorithms they replaced: the
+Brandt loop search over every element's P and Q (and Brandt's store of
+distinct projections against the P and Q members looked up in turn), and the
+adjunction proposers over every element's Q, and over its Q and P
+interleaved."""
 
 import numpy as np
 import pytest
 
-from pisomlab.numlin import approx_equal
+from pisomlab import sgroup
+from pisomlab.numlin import PisomError, approx_equal, frobenius
 from pisomlab.projlat import boolean_atoms
 from pisomlab.sgroup import (
     CLOSED,
     DEFAULT_LIMITS,
+    TRUNCATED,
+    Limits,
+    _member_indices,
     _adjoin_until_fixed,
     _commuting_q,
     _ElementStore,
@@ -24,7 +31,7 @@ from pisomlab.sgroup import (
     word_label,
 )
 from conftest import golden_generators, matrix_unit
-from factories import (pq_equal_instance, random_unitary, signed_permutation,
+from factories import (bench_module, pq_equal_instance, random_unitary, signed_permutation,
                        uniform_multiplicity_instance)
 
 
@@ -82,6 +89,83 @@ def test_every_element_maps_to_its_own_projections(name):
         # a member is appended at its first element, so first occurrences count up
         firsts = list(dict.fromkeys(of.tolist()))
         assert firsts == list(range(len(fam.members)))
+
+
+# --- family stacks against one element per stack --------------------------
+
+def corpus_pq_equal():
+    """The benchmark's pq-equal input of instance seed 2 (benchmark seed 1):
+    its base closure truncates at 153 elements with 39 P and 39 Q members,
+    most of them the projection of several elements."""
+    item = bench_module("inputs").corpus_inputs(1)[0]
+    return close(generator_set(item.named, dim=item.dim), Limits(*item.limits))
+
+
+FAMILY_STACK_CLOSURES = {
+    "corpus-pq-equal": corpus_pq_equal,
+    "units-8": lambda: close(units(8, 7)),
+    "truncated": lambda: close(conjugated_pq_equal(5), Limits(30)),
+}
+
+
+def one_per_stack(c):
+    """family_projections' stores and element map with one add_batch call
+    per element."""
+    stores = _ElementStore(c.dim, c.cfg), _ElementStore(c.dim, c.cfg)
+    maps = [], []
+    for pair in zip(*projections(c)):
+        for store, of, proj in zip(stores, maps, pair):
+            of += _member_indices(store, proj[None])
+    return [store.stack() for store in stores], maps
+
+
+@pytest.mark.parametrize("name", FAMILY_STACK_CLOSURES)
+def test_repeated_projections_cost_no_lookups(name, monkeypatch):
+    c = FAMILY_STACK_CLOSURES[name]()
+    if name != "units-8":
+        assert c.status == TRUNCATED
+    lookups = [0]
+    lookup = _ElementStore.lookup
+
+    def counted(self, mat):
+        lookups[0] += 1
+        return lookup(self, mat)
+
+    monkeypatch.setattr(_ElementStore, "lookup", counted)
+    fams = family_projections(c)
+    monkeypatch.undo()
+    # one element per stack needs no lookup, and a stack as long as the
+    # families so far meets a repeat of a projection of its own only rarely
+    assert lookups[0] <= 5
+    stacks, maps = one_per_stack(c)
+    for fam, of, stack, ref in zip((fams.p_set, fams.q_set), (fams.p_of, fams.q_of), stacks, maps):
+        assert np.array_equal(np.array(fam.members).reshape(stack.shape), stack)
+        assert of.tolist() == ref
+
+
+@pytest.mark.parametrize("name", CLOSURES)
+def test_brandt_store_holds_the_p_and_q_members_in_turn(name, monkeypatch):
+    # the store of distinct projections, seeded with the nonzero P members,
+    # holds what looking up every nonzero P and Q member in turn gives
+    c = close(CLOSURES[name]())
+    unions = []
+    minimal = sgroup._minimal_projections
+
+    def recorded(union, cfg):
+        unions.append(np.array(union))
+        return minimal(union, cfg)
+
+    monkeypatch.setattr(sgroup, "_minimal_projections", recorded)
+    try:
+        brandt_structure(c)
+    except PisomError:
+        pass
+    fams = family_projections(c)
+    reference = _ElementStore(c.dim, c.cfg)
+    reference.add_batch([proj for proj in fams.p_set.members + fams.q_set.members
+                         if frobenius(proj) > c.cfg.eq_tol])
+    assert len(unions) == 1
+    assert np.array_equal(unions[0], reference.stack())
 
 
 # --- Brandt loops against the per-element search --------------------------

@@ -1,8 +1,10 @@
 """The stacked family relations against the scalar pair loops they replaced:
-the worst commuting pair of a projection family, the orthogonality of atoms
-and of Brandt families, the sum and reconstruction checks of an atom
-decomposition, the Brandt minimal search, the split of an atom cell and the
-stacked split of every cell of a partition against a loop over its cells."""
+the worst commuting pair of a projection family (formed on first read, and
+by a report for its Q family only), the orthogonality of atoms and of Brandt
+families, the sum and reconstruction checks of an atom decomposition, the
+Brandt minimal search, the split of an atom cell and the stacked split of
+every cell of a partition against a loop over its cells, down to the error
+of the first failing cell."""
 
 from dataclasses import replace
 
@@ -10,8 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pisomlab import projlat
+from pisomlab.cli import main
+from pisomlab.jsonio import parse_generator_problem
 from pisomlab.numlin import (
     DEFAULT_TOL,
+    IllConditionedSplit,
     InvariantViolation,
     NonCommuting,
     PisomError,
@@ -38,13 +44,15 @@ from pisomlab.projlat import (
     projection_family,
 )
 from pisomlab.sgroup import (
+    DEFAULT_LIMITS,
     CoverageGap,
     _minimal_projections,
     brandt_structure,
     close,
+    family_projections,
     generator_set,
 )
-from factories import diagonal_indicator, random_unitary
+from factories import bench_module, diagonal_indicator, random_unitary
 
 CFGS = (DEFAULT_TOL, ToleranceConfig(1e-6, 1e-6, 1e-6))
 
@@ -392,6 +400,101 @@ def test_stacked_split_raises_for_the_first_failing_cell():
     assert split_cells([], p) == []
     with pytest.raises(ShapeMismatch):
         split_cells(cells, np.eye(2))
+
+
+def unit(*v) -> np.ndarray:
+    return np.array(v, dtype=complex) / np.linalg.norm(v)
+
+
+def line(*v) -> Subspace:
+    return Subspace(len(v), unit(*v).reshape(-1, 1))
+
+
+# cells of C^5 against p onto (1, 0, 5e-9, 0, 0): e4 and e5 commute with p
+# and split cleanly; span(e1, e2) commutes within proj_tol, but its outside
+# half has the singular values 1 and about 5e-9, inside the factor-10 band
+# around the cutoff 1e-8 (its inside half, for I - p); (e1 + e4)/sqrt(2)
+# does not commute with p
+SPLIT_CELLS = {
+    "clean": line(0, 0, 0, 1, 0),
+    "clean-2": line(0, 0, 0, 0, 1),
+    "ambiguous": Subspace(5, np.eye(5, 2, dtype=complex)),
+    "noncommuting": line(1, 0, 0, 1, 0),
+}
+
+
+@pytest.mark.parametrize("names,error", [
+    (("clean", "ambiguous"), IllConditionedSplit),
+    (("clean", "clean-2", "noncommuting", "ambiguous"), NonCommuting),
+    (("clean", "ambiguous", "noncommuting"), IllConditionedSplit),
+    (("noncommuting", "ambiguous"), NonCommuting),
+])
+@pytest.mark.parametrize("complement", (False, True))
+def test_stacked_split_raises_the_first_error_of_a_later_cell(names, error, complement):
+    u = unit(1.0, 0.0, 5e-9, 0.0, 0.0)
+    p = np.outer(u, u.conj())
+    if complement:
+        p = np.eye(5) - p
+    cells = [SPLIT_CELLS[name] for name in names]
+    got = outcome(split_cells, cells, p, DEFAULT_TOL, 10.0)
+    assert got == outcome(reference_split_cells, cells, p, DEFAULT_TOL, 10.0)
+    assert got[0] is error
+    if error is IllConditionedSplit:
+        assert got[1].startswith("singular value 5.000e-09 ")
+    first = names.index("ambiguous" if error is IllConditionedSplit else "noncommuting")
+    assert outcome(split_cells, cells[:first], p, DEFAULT_TOL, 10.0)[0] == "ok"
+
+
+@pytest.mark.parametrize("tilt", (0.0, 0.4e-8, 0.6e-8))
+def test_zero_and_tiny_halves_have_rank_zero(tilt):
+    # the inside half of e2 against p onto (1, tilt, 0) has norm about tilt,
+    # zero or below rank_tol: rank 0 by the rule, as the loop over cells finds
+    u = unit(1.0, tilt, 0.0)
+    p = np.outer(u, u.conj())
+    cells = [line(0, 1, 0), line(0, 0, 1)]
+    got = outcome(split_cells, cells, p, DEFAULT_TOL, 10.0)
+    assert got[0] == "ok" and got[1][0][0].dim == 0 and got[1][1][0].dim == 0
+    assert_same_outcome(got, outcome(reference_split_cells, cells, p, DEFAULT_TOL, 10.0),
+                        same_halves)
+
+
+def count_pair_tables(monkeypatch) -> list[np.ndarray]:
+    """The stacks that projlat hands to pair_table from now on."""
+    stacks = []
+    table = projlat.pair_table
+
+    def recorded(stack):
+        stacks.append(np.array(stack))
+        return table(stack)
+
+    monkeypatch.setattr(projlat, "pair_table", recorded)
+    return stacks
+
+
+def test_commutator_table_is_formed_on_first_read(monkeypatch):
+    stacks = count_pair_tables(monkeypatch)
+    members = conjugated_diagonals(np.random.default_rng(4), 4, 3)
+    members.append(conjugated_diagonals(np.random.default_rng(5), 4, 1)[0])
+    fam = projection_family(members)
+    assert stacks == []
+    assert not fam.is_commuting()
+    assert_same_worst_pair(members, fam)
+    assert len(stacks) == 1
+
+
+@pytest.mark.parametrize("index", (0, 4, 9, 12))
+def test_a_report_forms_only_the_q_table(index, monkeypatch, tmp_path, capsys):
+    item = bench_module("inputs").corpus_inputs(1)[index]
+    path = tmp_path / "in.json"
+    item.write(path)
+    stacks = count_pair_tables(monkeypatch)
+    assert main(["report", str(path), "--format", "json"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    problem = parse_generator_problem(item.document)
+    q_set = family_projections(close(problem.gens, problem.limits or DEFAULT_LIMITS)).q_set
+    assert len(stacks) == 1
+    assert np.array_equal(stacks[0], np.array(q_set.members))
 
 
 @pytest.mark.parametrize("tilt,want", [(1.5e-8, [1]), (2.5e-8, [0, 1])])

@@ -364,6 +364,50 @@ def test_store_stacks_hold_at_least_the_floor(monkeypatch):
     assert sizes == [32, 32]
 
 
+def store_list(name):
+    """-> (dim, cfg, members) of a store built from a list: 150 members of
+    dim 8 (three stacks of 64 at most) with repeats and near copies; members
+    of norm 1e6, whose match radius makes every stack scan; and an eq_tol of
+    1e-300, whose cells are clipped."""
+    rng = np.random.default_rng(11)
+    dim = {"random": 8, "large-norm": 3, "tiny-eq-tol": 2}[name]
+    base = rng.standard_normal((50, dim, dim)) + 1j * rng.standard_normal((50, dim, dim))
+    base /= np.linalg.norm(base, axis=(1, 2))[:, None, None]
+    near = base + 0.5e-8 * rng.standard_normal(base.shape)
+    mats = np.concatenate([base, near, base[rng.permutation(50)]])
+    if name == "large-norm":
+        mats *= 1e6
+    cfg = ToleranceConfig(eq_tol=1e-300) if name == "tiny-eq-tol" else CFG
+    return dim, cfg, list(mats)
+
+
+@pytest.mark.parametrize("name", ["random", "large-norm", "tiny-eq-tol"])
+def test_store_from_a_list_is_the_store_of_single_appends(name, monkeypatch):
+    dim, cfg, mats = store_list(name)
+    stacks = []
+    queries_of = _Queries.__init__
+    monkeypatch.setattr(_Queries, "__init__",
+                        lambda self, store, stack: stacks.append(len(stack))
+                        or queries_of(self, store, stack))
+    built = _ElementStore(dim, cfg, mats)
+    assert stacks == [len(mats[part]) for part in index._chunks(len(mats), dim, index._HELD,
+                                                                index._FLOOR)]
+    assert len(stacks) == (3 if name == "random" else 1)
+    monkeypatch.undo()
+    appended = _ElementStore(dim, cfg)
+    for mat in mats:
+        appended.append(mat)
+    assert built.count == appended.count == len(mats)
+    assert np.array_equal(built.stack(), appended.stack())
+    assert np.array_equal(built._norms[:built.count], appended._norms[:appended.count])
+    assert built._cells == appended._cells
+    assert built._max_norm == appended._max_norm
+    rng = np.random.default_rng(12)
+    queries = mats + [m + 1e-9 * rng.standard_normal((dim, dim)) for m in mats[:40]]
+    queries += list(rng.standard_normal((10, dim, dim)))
+    assert built.lookup_batch(queries) == appended.lookup_batch(queries)
+
+
 def test_large_norm_find_scans_everything_and_agrees(monkeypatch):
     # members of norm 10 sqrt(dim) put the match radius beyond half a cell
     mats = [10.0 * np.sqrt(3) * m / np.linalg.norm(m) for m in units_closure().matrices()

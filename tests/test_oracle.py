@@ -7,36 +7,18 @@ exact arithmetic, and perfbench/checks.py compares them.  Both are imported
 by path, without writing bytecode next to them.
 """
 
-import importlib.util
 import json
-import pathlib
-import sys
 
 import numpy as np
 import pytest
 
 from pisomlab.cli import EXIT_OK, main
-from factories import random_unitary
+from factories import bench_module, random_unitary
 
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 DRAWS = 100
 # (max_elements, max_word_length) choices: about half of the draws close
 MAX_ELEMENTS = (200, 500)
 MAX_WORD_LENGTH = (8, 16)
-
-
-def bench_module(name: str):
-    """perfbench/<name>.py under its own name, which checks.py imports
-    oracle by."""
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
-        module = sys.modules[name] = importlib.util.module_from_spec(spec)
-        dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-        try:
-            spec.loader.exec_module(module)
-        finally:
-            sys.dont_write_bytecode = dont_write
-    return sys.modules[name]
 
 
 oracle = bench_module("oracle")

@@ -7,7 +7,8 @@ can be compared with one `diff -r`:
 The inputs are the shipped fixtures and tables, the benchmark's corpus and
 units inputs for seeds 1-3 (built by perfbench/inputs.py, which is imported
 without writing anything next to it), pairs of projections on either side
-of the tolerances (also with a tolerance in the file), generator and table
+of the tolerances (also with a tolerance in the file), two pairs whose atoms
+fail in a later cell of a later member's split, generator and table
 files with badly typed fields, a generator file and a table file that are
 not UTF-8 text, a generator named "0" next to include_zero, a generator
 that is no partial isometry, generator files with an entry that is not finite or whose partial isometry defect
@@ -80,6 +81,21 @@ def near_threshold_inputs() -> dict[str, dict]:
     pairs += [(f"near-100-{d:g}", np.diag([1.0, 0.0, 0.0]), projection_onto([1.0, d, 0.0]))
               for d in (1e-7, 1e-4)]
     return {label: {"dim": 3, "generators": [{"name": "A", "matrix": a.tolist()},
+                                              {"name": "B", "matrix": b.tolist()}]}
+            for label, a, b in pairs}
+
+
+def later_cell_inputs() -> dict[str, dict]:
+    """Pairs at n = 4 whose atoms fail in the second cell of B's split, the
+    kernel of A: A = diag(1,1,0,0), B onto (5e-9,0,1,0) leaves a singular
+    value in the ambiguity band (IllConditionedSplit); A = diag(1,1,1,0),
+    B onto (0,0,9e-9,1) commutes with the range of A within its scale but
+    not with the kernel (NonCommuting)."""
+    pairs = [("near-later-cell-ill-conditioned", np.diag([1.0, 1.0, 0.0, 0.0]),
+              projection_onto([5e-9, 0.0, 1.0, 0.0])),
+             ("near-later-cell-noncommuting", np.diag([1.0, 1.0, 1.0, 0.0]),
+              projection_onto([0.0, 0.0, 9e-9, 1.0]))]
+    return {label: {"dim": 4, "generators": [{"name": "A", "matrix": a.tolist()},
                                               {"name": "B", "matrix": b.tolist()}]}
             for label, a, b in pairs}
 
@@ -213,6 +229,7 @@ def collect_inputs() -> tuple[dict[str, dict | bytes], dict[str, dict | bytes]]:
     gens.update(large_units_inputs(bench))
     gens.update(late_failure_input(bench))
     gens.update(near_threshold_inputs())
+    gens.update(later_cell_inputs())
     gens.update(file_tolerance_inputs())
     gens.update(badly_typed_inputs())
     gens.update(zero_name_input())
