@@ -142,11 +142,7 @@ class ShiftChain:
         return self.vectors.shape[1]
 
     def operator(self) -> np.ndarray:
-        n, length = self.vectors.shape
-        out = np.zeros((n, n), dtype=np.complex128)
-        for i in range(length - 1):
-            out += np.outer(self.vectors[:, i + 1], self.vectors[:, i].conj())
-        return out
+        return self.vectors[:, 1:] @ adjoint(self.vectors[:, :-1])
 
 
 @dataclass(frozen=True)
@@ -203,18 +199,6 @@ def is_power_partial_isometry(v: PartialIsometry,
     return True
 
 
-def _stable_range(v: PartialIsometry, powers: np.ndarray, cfg: ToleranceConfig) -> Subspace:
-    """Intersection of range(V^k) over k >= 1, read from the stack of powers
-    V, ..., V^n; stabilizes within n steps."""
-    prev_rank, sub = v.dim, None
-    for power in powers:
-        sub = range_basis(power, cfg)
-        if sub.dim == prev_rank:
-            break
-        prev_rank = sub.dim
-    return sub if sub is not None else range_basis(v.matrix, cfg)
-
-
 def _chain_sort_key(chain: ShiftChain) -> tuple:
     rounded = np.round(chain.vectors[:, 0], 9)
     return (-chain.length, dominant_index(chain.vectors[:, 0]),
@@ -225,67 +209,43 @@ def hw_decompose(v: PartialIsometry,
                  cfg: ToleranceConfig = DEFAULT_TOL) -> HWDecomposition:
     """Decompose a power partial isometry as unitary + truncated shifts.
 
-    The unitary subspace is the stabilized range of the powers of v; on its
-    orthocomplement v restricts to a nilpotent partial isometry whose shift
-    chains are read off the kernel filtration: starts of length-j chains span
-    ker(N^j) ∩ ker(N^{j-1})^⊥ ∩ ker(N*).  Chains are listed longest first,
-    ties broken by the dominant coordinate of the chain start.
+    Everything is read off the powers V, ..., V^n and their initial
+    projections P_k = (V^k)*V^k, the stack the power test returns, with
+    P_0 = I.  The ranges of the powers shrink and settle by k = n, so the
+    unitary subspace is range(V^n).  The starts of the length-j chains span
+    ker V* ∩ ker V^j ∩ range(P_(j-1)), the kernel of the stacked
+    [V*; V^j; I - P_(j-1)], and the chain of a start x is x, Vx, ...,
+    V^(j-1)x.  Chains are listed longest first, ties broken by the dominant
+    coordinate of the chain start.
 
     Raises NotPowerPartialIsometry when any certificate check fails (power
-    defect, broken chain, or reassembly mismatch).
+    defect, unitary restriction, invariance, coverage or reassembly).
     """
     n = v.dim
     v_powers = np.array(list(accumulate([v.matrix] * n, np.matmul))).reshape(n, n, n)
-    if not partial_isometry_rule(v_powers, cfg)[0].all():
+    ok, p = partial_isometry_rule(v_powers, cfg)
+    if not ok.all():
         raise NotPowerPartialIsometry("a power of v fails the partial isometry test")
 
-    unitary_sub = _stable_range(v, v_powers, cfg)
+    unitary_sub = range_basis(v_powers[-1], cfg)
     ub = unitary_sub.basis
-    if unitary_sub.dim > 0:
-        restriction = adjoint(ub) @ v.matrix @ ub
-        gram = adjoint(restriction) @ restriction
-        if frobenius(gram - np.eye(unitary_sub.dim)) > cfg.proj_tol * unitary_sub.dim:
-            raise NotPowerPartialIsometry("restriction to the stable range is not unitary")
-        # the stable range must reduce v
-        comp = np.eye(n) - unitary_sub.projection()
-        if frobenius(comp @ v.matrix @ unitary_sub.projection()) > cfg.proj_tol * max(1.0, frobenius(v.matrix)):
-            raise NotPowerPartialIsometry("stable range is not invariant")
-    else:
-        restriction = np.zeros((0, 0), dtype=np.complex128)
+    restriction = adjoint(ub) @ v.matrix @ ub
+    gram = adjoint(restriction) @ restriction
+    if frobenius(gram - np.eye(unitary_sub.dim)) > cfg.proj_tol * unitary_sub.dim:
+        raise NotPowerPartialIsometry("restriction to the stable range is not unitary")
+    # the stable range must reduce v
+    comp = np.eye(n) - unitary_sub.projection()
+    if frobenius(comp @ v.matrix @ unitary_sub.projection()) > cfg.proj_tol * max(1.0, frobenius(v.matrix)):
+        raise NotPowerPartialIsometry("stable range is not invariant")
 
-    wb = kernel_basis(adjoint(ub), cfg).basis if unitary_sub.dim > 0 else np.eye(n, dtype=np.complex128)
+    # I - P_(j-1) for j = 1, ..., n
+    outside = np.concatenate([np.zeros((1, n, n)), np.eye(n) - p[:-1]])
+    v_star = adjoint(v.matrix)
     chains: list[ShiftChain] = []
-    m = wb.shape[1]
-    if m > 0:
-        nil = adjoint(wb) @ v.matrix @ wb
-        # nilpotency index
-        powers = [np.eye(m, dtype=np.complex128)]
-        idx = 0
-        for j in range(1, m + 1):
-            powers.append(powers[-1] @ nil)
-            if frobenius(powers[-1]) <= cfg.eq_tol * m:
-                idx = j
-                break
-        else:
-            raise NotPowerPartialIsometry("complement of the stable range is not nilpotent")
-        for j in range(idx, 0, -1):
-            rows = [powers[j]]
-            kj_prev = kernel_basis(powers[j - 1], cfg) if j > 1 else None
-            if kj_prev is not None and kj_prev.dim > 0:
-                rows.append(adjoint(kj_prev.basis))
-            rows.append(adjoint(nil))
-            starts = kernel_basis(np.vstack(rows), cfg)
-            for col in range(starts.dim):
-                vec = starts.basis[:, col]
-                vectors = [vec]
-                for _ in range(j - 1):
-                    nxt = nil @ vectors[-1]
-                    norm = frobenius(nxt.reshape(-1, 1))
-                    if norm < 0.5:
-                        raise NotPowerPartialIsometry("shift chain broke before its expected length")
-                    vectors.append(nxt / norm)
-                chain = np.column_stack([wb @ u for u in vectors])
-                chains.append(ShiftChain(frozen(chain)))
+    for j in range(n, 0, -1):
+        starts = kernel_basis(np.vstack([v_star, v_powers[j - 1], outside[j - 1]]), cfg).basis
+        images = np.concatenate([starts[None], v_powers[:j - 1] @ starts])
+        chains += [ShiftChain(frozen(images[:, :, c].T)) for c in range(starts.shape[1])]
 
     chains.sort(key=_chain_sort_key)
     result = HWDecomposition(unitary_subspace=unitary_sub,

@@ -38,7 +38,8 @@ from .numlin import (
     spin,
 )
 from .index import _HELD, _ElementStore, _chunks, _square, _stack, _step
-from .pisom import make_partial_isometry, partial_isometry_defect, partial_isometry_rule
+from .pisom import (NotPartialIsometry, make_partial_isometry, partial_isometry_defect,
+                    partial_isometry_rule)
 from .projlat import AtomDecomposition, ProjectionFamily, boolean_atoms, projection_family
 
 CLOSED = "closed"
@@ -103,7 +104,8 @@ class GeneratorSet:
 def generator_set(named, dim: int | None = None, include_identity: bool = True,
                   include_zero: bool = False,
                   cfg: ToleranceConfig = DEFAULT_TOL) -> GeneratorSet:
-    """Validate named generator matrices (each must be a partial isometry).
+    """Validate named generator matrices (each must be a partial isometry):
+    the first that fails raises NotPartialIsometry, naming its index and name.
 
     Names must be unique and must not contain '*', which is reserved for
     adjoints in witness words; with include_zero the name '0' is reserved for
@@ -111,9 +113,13 @@ def generator_set(named, dim: int | None = None, include_identity: bool = True,
     """
     pairs = []
     seen: set[str] = set()
-    for name, mat in named:
+    for i, (name, mat) in enumerate(named):
         check_generator_name(name, seen, include_zero)
-        pairs.append((name, make_partial_isometry(mat, cfg).matrix))
+        try:
+            pairs.append((name, make_partial_isometry(mat, cfg).matrix))
+        except NotPartialIsometry as err:
+            raise NotPartialIsometry(f"generators[{i}]: {name!r} is not a partial isometry: {err}",
+                                     err.deviation) from err
     if dim is None:
         if not pairs:
             raise ShapeMismatch("empty generator set needs an explicit dimension")

@@ -246,6 +246,20 @@ def test_non_utf8_input_is_a_parse_error(command, document, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text at byte ")
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_deeply_nested_json_is_a_parse_error(command, tmp_path, capsys):
+    # arrays nested past the interpreter's recursion limit, in a generator
+    # file or, for barnes, a table file
+    depth = 100_000
+    field = "mult" if command == "barnes" else "generators"
+    path = tmp_path / "nested.json"
+    path.write_text(f'{{"{field}": {"[" * depth}{"]" * depth}}}')
+    with pytest.raises(ParseError, match="nests too deeply"):
+        run(AnalysisRequest(command, str(path)))
+    assert main([command, str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {path}: JSON nests too deeply to parse\n")
+
+
 @pytest.mark.parametrize("flag", ["--max-elements", "--max-word-len"])
 def test_zero_limit_is_an_input_error(fixtures_dir, capsys, flag):
     assert main(["closure", str(fixtures_dir / "identity-only.json"), flag, "0"]) == EXIT_INPUT

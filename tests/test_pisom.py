@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pisomlab.numlin import approx_equal
+from pisomlab.numlin import approx_equal, range_basis
 from pisomlab.pisom import (
     NotPartialIsometry,
     NotPowerPartialIsometry,
@@ -12,9 +12,16 @@ from pisomlab.pisom import (
     is_power_partial_isometry,
     make_partial_isometry,
     partial_isometry_defect,
+    partial_isometry_rule,
 )
 from conftest import block_diag_matrix, coord_projection, half_projection
-from factories import block_diag, hw_mixed_operator, random_unitary, truncated_shift
+from factories import (
+    block_diag,
+    hw_mixed_operator,
+    random_partial_isometry,
+    random_unitary,
+    truncated_shift,
+)
 
 
 def test_golden_initial_final_projections(golden):
@@ -174,6 +181,74 @@ def test_shift_lengths_invariant_under_conjugation():
         dec = hw_decompose(make_partial_isometry(w @ v0 @ w.conj().T))
         assert sorted(dec.shift_lengths) == sorted(base.shift_lengths)
         assert dec.unitary_dim == base.unitary_dim
+
+
+def conjugated_partial_permutation(seed: int) -> np.ndarray:
+    """A partial permutation with sixth-root phases, conjugated by a random
+    unitary: its powers are partial permutations, so all are partial isometries."""
+    rng = np.random.default_rng([22, seed])
+    n = int(rng.integers(2, 8))
+    domain = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+    image = rng.permutation(n)[:len(domain)]
+    v = np.zeros((n, n), dtype=complex)
+    v[image, domain] = np.exp(2j * np.pi * rng.integers(0, 6, size=len(domain)) / 6)
+    w = random_unitary(rng, n)
+    return w @ v @ w.conj().T
+
+
+def conjugated_mixtures():
+    rng = np.random.default_rng(12)
+    for lengths in ((2, 3), (1, 1, 4), (3, 3)):
+        v0 = block_diag(random_unitary(rng, 2), *map(truncated_shift, lengths))
+        w = random_unitary(rng, v0.shape[0])
+        yield w @ v0 @ w.conj().T
+
+
+@pytest.mark.parametrize("v", [hw_mixed_operator(seed)[0] for seed in range(40)]
+                         + list(conjugated_mixtures()) + [conjugated_partial_permutation(0)])
+def test_chains_are_truncated_shifts_of_v(v):
+    # each chain starts in ker V*, V moves vector i onto vector i + 1 and
+    # sends the last one to 0; the unitary part lives on range(V^n)
+    dec = hw_decompose(make_partial_isometry(v))
+    for chain in dec.chains:
+        x = chain.vectors
+        assert np.linalg.norm(v.conj().T @ x[:, 0]) < 1e-10
+        assert np.linalg.norm(v @ x[:, :-1] - x[:, 1:]) < 1e-10
+        assert np.linalg.norm(v @ x[:, -1]) < 1e-10
+    n = v.shape[0]
+    stable = range_basis(np.linalg.matrix_power(v, n))
+    assert np.linalg.norm(dec.unitary_subspace.projection() - stable.projection()) < 1e-10
+
+
+def perturbed_mixture(seed: int) -> np.ndarray:
+    v, _, _ = hw_mixed_operator(100 + seed)
+    rng = np.random.default_rng([33, seed])
+    e = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+    return v + 10 ** rng.uniform(-14, -10) * e / np.linalg.norm(e)
+
+
+def every_power_passes(v: np.ndarray) -> bool:
+    n = v.shape[0]
+    powers = np.array([np.linalg.matrix_power(v, k) for k in range(1, n + 1)])
+    return bool(partial_isometry_rule(powers)[0].all())
+
+
+@pytest.mark.parametrize("family", ["generic", "permutation", "perturbed"])
+def test_power_partial_isometry_is_every_power_passing(family):
+    # the definition: every power up to n is a partial isometry
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for seed in range(60):
+        if family == "generic":
+            v = random_partial_isometry(rng, int(rng.integers(1, 7)))
+        elif family == "permutation":
+            v = conjugated_partial_permutation(seed)
+        else:
+            v = perturbed_mixture(seed)
+        want = every_power_passes(v)
+        assert is_power_partial_isometry(make_partial_isometry(v)) == want, f"seed {seed}"
+        verdicts.append(want)
+    assert all(verdicts) == (family != "generic") and any(verdicts)
 
 
 def test_hw_decomposition_serialization():

@@ -12,7 +12,7 @@ import pytest
 
 from pisomlab.numlin import ToleranceConfig, approx_equal
 from pisomlab import index, sgroup
-from pisomlab.pisom import partial_isometry_defect
+from pisomlab.pisom import NotPartialIsometry, partial_isometry_defect
 from pisomlab.projlat import boolean_atoms, multiplicity_profile
 from pisomlab.sgroup import (
     CLOSED,
@@ -110,6 +110,14 @@ def test_include_zero_reserves_the_name_zero():
         generator_set(named, include_zero=True)
     c = close(generator_set(named))
     assert all(approx_equal(c.evaluate(e.word), e.matrix) for e in c.elements)
+
+
+def test_generator_that_is_no_partial_isometry_is_named_with_its_defect():
+    named = [("A", np.diag([1.0, 0.0])), ("B", np.diag([2.0, 0.0])), ("C", np.diag([3.0, 0.0]))]
+    with pytest.raises(NotPartialIsometry, match=r"^generators\[1\]: 'B' is not a partial "
+                       r"isometry: V\*V is not a projection \(idempotency defect 12\)$") as err:
+        generator_set(named)
+    assert err.value.deviation == partial_isometry_defect(named[1][1]) == 12
 
 
 def test_every_result_keeps_the_generators_tolerance():

@@ -10,10 +10,12 @@ without writing anything next to it), pairs of projections on either side
 of the tolerances (also with a tolerance in the file), two pairs whose atoms
 fail in a later cell of a later member's split, generator and table
 files with badly typed fields, a generator file and a table file that are
-not UTF-8 text, a generator named "0" next to include_zero, a generator
-that is no partial isometry, generator files with an entry that is not finite or whose partial isometry defect
-overflows, E12 with an eq_tol of 1e-20 and 1e-300 (run by `closure` and
-`report` only), the benchmark's generic unitary pairs at n = 2 and 4
+not UTF-8 text, a generator file and a table file whose arrays nest 100,000
+deep, past the interpreter's recursion limit, a generator named "0" next to
+include_zero, a generator that is no partial isometry, generator files with
+an entry that is not finite or whose partial isometry defect overflows,
+E12 with an eq_tol of 1e-20 and 1e-300 (run by `closure` and `report`
+only), the benchmark's generic unitary pairs at n = 2 and 4
 (seed 1) and seeded generic unitary pairs at n = 3 and 5, whose closures
 are infinite, cyclic matrix units at n = 16 and 20, plain and conjugated by
 a seeded signed permutation, with the benchmark's limits, and a late
@@ -58,6 +60,7 @@ LARGE_UNITS = (16, 20)
 # dimensions that are not multiples of 4
 ODD_UNITARY_DIMS = (3, 5)
 TINY_TOL = "tiny-eq-tol-"
+NESTED_DEPTH = 100_000
 
 
 def load_bench_inputs():
@@ -173,6 +176,14 @@ def non_utf8_inputs() -> tuple[dict[str, bytes], dict[str, bytes]]:
             {"encoding-table-latin1": b'{"n": 1, "mult": [[0]], "star": [0], "names": ["\xe9"]}'})
 
 
+def nested_inputs() -> tuple[dict[str, bytes], dict[str, bytes]]:
+    """A generator file and a table file whose arrays nest NESTED_DEPTH deep,
+    which json.dumps cannot write: (generator files, table files)."""
+    nested = b"[" * NESTED_DEPTH + b"]" * NESTED_DEPTH
+    return ({"nested-generators": b'{"dim": 1, "generators": ' + nested + b"}"},
+            {"nested-table": b'{"n": 1, "mult": ' + nested + b', "star": [0]}'})
+
+
 def large_units_inputs(bench) -> dict[str, dict]:
     """Cyclic units of LARGE_UNITS, plain and conjugated by a signed
     permutation, which keeps every entry exactly 0 or +-1."""
@@ -237,9 +248,9 @@ def collect_inputs() -> tuple[dict[str, dict | bytes], dict[str, dict | bytes]]:
     gens.update(unrepresentable_inputs())
     gens.update(tiny_tolerance_inputs())
     tables.update(badly_typed_tables())
-    raw_gens, raw_tables = non_utf8_inputs()
-    gens.update(raw_gens)
-    tables.update(raw_tables)
+    for raw_gens, raw_tables in (non_utf8_inputs(), nested_inputs()):
+        gens.update(raw_gens)
+        tables.update(raw_tables)
     return gens, tables
 
 
