@@ -32,18 +32,36 @@ def scalar_to_json(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def scalar_from_json(obj, where: str) -> complex:
+def _shown(value, text: str) -> str:
+    """text, the value's repr or JSON, to quote in an error: whole up to 60
+    characters, past that the value's type, its length (that of text for a
+    number) and a prefix."""
+    if len(text) <= 60:
+        return text
+    size = len(value) if isinstance(value, (str, list, dict)) else len(text)
+    return f"{type(value).__name__} of length {size}, starting {text[:24]}..."
+
+
+def _scalar(obj) -> complex:
     """A number or [re, im] of finite doubles; json also reads NaN, Infinity
-    and integers beyond every double."""
+    and integers beyond every double.  SchemaError names no location."""
     parts = obj if isinstance(obj, list) and len(obj) == 2 else [obj]
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
-        raise SchemaError(f"{where}: expected [re, im] or a number, got {obj!r}")
+        raise SchemaError(f"expected [re, im] or a number, got {_shown(obj, repr(obj))}")
     try:
         if cmath.isfinite(z := complex(*parts)):
             return z
     except OverflowError:
         pass
-    raise SchemaError(f"{where}: expected finite numbers, got {obj!r}")
+    raise SchemaError(f"expected finite numbers, got {_shown(obj, repr(obj))}")
+
+
+def scalar_from_json(obj, where: str) -> complex:
+    """_scalar, its SchemaError prefixed by where."""
+    try:
+        return _scalar(obj)
+    except SchemaError as err:
+        raise SchemaError(f"{where}: {err}") from None
 
 
 def matrix_to_json(a) -> list:
@@ -64,8 +82,12 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
         elif len(row) != width:
             raise SchemaError(
                 f"{where}: row {i} has {len(row)} entries, expected {width}")
-        rows.append([scalar_from_json(z, f"{where}[{i}][{j}]")
-                     for j, z in enumerate(row)])
+        try:
+            rows.append([_scalar(z) for z in row])
+        except SchemaError:
+            # the row again, to name its first bad entry
+            for j, z in enumerate(row):
+                scalar_from_json(z, f"{where}[{i}][{j}]")
     return np.array(rows, dtype=np.complex128)
 
 
@@ -79,7 +101,8 @@ def _typed_dataclass(cls, obj: dict, kind: str, types, convert, where: str):
     for key, value in obj.items():
         if isinstance(value, bool) or not isinstance(value, types):
             expected = "an integer" if types is int else "a number"
-            raise SchemaError(f"{where}.{key}: expected {expected}, got {json.dumps(value)}")
+            raise SchemaError(f"{where}.{key}: expected {expected}, "
+                              f"got {_shown(value, json.dumps(value))}")
     try:
         return cls(**{key: convert(value) for key, value in {**fields, **obj}.items()})
     except (ValueError, OverflowError) as err:

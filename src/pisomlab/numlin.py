@@ -278,10 +278,11 @@ def split_cells(cells, p, cfg: ToleranceConfig = DEFAULT_TOL,
     """Split each subspace s of cells into (s ∩ range(p), s ∩ ker(p)): the
     ranges of proj(s) @ p and proj(s) @ (I - p), which requires p to be a
     projection commuting, within proj_tol, with proj(s); their dimensions must
-    add up to dim(s).  One stacked commutator test, one stacked SVD and one
-    rank rule over its singular values serve every cell; a failure raises
-    the first error (commutator, inside half, outside half, dimensions) of
-    the first failing cell."""
+    add up to dim(s).  One stacked commutator test, one stacked SVD of the
+    halves of norm above rank_tol / 2 (the others have rank 0) and one rank
+    rule over its singular values serve every cell; a failure raises the
+    first error (commutator, inside half, outside half, dimensions) of the
+    first failing cell."""
     p = as_matrix(p)
     n = cells[0].ambient_dim if cells else p.shape[0]
     if p.shape != (n, n):
@@ -294,8 +295,15 @@ def split_cells(cells, p, cfg: ToleranceConfig = DEFAULT_TOL,
     commutators = np.sqrt(_squared_norms(inside - p @ ps))
     scales = np.maximum(1.0, np.maximum(np.sqrt(_squared_norms(ps)), frobenius(p)))
     halves = np.concatenate([inside, ps @ (np.eye(n) - p)])
-    u, sv, _ = np.linalg.svd(halves, full_matrices=False)
-    ranks = _rank_from_singular_values(sv, cfg, ambiguity_factor)
+    # a half of Frobenius norm at most rank_tol / 2 has every singular value
+    # below rank_tol, so rank 0 and an empty basis, without its SVD
+    u = np.zeros_like(halves)
+    sv = np.zeros(halves.shape[:2])
+    ranks = np.zeros(2 * k, dtype=np.intp)
+    big = np.flatnonzero(_squared_norms(halves) > (cfg.rank_tol / 2) ** 2)
+    if big.size:
+        u[big], sv[big], _ = np.linalg.svd(halves[big], full_matrices=False)
+        ranks[big] = _rank_from_singular_values(sv[big], cfg, ambiguity_factor)
     dims = [s.dim for s in cells]
     noncommuting = commutators > cfg.proj_tol * scales
     failed = np.flatnonzero(noncommuting | (np.minimum(ranks[:k], ranks[k:]) < 0)

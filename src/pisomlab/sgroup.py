@@ -223,10 +223,14 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
     then each BFS level in chunks of consecutive parents, whose products take
     one GEMM per letter.  Each stack is looked up in order against every
     element kept before it and merged by approx_equal (one add_batch), and
-    its new members are validated together, so every element but the
-    identity passed partial_isometry_rule.  The first that fails aborts with
-    a FAILURE status carrying a minimal-length witness word and its
-    partial_isometry_defect.
+    its new members join the elements at once.  The elements added since
+    the last check are validated together (partial_isometry_rule, in stacks
+    of _step(dim, _HELD)) before a level's parents are multiplied and once
+    more at the end, so every element but the identity passed the rule
+    before it became a parent or the closure returned.  The first that
+    fails, in element order, aborts with a FAILURE status carrying a
+    minimal-length witness word and its partial_isometry_defect; the
+    elements from it on are dropped.
     Hitting a limit yields TRUNCATED; limits are results, not errors.
     """
     dim, cfg = gens.dim, gens.cfg
@@ -243,6 +247,21 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
         words.append(())
     gen_stack = _stack(list(name_map.values()), dim)
     letters = len(names)
+    checked = len(words)    # the elements before it passed the rule, but I
+    bad: int | None = None  # the first element that failed it
+
+    def passed() -> bool:
+        """The rule over the elements from checked on: checked moves past
+        them if every one passes, else bad is set to the first that fails."""
+        nonlocal checked, bad
+        unchecked = store.stack()[checked:]
+        for part in _chunks(len(unchecked), dim, _HELD):
+            valid = partial_isometry_rule(unchecked[part], cfg)[0]
+            if not valid.all():
+                bad = checked + part.start + int(valid.argmin())
+                return False
+        checked = store.count
+        return True
 
     def stacks():
         """(stack, words_of) for the generators and then every parent chunk;
@@ -252,7 +271,7 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
         # the elements of a level are consecutive, with words of
         # nondecreasing length, and the store's member k is element k
         level = range(len(words))
-        while level:
+        while level and passed():
             parents = [k for k in level if len(words[k]) < limits.max_word_length]
             start = len(words)
             for part in _chunks(len(parents), dim, _HELD * letters):
@@ -269,29 +288,34 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
                 limit_hit = limit_hit or "max_word_length"
             level = range(start, len(words))
 
+    overflow = None     # (word, matrix) of the first new member without room
     for mats, words_of in stacks():
         # each member is looked up in order and a new one joins the store at
-        # once; the new ones are then validated together.  The first new
-        # member beyond max_elements is validated but not kept, since a
-        # failure witness outranks the limit.
+        # once, while fewer than max_elements are held
         new = [p for p, match in enumerate(store.add_batch(mats, limits.max_elements))
                if match is None]
-        if not new:
-            continue
-        valid = partial_isometry_rule(mats[new], cfg)[0].tolist()
-        # the new members before the first that fails, within max_elements
-        bad = valid.index(False) if False in valid else len(new)
-        kept = min(bad, limits.max_elements - len(words))
+        kept = store.count - len(words)
         words += words_of(new[:kept])
-        if bad == kept < len(new):     # a member failed within the limit
-            store.truncate(len(words))
-            return ClosureResult(
-                dim, gens, name_map, words, store, FAILURE, witness_word=words_of([new[bad]])[0],
-                witness_deviation=partial_isometry_defect(mats[new[bad]]))
         if kept < len(new):
-            limit_hit = "max_elements"
+            overflow = words_of([new[kept]])[0], mats[new[kept]]
             break
 
+    if bad is None:
+        passed()        # the elements added since the last level's check
+    failed = None       # (word, matrix) of the first element that fails the rule
+    if bad is not None:
+        failed = words[bad], store.stack()[bad]
+        del words[bad:]
+        store.truncate(bad)
+    elif overflow and not partial_isometry_rule(overflow[1][None], cfg)[0][0]:
+        # a failure witness outranks the limit, so the member that found no
+        # room is validated once every kept one passed
+        failed = overflow
+    elif overflow:
+        limit_hit = "max_elements"
+    if failed:
+        return ClosureResult(dim, gens, name_map, words, store, FAILURE, witness_word=failed[0],
+                             witness_deviation=partial_isometry_defect(failed[1]))
     status = TRUNCATED if limit_hit else CLOSED
     return ClosureResult(dim, gens, name_map, words, store, status, limit_hit=limit_hit)
 

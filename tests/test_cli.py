@@ -260,6 +260,38 @@ def test_deeply_nested_json_is_a_parse_error(command, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {path}: JSON nests too deeply to parse\n")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("matrix", [0.5] * 2000),
+    ("matrix", "x" * 2000),
+    ("matrix", [[0.5] * 2000, 0.0]),
+    ("matrix", 10 ** 400),
+    ("limits", {"max_elements": [3] * 2000}),
+    ("tolerance", {"eq_tol": {"x": "y" * 2000}}),
+], ids=lambda value: value if isinstance(value, str) and len(value) < 20 else type(value).__name__)
+def test_schema_error_quotes_a_long_value_in_brief(tmp_path, capsys, field, value):
+    # a bad value whose text is long prints as its type, length and a prefix
+    doc = {"dim": 1, "generators": [{"name": "A", "matrix": [[1.0]]}]}
+    if field == "matrix":
+        doc["generators"][0]["matrix"] = [[value]]
+    else:
+        doc[field] = value
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200, err
+
+
+def test_matrix_entry_error_names_the_first_bad_entry():
+    for entry, message in (("x", "expected [re, im] or a number, got 'x'"),
+                           (float("nan"), "expected finite numbers, got nan"),
+                           ([1e308, 1e308, 1.0], "got [1e+308, 1e+308, 1.0]")):
+        with pytest.raises(SchemaError) as err:
+            matrix_from_json([[1, 0], [0.5, entry], [entry, 1]], "m")
+        assert str(err.value).startswith("m[1][1]: ") and str(err.value).endswith(message)
+
+
 @pytest.mark.parametrize("flag", ["--max-elements", "--max-word-len"])
 def test_zero_limit_is_an_input_error(fixtures_dir, capsys, flag):
     assert main(["closure", str(fixtures_dir / "identity-only.json"), flag, "0"]) == EXIT_INPUT

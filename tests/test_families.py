@@ -458,6 +458,23 @@ def test_zero_and_tiny_halves_have_rank_zero(tilt):
                         same_halves)
 
 
+@pytest.mark.parametrize("factor", (0.15, 0.49, 0.51, 0.99, 1.01, 2.0, 9.5))
+def test_halves_near_rank_tol_split_as_the_cell_loop(factor):
+    # against p onto (1, tilt, 0), the inside half of e2 and the outside half
+    # of e1 have norm about tilt = factor * rank_tol, within the factor-10
+    # band around rank_tol: split_cells skips the SVD of such a half at most
+    # rank_tol / 2 and takes the others (the rest of the stack) in one call.
+    # proj_tol is wide, so p commutes with every cell; a tilt past rank_tol
+    # leaves e2 of rank 1 on both sides
+    cfg = ToleranceConfig(eq_tol=1e-8, proj_tol=1e-6, rank_tol=1e-8)
+    u = unit(1.0, factor * cfg.rank_tol, 0.0)
+    p = np.outer(u, u.conj())
+    cells = [line(0, 1, 0), line(0, 0, 1), line(1, 0, 0)]
+    got = outcome(split_cells, cells, p, cfg, 10.0)
+    assert_same_outcome(got, outcome(reference_split_cells, cells, p, cfg, 10.0), same_halves)
+    assert got[0] == ("ok" if factor < 1 else InvariantViolation)
+
+
 def count_pair_tables(monkeypatch) -> list[np.ndarray]:
     """The stacks that projlat hands to pair_table from now on."""
     stacks = []

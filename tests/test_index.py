@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pisomlab import index
+from pisomlab import index, sgroup
 from pisomlab.index import _Queries
 from pisomlab.invsg import barnes_representation, symmetric_inverse_table
 from pisomlab.numlin import ShapeMismatch, ToleranceConfig, approx_equal
@@ -704,18 +704,32 @@ def reference_close(gens, limits):
     return words, TRUNCATED if limit_hit else CLOSED, limit_hit, None
 
 
+def scaled_unitary_gens():
+    """Generic unitaries U, V, W at n = 4 with V scaled by 1 + 0.92e-9: a
+    word with k letters V has a defect of about 4k * 0.92e-9 against the
+    bound 2e-8, so V^6 is the first word that fails the rule."""
+    rng = np.random.default_rng(9)
+    scale = {"V": 1.0 + 0.92e-9}
+    return generator_set([(name, random_unitary(rng, 4) * scale.get(name, 1.0))
+                          for name in "UVW"], dim=4)
+
+
 def chunk_cases():
     e = np.diag([1.0, 0.0])
     v = np.array([1.0, 1e-4]) / np.hypot(1.0, 1e-4)
     units = [(f"E{i}{j}", matrix_unit(4, i, j)) for i in range(4) for j in range(4) if i != j]
     projections = generator_set([("P", e), ("Q", np.outer(v, v))], dim=2)
+    golden = adjoint_generator_set(generator_set(zip("ABC", golden_generators()), dim=8))
     return {
         "unitary-n2": (adjoint_generator_set(generic_unitary_gens(2, seed=7)), Limits(700)),
         "unitary-n4": (adjoint_generator_set(generic_unitary_gens(4, seed=8)), Limits(1500)),
         "units-n4": (generator_set(units, dim=4), Limits(5000)),
         "units-n4-short": (generator_set(units, dim=4), Limits(5000, 2)),
-        "golden-8": (adjoint_generator_set(generator_set(zip("ABC", golden_generators()), dim=8)),
-                     Limits(5000)),
+        "golden-8": (golden, Limits(5000)),
+        # the failing member, element 20 of golden-8, is the first past the limit
+        "golden-8-at-limit": (golden, Limits(20)),
+        # V^6 fails in the second validation stack of its level, before others
+        "scaled-unitary-n4": (scaled_unitary_gens(), Limits(5000)),
         "projections": (projections, Limits(200, 16)),
         # a generator that is no partial isometry, past the factory's check
         "projections-seed-failure": (
@@ -735,6 +749,31 @@ def test_level_batched_closure_agrees_with_the_per_parent_closure(label, chunk, 
     assert [e.word for e in c.elements] == words
     assert (c.status, c.limit_hit, c.witness_word) == (status, limit_hit, witness)
     assert_store_holds_the_elements(c)
+
+
+def test_failure_cases_fail_where_they_are_meant_to():
+    gens, limits = chunk_cases()["golden-8-at-limit"]
+    at_limit, free = close(gens, limits), close(gens, replace(limits, max_elements=5000))
+    assert at_limit.status == free.status == FAILURE
+    assert len(at_limit) == len(free) == limits.max_elements
+    # level 6 holds 3^6 words; the failure is past the first validation stack
+    c = close(*chunk_cases()["scaled-unitary-n4"])
+    before = sum(len(w) == 6 for w in c.words)
+    assert (c.status, len(c.witness_word)) == (FAILURE, 6)
+    assert index._step(4, index._HELD) < before < 3 ** 6 - 1
+
+
+def test_close_validates_each_level_once(monkeypatch):
+    # every level of cyclic units at n = 8 fits one validation stack
+    gens, limits, _ = exact_closure_cases()["units-8"]
+    sizes = []
+    rule = sgroup.partial_isometry_rule
+    monkeypatch.setattr(sgroup, "partial_isometry_rule",
+                        lambda ms, cfg: sizes.append(len(ms)) or rule(ms, cfg))
+    c = close(gens, limits)
+    assert c.status == CLOSED
+    assert len(sizes) <= max(len(w) for w in c.words)
+    assert sum(sizes) == len(c) - 1     # every element but I, once
 
 
 def test_default_chunk_splits_a_level():

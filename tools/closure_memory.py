@@ -11,10 +11,12 @@ and 0.  For each n the script prints
 - the memory that tracemalloc counts as held after the base closure
   (`close`, which validates every element it keeps), its peak during the
   closure, and the bytes of the element matrices and of the store's buffer;
-- the median over RUNS runs of the wall time of `family_projections` and
-  then of `brandt_structure` (which reuses the families) on the base
-  closure, each run on a fresh closure, since a closure keeps its
-  families once built;
+- the median over RUNS runs of the wall time of the base closure
+  (`close`), of the selfadjoint closure (`selfadjoint_closure`, which
+  `report` runs too; cyclic units are *-closed, so it finds nothing new),
+  and of `family_projections` and then `brandt_structure` (which reuses
+  the families) on the base closure, each run on a fresh closure, since a
+  closure keeps its families once built: where `report` spends its time;
 - the median over RUNS runs of the wall time of `is_irreducible` on cyclic
   units of size n/2 tensored with I_2, and its tracemalloc peak in one more
   run.  Every eigenvalue of a combination of these generators is double, so
@@ -98,17 +100,23 @@ def closure_memory(n: int) -> str:
 
 def stage_times(n: int) -> str:
     gens = generator_set(cyclic_units(n), dim=n)
-    families, brandt = [], []
+    limits = Limits(20000, n + 1)
+    stages = {"close": [], "selfadjoint_closure": [], "family_projections": [],
+              "brandt_structure": []}
     for _ in range(RUNS):
-        result = close(gens, Limits(20000, n + 1))
-        start = time.perf_counter()
+        marks = [time.perf_counter()]
+        result = close(gens, limits)
+        marks.append(time.perf_counter())
+        selfadjoint_closure(gens, limits)
+        marks.append(time.perf_counter())
         family_projections(result)
-        middle = time.perf_counter()
+        marks.append(time.perf_counter())
         brandt_structure(result)
-        families.append(middle - start)
-        brandt.append(time.perf_counter() - middle)
-    return (f"n={n}: family_projections {statistics.median(families) * 1e3:.0f} ms, "
-            f"brandt_structure {statistics.median(brandt) * 1e3:.0f} ms (median of {RUNS})")
+        marks.append(time.perf_counter())
+        for times, start, end in zip(stages.values(), marks, marks[1:]):
+            times.append(end - start)
+    return f"n={n}: " + ", ".join(f"{name} {statistics.median(times) * 1e3:.0f} ms"
+                                  for name, times in stages.items()) + f" (median of {RUNS})"
 
 
 def irreducible_runs(n: int) -> str:
