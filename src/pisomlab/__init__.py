@@ -39,7 +39,6 @@ from .pisom import (
 from .projlat import (
     AtomDecomposition,
     MultiplicityProfile,
-    NonCommutingFamily,
     NotProjection,
     NotStandard,
     OffDiagonalResidual,

@@ -146,6 +146,9 @@ def load_json(path: str):
         ) from err
     except RecursionError as err:
         raise ParseError(f"{path}: JSON nests too deeply to parse") from err
+    except ValueError as err:
+        # json.load's integer parser: more digits than int() converts
+        raise ParseError(f"{path}: {str(err).split(';')[0]}") from err
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ Each tolerance rule lives once, over stacks, and scalar predicates apply it
 to one matrix: equal_rule (approx_equal), projection_rule (is_projection,
 projection_family) and pisom.partial_isometry_rule (make_partial_isometry).
 Each family relation lives once too: pair_table, worst_pair, first_overlap
-and split_cells.  One routine, spin, grows the span of every orbit: Burnside's
+and split_cells.  split_cells is the one split rule: the eigenvalues of a
+projection compressed to a cell, which decide both whether the projection
+commutes with the cell and the cell's halves, on the quadratic scale of the
+partial-isometry rule.  One routine, spin, grows the span of every orbit: Burnside's
 span of words, the spins of Norton's test (norton_test) and of the
 reducibility witness (invariant_subspaces), and the span behind a·S·b != 0.
 """
@@ -41,7 +44,8 @@ class NonCommuting(PisomError):
 
 
 class IllConditionedSplit(PisomError):
-    """A rank decision fell inside the ambiguity band around the SVD cutoff."""
+    """A split's defect lambda(1 - lambda) fell inside the ambiguity band,
+    within a factor SPLIT_BAND of proj_tol on either side."""
 
 
 class InvariantViolation(PisomError):
@@ -165,27 +169,11 @@ def commutator_norm(a, b) -> float:
     return frobenius(a @ b - b @ a)
 
 
-def _rank_from_singular_values(s: np.ndarray, cfg: ToleranceConfig,
-                               ambiguity_factor: float | None = None) -> np.ndarray:
+def _rank_from_singular_values(s: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     """Rank of each row of descending singular values: the count above rank_tol
-    times the largest, 0 if that is below rank_tol (all here are contractions),
-    -1 (_ill_conditioned) if a value lies within ambiguity_factor of the cut."""
+    times the largest, 0 if that is below rank_tol (all here are contractions)."""
     cut = cfg.rank_tol * s[:, :1]
-    nonzero = s[:, 0] > cfg.rank_tol
-    ranks = np.where(nonzero, (s > cut).sum(axis=1), 0)
-    if ambiguity_factor is not None:
-        band = (s >= cut / ambiguity_factor) & (s <= cut * ambiguity_factor)
-        ranks[nonzero & band.any(axis=1)] = -1
-    return ranks
-
-
-def _ill_conditioned(s: np.ndarray, cfg: ToleranceConfig,
-                     ambiguity_factor: float) -> IllConditionedSplit:
-    """The error of a row of singular values of rank -1."""
-    cut = cfg.rank_tol * s[0]
-    value = s[(s >= cut / ambiguity_factor) & (s <= cut * ambiguity_factor)][0]
-    return IllConditionedSplit(f"singular value {value:.3e} lies within a factor "
-                               f"{ambiguity_factor:g} of the rank cutoff {cut:.3e}")
+    return np.where(s[:, 0] > cfg.rank_tol, (s > cut).sum(axis=1), 0)
 
 
 def rank(a, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -243,16 +231,13 @@ def full_subspace(n: int) -> Subspace:
     return Subspace(n, np.eye(n, dtype=np.complex128))
 
 
-def range_basis(a, cfg: ToleranceConfig = DEFAULT_TOL,
-                ambiguity_factor: float | None = None) -> Subspace:
+def range_basis(a, cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the column space, dimension = rank(a)."""
     m = as_matrix(a)
     if m.shape[1] == 0 or frobenius(m) == 0.0:
         return zero_subspace(m.shape[0])
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = int(_rank_from_singular_values(s[None], cfg, ambiguity_factor)[0])
-    if r < 0:
-        raise _ill_conditioned(s, cfg, ambiguity_factor)
+    r = int(_rank_from_singular_values(s[None], cfg)[0])
     return Subspace(m.shape[0], frozen(u[:, :r]))
 
 
@@ -267,60 +252,69 @@ def kernel_basis(a, cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     return Subspace(n, frozen(adjoint(vh[r:, :])))
 
 
-def split_by_projection(s: Subspace, p, cfg: ToleranceConfig = DEFAULT_TOL,
-                        ambiguity_factor: float | None = None) -> tuple[Subspace, Subspace]:
+# the ambiguity band of a split: a defect lambda(1 - lambda) above
+# proj_tol / SPLIT_BAND and at most proj_tol * SPLIT_BAND is too close to call
+SPLIT_BAND = 10.0
+
+
+def split_by_projection(s: Subspace, p,
+                        cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
     """Split s into (s ∩ range(p), s ∩ ker(p)): split_cells of one cell."""
-    return split_cells([s], p, cfg, ambiguity_factor)[0]
+    return split_cells([s], p, cfg)[0]
 
 
-def split_cells(cells, p, cfg: ToleranceConfig = DEFAULT_TOL,
-                ambiguity_factor: float | None = None) -> list[tuple[Subspace, Subspace]]:
-    """Split each subspace s of cells into (s ∩ range(p), s ∩ ker(p)): the
-    ranges of proj(s) @ p and proj(s) @ (I - p), which requires p to be a
-    projection commuting, within proj_tol, with proj(s); their dimensions must
-    add up to dim(s).  One stacked commutator test, one stacked SVD of the
-    halves of norm above rank_tol / 2 (the others have rank 0) and one rank
-    rule over its singular values serve every cell; a failure raises the
-    first error (commutator, inside half, outside half, dimensions) of the
-    first failing cell."""
+def split_cells(cells, p, cfg: ToleranceConfig = DEFAULT_TOL) -> list[tuple[Subspace, Subspace]]:
+    """Split each subspace s of cells into (s ∩ range(p), s ∩ ker(p)) by the
+    eigenvalues of the compression of the projection p to s: the halves of
+    _eigen_halves, if every defect lambda(1 - lambda) passes _split_error."""
+    halves, defects = _eigen_halves(cells, p)
+    error = _split_error(defects, cfg, "projection")
+    if error is not None:
+        raise error
+    return halves
+
+
+def _eigen_halves(cells, p) -> tuple[list[tuple[Subspace, Subspace]], np.ndarray]:
+    """For each cell of orthonormal basis B (n x r), the eigenvectors B·W of
+    eigh(B* p B) = W diag(lambda) W*, split into (lambda > 1/2, the rest),
+    and the cell's largest lambda(1 - lambda).  For a projection p,
+    ||(I - BB*) p B||_F^2 = sum lambda(1 - lambda): one quantity bounds p's
+    leak out of the cell and the error of the halves, on the scale of the
+    partial-isometry defect (about theta^2 for two lines at angle theta).
+    Cells of one dimension share one stacked eigh."""
     p = as_matrix(p)
     n = cells[0].ambient_dim if cells else p.shape[0]
     if p.shape != (n, n):
         raise ShapeMismatch(f"projection shape {p.shape} does not match ambient dim {n}")
-    if not cells:
-        return []
-    k = len(cells)
-    ps = np.array([s.projection() for s in cells])
-    inside = ps @ p
-    commutators = np.sqrt(_squared_norms(inside - p @ ps))
-    scales = np.maximum(1.0, np.maximum(np.sqrt(_squared_norms(ps)), frobenius(p)))
-    halves = np.concatenate([inside, ps @ (np.eye(n) - p)])
-    # a half of Frobenius norm at most rank_tol / 2 has every singular value
-    # below rank_tol, so rank 0 and an empty basis, without its SVD
-    u = np.zeros_like(halves)
-    sv = np.zeros(halves.shape[:2])
-    ranks = np.zeros(2 * k, dtype=np.intp)
-    big = np.flatnonzero(_squared_norms(halves) > (cfg.rank_tol / 2) ** 2)
-    if big.size:
-        u[big], sv[big], _ = np.linalg.svd(halves[big], full_matrices=False)
-        ranks[big] = _rank_from_singular_values(sv[big], cfg, ambiguity_factor)
-    dims = [s.dim for s in cells]
-    noncommuting = commutators > cfg.proj_tol * scales
-    failed = np.flatnonzero(noncommuting | (np.minimum(ranks[:k], ranks[k:]) < 0)
-                            | (ranks[:k] + ranks[k:] != dims))
-    if failed.size:
-        i = failed[0]
-        if noncommuting[i]:
-            raise NonCommuting(
-                f"projection does not commute with the subspace projection "
-                f"(commutator norm {commutators[i]:.3e})")
-        for h in (i, k + i):
-            if ranks[h] < 0:
-                raise _ill_conditioned(sv[h], cfg, ambiguity_factor)
-        raise InvariantViolation(
-            f"cell of dimension {dims[i]} split into {ranks[i]} + {ranks[k + i]}")
-    bases = [frozen(u[h][:, :r]) for h, r in enumerate(ranks.tolist())]
-    return [(Subspace(n, bases[i]), Subspace(n, bases[k + i])) for i in range(k)]
+    halves: list = [None] * len(cells)
+    defects = np.zeros(len(cells))
+    for r in {s.dim for s in cells}:
+        which = [i for i, s in enumerate(cells) if s.dim == r]
+        bases = np.array([cells[i].basis for i in which]).reshape(len(which), n, r)
+        lam, w = np.linalg.eigh(bases.conj().transpose(0, 2, 1) @ p @ bases)
+        defects[which] = (lam * (1.0 - lam)).max(axis=1, initial=0.0)
+        for i, vecs, inside in zip(which, bases @ w, lam > 0.5):
+            halves[i] = (Subspace(n, frozen(vecs[:, inside])),
+                         Subspace(n, frozen(vecs[:, ~inside])))
+    return halves, defects
+
+
+def _split_error(defects: np.ndarray, cfg: ToleranceConfig, what: str) -> PisomError | None:
+    """NonCommuting for the first cell whose defect exceeds
+    proj_tol * SPLIT_BAND, else IllConditionedSplit for the first whose
+    defect lies in the band above proj_tol / SPLIT_BAND, else None."""
+    high = np.flatnonzero(defects > cfg.proj_tol * SPLIT_BAND)
+    if high.size:
+        i = high[0]
+        return NonCommuting(f"{what} does not commute with cell {i}: "
+                            f"lambda(1 - lambda) = {defects[i]:.3e}")
+    band = np.flatnonzero(defects > cfg.proj_tol / SPLIT_BAND)
+    if band.size:
+        i = band[0]
+        return IllConditionedSplit(
+            f"{what} splits cell {i} with lambda(1 - lambda) = {defects[i]:.3e}, within "
+            f"a factor {SPLIT_BAND:g} of proj_tol {cfg.proj_tol:.3e}")
+    return None
 
 
 def spin(seeds: np.ndarray, mats: np.ndarray, cfg: ToleranceConfig) -> Subspace:
@@ -413,18 +407,15 @@ def norton_test(mats: np.ndarray, cfg: ToleranceConfig, seed: int) -> Subspace |
     return None
 
 
-def pair_table(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """k x k tables of ||P_i P_j|| and ||P_i P_j - P_j P_i|| over a k x n x n
-    stack for i < j, zero elsewhere; row-major order is the order in which a
-    loop over i and then j > i meets the pairs."""
+def pair_table(stack: np.ndarray) -> np.ndarray:
+    """The k x k table of ||P_i P_j|| over a k x n x n stack for i < j, zero
+    elsewhere; row-major order is the order in which a loop over i and then
+    j > i meets the pairs."""
     k = len(stack)
     products = np.zeros((k, k))
-    commutators = np.zeros((k, k))
     for i in range(k - 1):
-        ab = stack[i] @ stack[i + 1:]
-        products[i, i + 1:] = np.sqrt(_squared_norms(ab))
-        commutators[i, i + 1:] = np.sqrt(_squared_norms(ab - stack[i + 1:] @ stack[i]))
-    return products, commutators
+        products[i, i + 1:] = np.sqrt(_squared_norms(stack[i] @ stack[i + 1:]))
+    return products
 
 
 def worst_pair(table: np.ndarray) -> tuple[int, int] | None:
@@ -439,7 +430,7 @@ def first_overlap(stack: np.ndarray, cfg: ToleranceConfig) -> tuple[int, int] | 
     """The first pair i < j, in row-major order, of a k x n x n stack of
     projections with ||P_i P_j|| > proj_tol * n, or None: the one place that
     sets the scale of every orthogonality test."""
-    overlapping = np.argwhere(pair_table(stack)[0] > cfg.proj_tol * stack.shape[-1])
+    overlapping = np.argwhere(pair_table(stack) > cfg.proj_tol * stack.shape[-1])
     return (int(overlapping[0, 0]), int(overlapping[0, 1])) if len(overlapping) else None
 
 

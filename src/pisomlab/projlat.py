@@ -18,10 +18,14 @@ import numpy as np
 from .numlin import (
     DEFAULT_TOL,
     InvariantViolation,
+    NonCommuting,
     PisomError,
     ShapeMismatch,
     Subspace,
     ToleranceConfig,
+    _eigen_halves,
+    _split_error,
+    _squared_norms,
     as_matrix,
     dominant_index,
     equal_rule,
@@ -31,9 +35,7 @@ from .numlin import (
     frozen,
     full_subspace,
     is_projection,
-    pair_table,
     projection_rule,
-    split_cells,
     worst_pair,
 )
 from .pisom import PartialIsometry, make_partial_isometry
@@ -41,13 +43,6 @@ from .pisom import PartialIsometry, make_partial_isometry
 
 class NotProjection(PisomError):
     pass
-
-
-class NonCommutingFamily(PisomError):
-    def __init__(self, message: str, worst_pair: tuple[int, int], norm: float):
-        super().__init__(message)
-        self.worst_pair = worst_pair
-        self.norm = norm
 
 
 class IndexOutOfRange(PisomError):
@@ -67,7 +62,7 @@ class NotStandard(PisomError):
 
 @dataclass(frozen=True)
 class ProjectionFamily:
-    """Validated projections; their commutator table is formed on first read."""
+    """Validated projections; their joint split is formed on first read."""
 
     dim: int
     members: tuple[np.ndarray, ...]
@@ -77,28 +72,36 @@ class ProjectionFamily:
         return len(self.members)
 
     @cached_property
-    def _commutators(self) -> np.ndarray:
-        return pair_table(np.array(self.members).reshape(len(self), self.dim, self.dim))[1]
-
-    @cached_property
-    def max_pairwise_commutator(self) -> float:
-        return float(self._commutators.max(initial=0.0))
-
-    @cached_property
-    def worst_pair(self) -> tuple[int, int] | None:
-        return worst_pair(self._commutators)
+    def _split(self) -> tuple[list[tuple[Subspace, tuple[bool, ...]]], PisomError | None]:
+        """(cells, error): starting from the full space, each member splits
+        every cell its predecessors left by numlin.split_cells' rule, and
+        empty halves are dropped; a cell's pattern records the side of each
+        member it lies on.  The error is the first NonCommuting, which ends
+        the split with no cells, or else the first IllConditionedSplit: a
+        split inside the band goes on at lambda > 1/2, so that a later
+        member that does not commute is still found."""
+        cells: list[tuple[Subspace, tuple[bool, ...]]] = [(full_subspace(self.dim), ())]
+        ambiguous = None
+        for k, p in enumerate(self.members):
+            halves, defects = _eigen_halves([sub for sub, _ in cells], p)
+            error = _split_error(defects, self.cfg, f"family member {k}")
+            if isinstance(error, NonCommuting):
+                return [], error
+            ambiguous = ambiguous or error
+            cells = [(half, pattern + (side,))
+                     for (_, pattern), pair in zip(cells, halves)
+                     for half, side in zip(pair, (True, False)) if half.dim]
+        return cells, ambiguous
 
     def is_commuting(self) -> bool:
-        scale = max([1.0] + [frobenius(p) for p in self.members])
-        return self.max_pairwise_commutator <= self.cfg.proj_tol * scale
+        """Whether the joint split found no member that fails to commute."""
+        return not isinstance(self._split[1], NonCommuting)
 
 
 def projection_family(members, dim: int | None = None,
                       cfg: ToleranceConfig = DEFAULT_TOL) -> ProjectionFamily:
-    """Validate a list of projections; the family's largest commutator norm
-    and worst pair (numlin.worst_pair: the first in row-major order within
-    rel 1e-12 of it) are formed when first read.  cfg is the tolerance of
-    every analysis of the family."""
+    """Validate a list of projections; the family's joint split is formed
+    when first read.  cfg is the tolerance of every analysis of the family."""
     mats = [as_matrix(p) for p in members]
     if dim is None:
         if not mats:
@@ -151,33 +154,18 @@ def _atom_sort_key(sub: Subspace) -> tuple:
 
 
 def boolean_atoms(fam: ProjectionFamily) -> AtomDecomposition:
-    """Split the space into joint eigenspaces of the family.
+    """The joint eigenspaces of the family: the cells of its joint split.
 
-    Starting from the full space, each member splits every surviving cell
-    into cell ∩ range(p) and cell ∩ ker(p), all cells in one split_cells
-    call; zero cells are dropped.  A split whose rank decision falls inside
-    a factor-10 band around the SVD cutoff raises IllConditionedSplit
-    instead of guessing, because a silently wrong atom corrupts every
-    downstream check.
+    The split's error is raised: NonCommuting, or IllConditionedSplit
+    instead of a guess when a split falls inside the ambiguity band, because
+    a silently wrong atom corrupts every downstream check.
 
     The empty family yields the single atom I (the algebra C·I).
     """
-    if not fam.is_commuting():
-        raise NonCommutingFamily(
-            f"family members {fam.worst_pair} have commutator norm "
-            f"{fam.max_pairwise_commutator:.3e}",
-            fam.worst_pair, fam.max_pairwise_commutator)
-    cells: list[tuple[Subspace, tuple[bool, ...]]] = [(full_subspace(fam.dim), ())]
-    for p in fam.members:
-        split: list[tuple[Subspace, tuple[bool, ...]]] = []
-        halves = split_cells([sub for sub, _ in cells], p, fam.cfg, ambiguity_factor=10.0)
-        for (_, pattern), (inside, outside) in zip(cells, halves):
-            if inside.dim > 0:
-                split.append((inside, pattern + (True,)))
-            if outside.dim > 0:
-                split.append((outside, pattern + (False,)))
-        cells = split
-    cells.sort(key=lambda item: _atom_sort_key(item[0]))
+    cells, error = fam._split
+    if error is not None:
+        raise error
+    cells = sorted(cells, key=lambda item: _atom_sort_key(item[0]))
 
     atoms = tuple(frozen(sub.projection()) for sub, _ in cells)
     ranks = tuple(sub.dim for sub, _ in cells)
@@ -192,19 +180,26 @@ def boolean_atoms(fam: ProjectionFamily) -> AtomDecomposition:
 
 
 def _validate_atoms(dec: AtomDecomposition, fam: ProjectionFamily) -> None:
+    """The atoms are orthogonal (numlin.first_overlap), sum to the identity
+    (equal_rule) and sum, by the masks, to each member P_k within
+    ||P_k - sum of its atoms||_F^2 <= proj_tol * n.  That is the split's own
+    scale: in the frame of the cells that P_k split, the diagonal blocks
+    leave min(lambda, 1 - lambda)^2 <= lambda(1 - lambda) per eigenvalue
+    and the off-diagonal blocks sum lambda(1 - lambda) over each cell, so
+    the error is at most 2 sum lambda(1 - lambda) <= 0.2 n proj_tol once
+    every split passed."""
     atoms = np.array(dec.atoms)
     overlap = first_overlap(atoms, dec.cfg)
     if overlap is not None:
         raise InvariantViolation("atoms {} and {} are not orthogonal".format(*overlap))
-    # row 0 sums every atom to the identity, row k + 1 sums member k's atoms
-    masks = np.array([(True,) * len(dec)] + list(dec.generator_masks), dtype=np.complex128)
-    sums = np.tensordot(masks, atoms, axes=1)
-    targets = np.array([np.eye(dec.dim)] + list(fam.members), dtype=np.complex128)
-    failing = np.flatnonzero(~equal_rule(sums, targets, dec.cfg))
+    if not equal_rule(atoms.sum(axis=0)[None], np.eye(dec.dim)[None], dec.cfg)[0]:
+        raise InvariantViolation("atoms do not sum to the identity")
+    masks = np.array(dec.generator_masks, dtype=np.complex128).reshape(len(fam), len(dec))
+    members = np.array(fam.members, dtype=np.complex128).reshape(len(fam), dec.dim, dec.dim)
+    errors = _squared_norms(np.tensordot(masks, atoms, axes=1) - members)
+    failing = np.flatnonzero(errors > dec.cfg.proj_tol * dec.dim)
     if failing.size:
-        k = failing[0] - 1
-        raise InvariantViolation("atoms do not sum to the identity" if k < 0
-                                 else f"family member {k} is not the sum of its atoms")
+        raise InvariantViolation(f"family member {failing[0]} is not the sum of its atoms")
 
 
 def standard_projection(atoms: AtomDecomposition, subset) -> np.ndarray:

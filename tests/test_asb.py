@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pisomlab.numlin import NonCommuting, frobenius
-from pisomlab.projlat import NonCommutingFamily, boolean_atoms
+from pisomlab.projlat import boolean_atoms
 from pisomlab.sgroup import (CLOSED, TRUNCATED, Limits, check_asb_nonzero,
                              close, family_projections, generator_set)
 from conftest import golden_generators, matrix_unit
@@ -36,7 +36,7 @@ def probes(gens):
     try:
         q_set = family_projections(close(gens, SEARCH_LIMITS)).q_set
         out += list(boolean_atoms(q_set).atoms)
-    except (NonCommuting, NonCommutingFamily):
+    except NonCommuting:
         pass
     return out
 

@@ -260,6 +260,22 @@ def test_deeply_nested_json_is_a_parse_error(command, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {path}: JSON nests too deeply to parse\n")
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_huge_json_integer_is_a_parse_error(command, tmp_path, capsys):
+    # json.load refuses an integer of more than 4,300 digits with a plain
+    # ValueError, in a generator file or, for barnes, a table file
+    document = ('{"n": 1, "mult": [[%s]], "star": [0]}' if command == "barnes"
+                else '{"dim": 1, "generators": [{"name": "A", "matrix": [[%s]]}]}')
+    path = tmp_path / "huge.json"
+    path.write_text(document % ("1" * 5000))
+    with pytest.raises(ParseError, match="Exceeds the limit"):
+        run(AnalysisRequest(command, str(path)))
+    assert main([command, str(path)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert len(err) < len(str(path)) + 120
+
+
 @pytest.mark.parametrize("field,value", [
     ("matrix", [0.5] * 2000),
     ("matrix", "x" * 2000),
@@ -464,43 +480,86 @@ def test_well_typed_fields_are_accepted(tmp_path):
     assert (problem.tolerance.eq_tol, problem.tolerance.proj_tol) == (1e-6, 1e-8)
 
 
-@pytest.mark.parametrize("eps,kind", [(1e-9, "IllConditionedSplit"),
-                                       (2e-9, "IllConditionedSplit"),
-                                       (5e-9, "IllConditionedSplit"),
-                                       (1e-8, "NonCommuting")])
-@pytest.mark.parametrize("command", ["report", "atoms", "multiplicity", "decompose"])
-def test_atoms_failure_is_a_result(tmp_path, capsys, eps, kind, command):
-    # A = diag(1,1,0) and B the projection onto (1,0,eps)/||.||: the atom
-    # split of their final projections is too close to call
-    v = np.array([1.0, 0.0, eps]) / np.linalg.norm([1.0, 0.0, eps])
-    path = tmp_path / "near.json"
-    path.write_text(json.dumps({"dim": 3, "generators": [
-        {"name": "A", "matrix": np.diag([1.0, 1.0, 0.0]).tolist()},
-        {"name": "B", "matrix": np.outer(v, v).tolist()}]}))
+def unit(*v) -> np.ndarray:
+    return np.array(v, dtype=float) / np.linalg.norm(v)
+
+
+def two_generators(shape: str, d: float) -> dict:
+    """A generator file of two partial isometries A, B that come within d
+    of commuting final projections:
+    100      A = diag(1,0,0), B onto (1,d,0);
+    110      A = diag(1,1,0), B onto (1,0,d);
+    offdiag  A = e1 e3*, B = v e4* with v = (1,d,0,0)/||.||: Q does not
+             commute, yet every product of A and B is 0;
+    tilted   A = diag(1,1,0,0), B onto the span of (cos d, 0, sin d, 0)
+             and (0, cos d, 0, sin d)."""
+    e = np.eye(4)
+    a, b = {
+        "100": (np.diag([1.0, 0.0, 0.0]), np.outer(unit(1.0, d, 0.0), unit(1.0, d, 0.0))),
+        "110": (np.diag([1.0, 1.0, 0.0]), np.outer(unit(1.0, 0.0, d), unit(1.0, 0.0, d))),
+        "offdiag": (np.outer(e[0], e[2]), np.outer(unit(1.0, d, 0.0, 0.0), e[3])),
+        "tilted": (np.diag([1.0, 1.0, 0.0, 0.0]),
+                   sum(np.outer(u, u) for u in ([np.cos(d), 0.0, np.sin(d), 0.0],
+                                                [0.0, np.cos(d), 0.0, np.sin(d)]))),
+    }[shape]
+    return {"dim": len(a), "generators": [{"name": "A", "matrix": a.tolist()},
+                                          {"name": "B", "matrix": b.tolist()}]}
+
+
+def run_json(tmp_path, capsys, command: str, document: dict) -> dict:
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(document))
     assert main([command, str(path), "--format", "json"]) == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
-    assert report["atoms_error"]["kind"] == kind
-    assert report["atoms_error"]["message"]
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["report", "atoms", "multiplicity", "decompose"])
+def test_atoms_failure_is_a_result(tmp_path, capsys, command):
+    # the 100 shape at d = 1e-4: B compresses the range of A to
+    # lambda = 1 / (1 + d^2), and lambda(1 - lambda) = 1.0e-8 = proj_tol
+    # lies inside the band, so the atom split is too close to call
+    report = run_json(tmp_path, capsys, command, two_generators("100", 1e-4))
+    assert report["q_commuting"] is True
+    assert report["atoms_error"]["kind"] == "IllConditionedSplit"
+    assert "lambda(1 - lambda) = 1.000e-08" in report["atoms_error"]["message"]
     assert report.get("atoms") is None
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the commuting tests of the Q family and "
-                   "of the atom split read the commutator linearly, the closure quadratically")
+@pytest.mark.parametrize("command", ["report", "atoms", "multiplicity", "decompose"])
+def test_noncommuting_final_projections_are_a_result(tmp_path, capsys, command):
+    # the offdiag shape at d = 1e-2: the final projections e1 e1* and v v*
+    # do not commute (lambda(1 - lambda) = 1.0e-4), which q_commuting says
+    # alone: the atoms are null and carry no error
+    report = run_json(tmp_path, capsys, command, two_generators("offdiag", 1e-2))
+    assert report["q_commuting"] is False
+    assert "atoms_error" not in report
+    assert report.get("atoms", report.get("operators")) is None
+
+
 @pytest.mark.parametrize("diag,direction", [((1.0, 0.0, 0.0), (1.0, 1e-7, 0.0)),
                                             ((1.0, 1.0, 0.0), (1.0, 0.0, 1e-8))])
 def test_extendable_report_does_not_contradict_itself(tmp_path, capsys, diag, direction):
     # A = diag(...) and B the projection onto direction/||.||: an Extendable
     # certificate needs a commuting Q family whose atoms split
-    v = np.array(direction) / np.linalg.norm(direction)
-    path = tmp_path / "near.json"
-    path.write_text(json.dumps({"dim": 3, "generators": [
+    v = unit(*direction)
+    report = run_json(tmp_path, capsys, "report", {"dim": 3, "generators": [
         {"name": "A", "matrix": np.diag(diag).tolist()},
-        {"name": "B", "matrix": np.outer(v, v).tolist()}]}))
-    assert main(["report", str(path), "--format", "json"]) == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
+        {"name": "B", "matrix": np.outer(v, v).tolist()}]})
     if report["certificate"]["verdict"] == "Extendable":
         assert report["q_commuting"] is not False
         assert (report.get("atoms_error") or {}).get("kind") != "NonCommuting"
+
+
+@pytest.mark.parametrize("shape", ["100", "110", "offdiag", "tilted"])
+def test_no_report_contradicts_itself_across_the_thresholds(tmp_path, capsys, shape):
+    # d sweeps every tolerance scale the report decides by: the closure's
+    # partial-isometry defect (about d^2), the split's lambda(1 - lambda)
+    # (about d^2) and its band, and the equality scale (about d)
+    for d in np.logspace(-10, -2, 33):
+        report = run_json(tmp_path, capsys, "report", two_generators(shape, float(d)))
+        if report["certificate"]["verdict"] == "Extendable":
+            assert report["q_commuting"] is not False, d
+            assert (report.get("atoms_error") or {}).get("kind") != "NonCommuting", d
 
 
 def test_library_errors_exit_internal(fixtures_dir, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pisomlab.numlin import (
     DEFAULT_TOL,
@@ -11,6 +12,7 @@ from pisomlab.numlin import (
     ShapeMismatch,
     Subspace,
     ToleranceConfig,
+    _eigen_halves,
     approx_equal,
     commutator_norm,
     first_overlap,
@@ -24,6 +26,7 @@ from pisomlab.numlin import (
     zero_subspace,
 )
 from conftest import coord_projection, golden_generators, half_projection
+from factories import random_unitary
 
 
 def test_tolerance_config_bounds():
@@ -195,10 +198,41 @@ def test_projection_rank_complement():
 
 
 def test_ill_conditioned_split_guard():
-    # a "projection" with a singular value sitting exactly on the cutoff scale
-    bad = np.diag([1.0, 1e-8, 0.0])
-    with pytest.raises(IllConditionedSplit):
-        range_basis(bad, ambiguity_factor=10.0)
+    # p onto (1, tilt, 0) compresses the line e1 to lambda = 1 / (1 + tilt^2),
+    # so lambda(1 - lambda) is about tilt^2: the split is clean up to
+    # proj_tol / 10 = 1e-9, too close to call up to 10 proj_tol = 1e-7, and
+    # refused above
+    e1 = Subspace(3, np.eye(3, 1, dtype=complex))
+    for tilt, error in ((3e-5, None), (3.3e-5, IllConditionedSplit), (1e-4, IllConditionedSplit),
+                        (3.1e-4, IllConditionedSplit), (3.2e-4, NonCommuting)):
+        u = np.array([1.0, tilt, 0.0]) / np.linalg.norm([1.0, tilt, 0.0])
+        if error is None:
+            assert split_by_projection(e1, np.outer(u, u))[0].dim == 1
+            continue
+        with pytest.raises(error, match=f"lambda\\(1 - lambda\\) = {tilt ** 2:.3e}"):
+            split_by_projection(e1, np.outer(u, u))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), data=st.data())
+def test_split_defect_is_the_leak_out_of_the_cell(seed, n, data):
+    # for a projection p and a cell of orthonormal basis B, the eigenvalues
+    # lambda = v* p v of the halves' vectors v satisfy
+    # sum lambda(1 - lambda) = ||(I - BB*) p B||_F^2; the defect is the
+    # largest term, the halves span the cell and split it at lambda = 1/2
+    k, r = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, n)
+    p = u[:, :k] @ u[:, :k].conj().T
+    b = random_unitary(rng, n)[:, :r]
+    [(inside, outside)], [defect] = _eigen_halves([Subspace(n, b)], p)
+    vecs = np.hstack([inside.basis, outside.basis])
+    lam = np.einsum("ij,ij->j", vecs.conj(), p @ vecs).real
+    leak = (np.eye(n) - b @ b.conj().T) @ p @ b
+    assert np.sum(lam * (1 - lam)) == pytest.approx(np.linalg.norm(leak) ** 2, abs=1e-12)
+    assert defect == pytest.approx(max(lam * (1 - lam), default=0.0), abs=1e-12)
+    assert np.all(lam[:inside.dim] > 0.5) and np.all(lam[inside.dim:] <= 0.5)
+    assert np.allclose(vecs @ vecs.conj().T, b @ b.conj().T, atol=1e-12)
 
 
 def test_worst_pair_is_the_first_within_rel_1e_12_of_the_maximum():

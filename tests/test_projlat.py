@@ -5,11 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from pisomlab.numlin import approx_equal
+from pisomlab.numlin import NonCommuting, approx_equal
 from pisomlab.pisom import NotPartialIsometry, make_partial_isometry
 from pisomlab.projlat import (
     IndexOutOfRange,
-    NonCommutingFamily,
     NotProjection,
     NotStandard,
     OffDiagonalResidual,
@@ -36,7 +35,11 @@ def test_projection_family_validation():
         projection_family([half_projection() @ coord_projection()])
     fam = projection_family([half_projection(), coord_projection()])
     assert not fam.is_commuting()
-    assert fam.max_pairwise_commutator == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+    # the cells of the first member are lines onto (1, 1) and (1, -1); the
+    # second compresses each to 1/2, so lambda(1 - lambda) = 1/4
+    with pytest.raises(NonCommuting, match=r"^family member 1 does not commute with cell 0: "
+                       r"lambda\(1 - lambda\) = 2\.500e-01$"):
+        boolean_atoms(fam)
 
 
 def test_boolean_atoms_golden_ranks():
@@ -83,7 +86,7 @@ def test_boolean_atoms_empty_family_is_identity():
 
 def test_boolean_atoms_rejects_noncommuting():
     fam = projection_family([half_projection(), coord_projection()])
-    with pytest.raises(NonCommutingFamily):
+    with pytest.raises(NonCommuting):
         boolean_atoms(fam)
 
 

@@ -7,8 +7,8 @@ can be compared with one `diff -r`:
 The inputs are the shipped fixtures and tables, the benchmark's corpus and
 units inputs for seeds 1-3 (built by perfbench/inputs.py, which is imported
 without writing anything next to it), pairs of projections on either side
-of the tolerances (also with a tolerance in the file), two pairs whose atoms
-fail in a later cell of a later member's split, generator and table
+of the tolerances (also with a tolerance in the file), inputs whose atoms
+are split in a later cell of a later member's split, generator and table
 files with badly typed fields, a generator file and a table file that are
 not UTF-8 text, a generator file and a table file whose arrays nest 100,000
 deep, past the interpreter's recursion limit, a generator named "0" next to
@@ -72,35 +72,52 @@ def load_bench_inputs():
     return module
 
 
+def unit(v) -> np.ndarray:
+    return np.asarray(v, dtype=float) / np.linalg.norm(v)
+
+
 def projection_onto(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float) / np.linalg.norm(v)
-    return np.outer(v, v)
+    return np.outer(unit(v), unit(v))
+
+
+def generator_file(*mats) -> dict:
+    """A generator file of the matrices, named A, B, C, ..."""
+    return {"dim": len(mats[0]), "generators": [{"name": chr(ord("A") + i), "matrix": m.tolist()}
+                                                for i, m in enumerate(mats)]}
 
 
 def near_threshold_inputs() -> dict[str, dict]:
-    """A = diag(1,1,0), B onto (1,0,eps); A = diag(1,0,0), B onto (1,d,0)."""
+    """A = diag(1,1,0), B onto (1,0,eps); A = diag(1,0,0), B onto (1,d,0),
+    where d = 3e-5 and 3e-4 lie just outside the band of the atom split
+    (lambda(1 - lambda) = d^2 against proj_tol / 10 and 10 proj_tol); and
+    A = e1 e3*, B = v e4* with v onto (1,d,0,0), whose final projections do
+    not commute at d = 1e-2 although every product of A and B is 0."""
     pairs = [(f"near-110-{eps:g}", np.diag([1.0, 1.0, 0.0]), projection_onto([1.0, 0.0, eps]))
              for eps in (1e-9, 2e-9, 5e-9, 1e-8, 1e-7)]
     pairs += [(f"near-100-{d:g}", np.diag([1.0, 0.0, 0.0]), projection_onto([1.0, d, 0.0]))
-              for d in (1e-7, 1e-4)]
-    return {label: {"dim": 3, "generators": [{"name": "A", "matrix": a.tolist()},
-                                              {"name": "B", "matrix": b.tolist()}]}
-            for label, a, b in pairs}
+              for d in (1e-7, 3e-5, 1e-4, 3e-4)]
+    e = np.eye(4)
+    pairs += [(f"near-offdiag-{d:g}", np.outer(e[0], e[2]),
+               np.outer(unit([1.0, d, 0.0, 0.0]), e[3])) for d in (1e-4, 1e-2)]
+    return {label: generator_file(a, b) for label, a, b in pairs}
 
 
 def later_cell_inputs() -> dict[str, dict]:
-    """Pairs at n = 4 whose atoms fail in the second cell of B's split, the
-    kernel of A: A = diag(1,1,0,0), B onto (5e-9,0,1,0) leaves a singular
-    value in the ambiguity band (IllConditionedSplit); A = diag(1,1,1,0),
-    B onto (0,0,9e-9,1) commutes with the range of A within its scale but
-    not with the kernel (NonCommuting)."""
-    pairs = [("near-later-cell-ill-conditioned", np.diag([1.0, 1.0, 0.0, 0.0]),
-              projection_onto([5e-9, 0.0, 1.0, 0.0])),
-             ("near-later-cell-noncommuting", np.diag([1.0, 1.0, 1.0, 0.0]),
-              projection_onto([0.0, 0.0, 9e-9, 1.0]))]
-    return {label: {"dim": 4, "generators": [{"name": "A", "matrix": a.tolist()},
-                                              {"name": "B", "matrix": b.tolist()}]}
-            for label, a, b in pairs}
+    """Inputs at n = 4 whose atoms are decided in a later cell of a later
+    member's split.  A = diag(1,1,0,0), B onto (5e-9,0,1,0) and
+    A = diag(1,1,1,0), B onto (0,0,9e-9,1) leave lambda(1 - lambda) of
+    about 2.5e-17 and 8.1e-17, far below the band: both give atoms.  A = E_11,
+    B = E_22 and C onto (0,1,1e-4,0): C leaks between the second cell, e2,
+    and the third, with lambda(1 - lambda) = 1e-8, inside the band
+    (IllConditionedSplit, named in cell 1)."""
+    e = np.eye(4)
+    return {"near-later-cell-ill-conditioned": generator_file(
+                np.diag([1.0, 1.0, 0.0, 0.0]), projection_onto([5e-9, 0.0, 1.0, 0.0])),
+            "near-later-cell-noncommuting": generator_file(
+                np.diag([1.0, 1.0, 1.0, 0.0]), projection_onto([0.0, 0.0, 9e-9, 1.0])),
+            "near-later-cell-band": generator_file(
+                np.outer(e[0], e[0]), np.outer(e[1], e[1]),
+                projection_onto([0.0, 1.0, 1e-4, 0.0]))}
 
 
 def file_tolerance_inputs() -> dict[str, dict]:
