@@ -513,15 +513,22 @@ def run_json(tmp_path, capsys, command: str, document: dict) -> dict:
     return json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("eps,kind", [(1e-9, "IllConditionedSplit"),
+                                       (2e-9, "IllConditionedSplit"),
+                                       (5e-9, "IllConditionedSplit")])
 @pytest.mark.parametrize("command", ["report", "atoms", "multiplicity", "decompose"])
-def test_atoms_failure_is_a_result(tmp_path, capsys, command):
-    # the 100 shape at d = 1e-4: B compresses the range of A to
-    # lambda = 1 / (1 + d^2), and lambda(1 - lambda) = 1.0e-8 = proj_tol
-    # lies inside the band, so the atom split is too close to call
-    report = run_json(tmp_path, capsys, command, two_generators("100", 1e-4))
+def test_atoms_failure_is_a_result(tmp_path, capsys, eps, kind, command):
+    # proj_tol = eps and the 100 shape at d = sqrt(eps / 2): B compresses the
+    # range of A to lambda = 1 / (1 + d^2), so every product of A and B is a
+    # partial isometry within proj_tol, yet lambda(1 - lambda) = eps / 2 lies
+    # inside the band of the split, which is too close to call
+    document = two_generators("100", np.sqrt(eps / 2))
+    document["tolerance"] = {"proj_tol": eps}
+    report = run_json(tmp_path, capsys, command, document)
     assert report["q_commuting"] is True
-    assert report["atoms_error"]["kind"] == "IllConditionedSplit"
-    assert "lambda(1 - lambda) = 1.000e-08" in report["atoms_error"]["message"]
+    assert report["atoms_error"]["kind"] == kind
+    assert (f"lambda(1 - lambda) = {eps / 2:.3e}, within a factor 10 of proj_tol {eps:.3e}"
+            in report["atoms_error"]["message"])
     assert report.get("atoms") is None
 
 
