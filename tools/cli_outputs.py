@@ -8,7 +8,9 @@ The inputs are the shipped fixtures and tables, the benchmark's corpus and
 units inputs for seeds 1-3 (built by perfbench/inputs.py, which is imported
 without writing anything next to it), pairs of projections on either side
 of the tolerances (also with a tolerance in the file), inputs whose atoms
-are split in a later cell of a later member's split, generator and table
+are split in a later cell of a later member's split, the fixtures, those
+pairs and those inputs under file tolerances whose eq_tol and proj_tol lie
+a factor 1000 apart either way, generator and table
 files with badly typed fields, a generator file and a table file that are
 not UTF-8 text, a generator file and a table file whose arrays nest 100,000
 deep, past the interpreter's recursion limit, a generator named "0" next to
@@ -60,6 +62,8 @@ LARGE_UNITS = (16, 20)
 # dimensions that are not multiples of 4
 ODD_UNITARY_DIMS = (3, 5)
 TINY_TOL = "tiny-eq-tol-"
+# file tolerances that separate the equality scale from the projection scale
+MIXED_TOLS = ({"eq_tol": 1e-6, "proj_tol": 1e-9}, {"eq_tol": 1e-9, "proj_tol": 1e-6})
 NESTED_DEPTH = 100_000
 
 
@@ -124,6 +128,14 @@ def file_tolerance_inputs() -> dict[str, dict]:
     """The near-threshold pairs with a tolerance of 1e-6 in the file."""
     return {f"{label}-file-tol": {**doc, "tolerance": 1e-6}
             for label, doc in near_threshold_inputs().items()}
+
+
+def mixed_tolerance_inputs(gens: dict[str, dict]) -> dict[str, dict]:
+    """The fixtures, the near-threshold pairs and the later-cell inputs of
+    gens under each file tolerance of MIXED_TOLS."""
+    return {f"mixed-eq{tol['eq_tol']:g}-proj{tol['proj_tol']:g}-{label}": {**doc, "tolerance": tol}
+            for tol in MIXED_TOLS for label, doc in gens.items()
+            if label.startswith(("fixture-", "near-"))}
 
 
 def zero_name_input() -> dict[str, dict]:
@@ -258,6 +270,7 @@ def collect_inputs() -> tuple[dict[str, dict | bytes], dict[str, dict | bytes]]:
     gens.update(late_failure_input(bench))
     gens.update(near_threshold_inputs())
     gens.update(later_cell_inputs())
+    gens.update(mixed_tolerance_inputs(gens))
     gens.update(file_tolerance_inputs())
     gens.update(badly_typed_inputs())
     gens.update(zero_name_input())
