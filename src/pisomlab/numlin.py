@@ -1,19 +1,22 @@
 """Tolerance-aware dense complex linear algebra.
 
 Every other module builds on the predicates and subspace primitives here.
-All matrices are numpy complex128 arrays; all comparisons are relative to a
-:class:`ToleranceConfig`.
-
-Each tolerance rule lives once, over stacks, and scalar predicates apply it
-to one matrix: equal_rule (approx_equal), projection_rule (is_projection,
-projection_family) and pisom.partial_isometry_rule (make_partial_isometry).
-Each family relation lives once too: pair_table, worst_pair, first_overlap
-and split_cells.  split_cells is the one split rule: the eigenvalues of a
-projection compressed to a cell, which decide both whether the projection
-commutes with the cell and the cell's halves, on the quadratic scale of the
-partial-isometry rule.  One routine, spin, grows the span of every orbit: Burnside's
-span of words, the spins of Norton's test (norton_test) and of the
-reducibility witness (invariant_subspaces), and the span behind a·S·b != 0.
+All matrices are numpy complex128 arrays.  Every tolerance comparison of
+the package is one of these rules, written once over stacks (only the
+dedup store's grid in index reads a tolerance besides):
+- equal_rule: approx_equal, the Brandt blocks, hw_decompose's restriction;
+- vanishing_rule: zero blocks, residuals and compressions in the Brandt
+  search, decompose_by_atoms, standard projections, a·S·b != 0 and the
+  invariance checks of hw_decompose and of the reducibility witness;
+- projection_rule, partial_isometry_rule: validation, closures, power test;
+- the split (split_cells, _split_error), lambda(1 - lambda) of a projection
+  compressed to a cell: commutation and the halves, for ProjectionFamily;
+  atom_sum_rule, the atoms' sums to each member on the split's scale;
+- first_overlap over pair_table: orthogonality of atoms and Brandt family;
+- the rank_tol cutoff: rank, range_basis, kernel_basis and spin.
+One routine, spin, grows the span of every orbit: Burnside's span of
+words, the spins of Norton's test (norton_test) and of the reducibility
+witness (invariant_subspaces), and the span behind a·S·b != 0.
 """
 
 from __future__ import annotations
@@ -123,6 +126,12 @@ def equal_rule(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL)
     return _squared_norms(a - b) <= bound
 
 
+def vanishing_rule(norms, refs, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The one "this block, residual or compression is zero" relation: a mask
+    of the norms <= eq_tol * max(1, ref), refs broadcast against norms."""
+    return np.asarray(norms) <= cfg.eq_tol * np.maximum(1.0, refs)
+
+
 def projection_rule(ps: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """is_projection's rule over a k x n x n stack: a mask of the members
     whose hermiticity and idempotency defects are both within
@@ -138,6 +147,19 @@ def projection_rule(ps: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> np.nd
     d -= ps
     ok &= _squared_norms(d) <= bound
     return ok
+
+
+def partial_isometry_rule(ms: np.ndarray,
+                          cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The partial isometry rule over a k x a x b stack: P = V*V passes
+    projection_rule and ||VP - V|| <= proj_tol * max(1, ||V||).
+    -> (mask of the members that pass, the stack of their P)."""
+    p = ms.conj().transpose(0, 2, 1) @ ms
+    ok = projection_rule(p, cfg)
+    d = ms @ p
+    d -= ms
+    ok &= _squared_norms(d) <= cfg.proj_tol ** 2 * np.maximum(1.0, _squared_norms(ms))
+    return ok, p
 
 
 def approx_equal(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -315,6 +337,16 @@ def _split_error(defects: np.ndarray, cfg: ToleranceConfig, what: str) -> PisomE
             f"{what} splits cell {i} with lambda(1 - lambda) = {defects[i]:.3e}, within "
             f"a factor {SPLIT_BAND:g} of proj_tol {cfg.proj_tol:.3e}")
     return None
+
+
+def atom_sum_rule(diffs: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """A mask of the k x n x n stack of P_k - (the sum of its atoms) with
+    ||.||_F^2 <= proj_tol * n: in the frame of the cells that P_k split, the
+    diagonal blocks leave min(lambda, 1 - lambda)^2 <= lambda(1 - lambda)
+    per eigenvalue and the off-diagonal blocks sum lambda(1 - lambda) over
+    each cell, so the error is at most 2 sum lambda(1 - lambda) <=
+    0.2 n proj_tol once every split passed _split_error."""
+    return _squared_norms(diffs) <= cfg.proj_tol * diffs.shape[-1]
 
 
 def spin(seeds: np.ndarray, mats: np.ndarray, cfg: ToleranceConfig) -> Subspace:

@@ -20,18 +20,19 @@ from .numlin import (
     ShapeMismatch,
     Subspace,
     ToleranceConfig,
-    _squared_norms,
     adjoint,
     approx_equal,
     as_matrix,
     commutator_norm,
     dominant_index,
+    equal_rule,
     frobenius,
     frozen,
     kernel_basis,
     operator_norm,
-    projection_rule,
+    partial_isometry_rule,
     range_basis,
+    vanishing_rule,
 )
 
 
@@ -96,19 +97,6 @@ def make_partial_isometry(m, cfg: ToleranceConfig = DEFAULT_TOL) -> PartialIsome
         raise NotPartialIsometry.of(m)
     q = m[None] @ m[None].conj().transpose(0, 2, 1)
     return PartialIsometry(frozen(m), frozen(p[0]), frozen(q[0]))
-
-
-def partial_isometry_rule(ms: np.ndarray,
-                          cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """The partial isometry rule over a k x a x b stack: P = V*V passes
-    numlin.projection_rule and ||VP - V|| <= proj_tol * max(1, ||V||).
-    -> (mask of the members that pass, the stack of their P)."""
-    p = ms.conj().transpose(0, 2, 1) @ ms
-    ok = projection_rule(p, cfg)
-    d = ms @ p
-    d -= ms
-    ok &= _squared_norms(d) <= cfg.proj_tol ** 2 * np.maximum(1.0, _squared_norms(ms))
-    return ok, p
 
 
 @dataclass(frozen=True)
@@ -231,11 +219,12 @@ def hw_decompose(v: PartialIsometry,
     ub = unitary_sub.basis
     restriction = adjoint(ub) @ v.matrix @ ub
     gram = adjoint(restriction) @ restriction
-    if frobenius(gram - np.eye(unitary_sub.dim)) > cfg.proj_tol * unitary_sub.dim:
+    if not equal_rule(gram[None], np.eye(unitary_sub.dim)[None], cfg)[0]:
         raise NotPowerPartialIsometry("restriction to the stable range is not unitary")
     # the stable range must reduce v
     comp = np.eye(n) - unitary_sub.projection()
-    if frobenius(comp @ v.matrix @ unitary_sub.projection()) > cfg.proj_tol * max(1.0, frobenius(v.matrix)):
+    if not vanishing_rule(frobenius(comp @ v.matrix @ unitary_sub.projection()),
+                          frobenius(v.matrix), cfg):
         raise NotPowerPartialIsometry("stable range is not invariant")
 
     # I - P_(j-1) for j = 1, ..., n

@@ -25,8 +25,8 @@ from .numlin import (
     ToleranceConfig,
     _eigen_halves,
     _split_error,
-    _squared_norms,
     as_matrix,
+    atom_sum_rule,
     dominant_index,
     equal_rule,
     first_overlap,
@@ -36,6 +36,7 @@ from .numlin import (
     full_subspace,
     is_projection,
     projection_rule,
+    vanishing_rule,
     worst_pair,
 )
 from .pisom import PartialIsometry, make_partial_isometry
@@ -181,13 +182,7 @@ def boolean_atoms(fam: ProjectionFamily) -> AtomDecomposition:
 
 def _validate_atoms(dec: AtomDecomposition, fam: ProjectionFamily) -> None:
     """The atoms are orthogonal (numlin.first_overlap), sum to the identity
-    (equal_rule) and sum, by the masks, to each member P_k within
-    ||P_k - sum of its atoms||_F^2 <= proj_tol * n.  That is the split's own
-    scale: in the frame of the cells that P_k split, the diagonal blocks
-    leave min(lambda, 1 - lambda)^2 <= lambda(1 - lambda) per eigenvalue
-    and the off-diagonal blocks sum lambda(1 - lambda) over each cell, so
-    the error is at most 2 sum lambda(1 - lambda) <= 0.2 n proj_tol once
-    every split passed."""
+    (equal_rule) and sum, by the masks, to each member (atom_sum_rule)."""
     atoms = np.array(dec.atoms)
     overlap = first_overlap(atoms, dec.cfg)
     if overlap is not None:
@@ -196,8 +191,8 @@ def _validate_atoms(dec: AtomDecomposition, fam: ProjectionFamily) -> None:
         raise InvariantViolation("atoms do not sum to the identity")
     masks = np.array(dec.generator_masks, dtype=np.complex128).reshape(len(fam), len(dec))
     members = np.array(fam.members, dtype=np.complex128).reshape(len(fam), dec.dim, dec.dim)
-    errors = _squared_norms(np.tensordot(masks, atoms, axes=1) - members)
-    failing = np.flatnonzero(errors > dec.cfg.proj_tol * dec.dim)
+    sums = np.tensordot(masks, atoms, axes=1)
+    failing = np.flatnonzero(~atom_sum_rule(sums - members, dec.cfg))
     if failing.size:
         raise InvariantViolation(f"family member {failing[0]} is not the sum of its atoms")
 
@@ -232,7 +227,7 @@ def decompose_by_atoms(t, atoms: AtomDecomposition) -> list[np.ndarray]:
     """Diagonal blocks of t in the atom bases; fails when t couples atoms.
 
     Succeeds iff every off-diagonal compression a_i t a_j (i != j) vanishes
-    within eq_tol, i.e. iff t is decomposable along the atom decomposition;
+    against ||t||, i.e. iff t is decomposable along the atom decomposition;
     the error names numlin.worst_pair of the residuals and its residual.
     """
     t = as_matrix(t)
@@ -240,7 +235,7 @@ def decompose_by_atoms(t, atoms: AtomDecomposition) -> list[np.ndarray]:
         raise ShapeMismatch(f"operator shape {t.shape}, expected {(atoms.dim,) * 2}")
     x, offsets, norms = frame_blocks(t, atoms.bases)
     np.fill_diagonal(norms, 0.0)
-    if norms.max() > atoms.cfg.eq_tol * max(1.0, frobenius(t)):
+    if not vanishing_rule(norms, frobenius(t), atoms.cfg).all():
         pair = worst_pair(norms)
         residual = float(norms[pair])
         raise OffDiagonalResidual(
@@ -258,20 +253,14 @@ def membership_in_span(p, atoms: AtomDecomposition) -> bool:
 
 
 def _as_atom_subset(p: np.ndarray, atoms: AtomDecomposition) -> frozenset[int] | None:
-    """Express p as a subset of atoms, or None when it is not standard."""
-    tol = atoms.cfg.eq_tol * max(1.0, frobenius(p))
-    x, offsets, norms = frame_blocks(p, atoms.bases)
-    if np.any(np.triu(norms, 1) > tol):
+    """Express p as a subset of atoms, or None when it is not standard: in
+    the atom frame, the blocks of p above the diagonal must vanish against
+    ||p|| (numlin.vanishing_rule) and each diagonal block vanish or be I."""
+    _, _, norms = frame_blocks(np.array([p, p - np.eye(atoms.dim)]), atoms.bases)
+    zero, unit = vanishing_rule(norms, frobenius(p), atoms.cfg)
+    if np.triu(~zero, 1).any() or not (zero | unit).diagonal().all():
         return None
-    chosen = []
-    for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
-        if norms[i, i] <= tol:
-            continue
-        if frobenius(x[a:b, a:b] - np.eye(b - a)) <= tol:
-            chosen.append(i)
-            continue
-        return None
-    return frozenset(chosen)
+    return frozenset(np.flatnonzero(~zero.diagonal()).tolist())
 
 
 def induced_atom_map(t: PartialIsometry, atoms: AtomDecomposition) -> dict[int, frozenset[int]]:

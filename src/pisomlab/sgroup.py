@@ -34,12 +34,13 @@ from .numlin import (
     frozen,
     invariant_subspaces,
     norton_test,
+    partial_isometry_rule,
     range_basis,
     spin,
+    vanishing_rule,
 )
 from .index import _HELD, _ElementStore, _chunks, _square, _stack, _step
-from .pisom import (NotPartialIsometry, make_partial_isometry, partial_isometry_defect,
-                    partial_isometry_rule)
+from .pisom import NotPartialIsometry, make_partial_isometry, partial_isometry_defect
 from .projlat import AtomDecomposition, ProjectionFamily, boolean_atoms, projection_family
 
 CLOSED = "closed"
@@ -568,12 +569,10 @@ def is_irreducible(gens: GeneratorSet, seed: int = 0) -> IrreducibilityResult:
 
 
 def _is_invariant(basis: np.ndarray, mats, n: int, cfg: ToleranceConfig) -> bool:
-    proj = basis @ adjoint(basis)
-    comp = np.eye(n) - proj
-    for g in mats:
-        if frobenius(comp @ g @ basis) > cfg.eq_tol * max(1.0, frobenius(g)) * 10.0:
-            return False
-    return True
+    """Whether every leak (I - BB*)·g·B, g in mats, vanishes against ||g||."""
+    leaks = (np.eye(n) - basis @ adjoint(basis)) @ mats @ basis
+    return bool(vanishing_rule(np.sqrt(_squared_norms(leaks)), np.sqrt(_squared_norms(mats)),
+                               cfg).all())
 
 
 def check_asb_nonzero(gens: GeneratorSet, a, b) -> bool:
@@ -581,12 +580,13 @@ def check_asb_nonzero(gens: GeneratorSet, a, b) -> bool:
 
     The vectors w·x, for w in the semigroup and x in range(b), span the spin
     of range(b) under the generators, or of its images g·x when the semigroup
-    has no identity.  True iff ||a B|| > eq_tol * max(1, ||a||) for an
-    orthonormal basis B of that span: an answer for words of every length.
+    has no identity.  True iff a B does not vanish against ||a||
+    (numlin.vanishing_rule) for an orthonormal basis B of that span: an
+    answer for words of every length.
     """
     n, cfg = gens.dim, gens.cfg
     a, b = _square(a, n), _square(b, n)
-    if frobenius(a) <= cfg.eq_tol or frobenius(b) <= cfg.eq_tol:
+    if vanishing_rule([frobenius(a), frobenius(b)], 0.0, cfg).any():
         raise NonzeroRequired("a and b must both be nonzero")
     # row vectors: x -> g·x is right multiplication by g^T
     right = _stack([m for _, m in gens.named_generators], n).transpose(0, 2, 1)
@@ -594,7 +594,7 @@ def check_asb_nonzero(gens: GeneratorSet, a, b) -> bool:
     if not gens.include_identity:
         seeds = (seeds @ right).reshape(-1, n)
     span = spin(seeds, right, cfg)
-    return frobenius(a @ span.basis) > cfg.eq_tol * max(1.0, frobenius(a))
+    return not vanishing_rule(frobenius(a @ span.basis), frobenius(a), cfg)
 
 
 @dataclass(frozen=True)
@@ -625,15 +625,14 @@ class BrandtStructure:
 
 def _minimal_projections(union: np.ndarray, cfg: ToleranceConfig) -> list[np.ndarray]:
     """The members p of a k x n x n stack with no member q strictly below:
-    pq = q within proj_tol * max(1, ||q||, ||p||) and q != p by equal_rule."""
-    norms = np.sqrt(_squared_norms(union))
-    minimal = []
-    for p, norm in zip(union, norms):
-        below = (np.sqrt(_squared_norms(p @ union - union))
-                 <= cfg.proj_tol * np.maximum(max(1.0, norm), norms))
-        if not np.any(below & ~equal_rule(union, p, cfg)):
-            minimal.append(p)
-    return minimal
+    q <= p when pq - q vanishes against max(||p||, ||q||)
+    (numlin.vanishing_rule), and q < p when q <= p but not p <= q, so that
+    no two members lie strictly below each other."""
+    k, norms = len(union), np.sqrt(_squared_norms(union))
+    below = np.array([vanishing_rule(np.sqrt(_squared_norms(p @ union - union)),
+                                     np.maximum(norm, norms), cfg)
+                      for p, norm in zip(union, norms)], dtype=bool).reshape(k, k)
+    return [p for p, strictly in zip(union, below & ~below.T) if not strictly.any()]
 
 
 _BRANDT_REASONS = ("E{i}·w·E{j} is neither zero nor a partial isometry",
@@ -648,7 +647,7 @@ def _brandt_pair_failure(mats: np.ndarray, bases,
 
     The family bases B_i form a unitary frame U, so E_i·W·E_j = B_i X B_j*
     for the block X = B_i* W B_j of U*WU, with the same norms.  Each block
-    is zero (||X|| <= eq_tol * max(1, ||W||)), or it passes the partial
+    vanishes against ||W|| (numlin.vanishing_rule), or it passes the partial
     isometry rule with X*X = I (initial projection E_j) and XX* = I (final
     projection E_i), both under approx_equal.  The first failing element,
     its first failing (i, j) and that block's first failing test name the
@@ -657,8 +656,8 @@ def _brandt_pair_failure(mats: np.ndarray, bases,
     for part in _chunks(len(mats), mats.shape[1]):
         chunk = mats[part]
         x, offsets, norms = frame_blocks(chunk, bases)
-        scale = np.maximum(1.0, np.linalg.norm(chunk.reshape(len(chunk), -1), axis=1))
-        nonzero = norms > cfg.eq_tol * scale[:, None, None]
+        refs = np.linalg.norm(chunk.reshape(len(chunk), -1), axis=1)
+        nonzero = ~vanishing_rule(norms, refs[:, None, None], cfg)
         ranks = np.diff(offsets)
         shapes = sorted(set(ranks.tolist()))
         # 0: the block passes; else 1 + the index of its failing test
@@ -699,7 +698,8 @@ def brandt_structure(c: ClosureResult) -> BrandtStructure:
     cfg = c.cfg
     fams = family_projections(c)
     # each P member matched no earlier one in the P store: only Q members are looked up
-    p_nonzero, q_nonzero = ([proj for proj in f.members if frobenius(proj) > cfg.eq_tol]
+    p_nonzero, q_nonzero = ([proj for proj in f.members
+                             if not vanishing_rule(frobenius(proj), 0.0, cfg)]
                             for f in (fams.p_set, fams.q_set))
     distinct = _ElementStore(c.dim, cfg, p_nonzero)
     distinct.add_batch(q_nonzero)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pisomlab import index
+from pisomlab import index, sgroup
 from pisomlab.numlin import ToleranceConfig, approx_equal, frobenius
 from pisomlab.pisom import NotPartialIsometry, make_partial_isometry
 from pisomlab.sgroup import (
+    CoverageGap,
     _brandt_pair_failure,
     brandt_membership,
     brandt_structure,
@@ -181,3 +182,22 @@ def test_membership_of_the_closure_elements(kind, m):
     assert all(brandt_membership(e.matrix, s) for e in c.elements)
     assert _brandt_pair_failure(c.store.stack(), [m.basis for m in s.family],
                                 ToleranceConfig()) is None
+
+
+def test_minimal_search_orders_at_the_equality_scale(monkeypatch):
+    # A = diag(1,1,0) and B onto (1,0,1e-8) with eq_tol 1e-9 below proj_tol
+    # 1e-6: the lines e1 and B, 1e-8 apart, are distinct, so neither lies
+    # below the other; both are minimal and the family fails on their overlap
+    cfg = ToleranceConfig(eq_tol=1e-9, proj_tol=1e-6)
+    v = np.array([1.0, 0.0, 1e-8]) / np.hypot(1.0, 1e-8)
+    gens = generator_set([("A", np.diag([1.0, 1.0, 0.0])), ("B", np.outer(v, v))], cfg=cfg)
+    found = []
+    minimal = sgroup._minimal_projections
+    monkeypatch.setattr(sgroup, "_minimal_projections",
+                        lambda union, cfg: found.append(minimal(union, cfg)) or found[-1])
+    with pytest.raises(CoverageGap, match="^minimal projections 0 and 1 are not orthogonal$"):
+        brandt_structure(close(gens))
+    lines = sorted(found[0], key=lambda p: abs(p[2, 2]))
+    assert len(lines) == 2
+    assert approx_equal(lines[0], np.diag([1.0, 0.0, 0.0]), cfg)
+    assert approx_equal(lines[1], np.outer(v, v), cfg)

@@ -99,13 +99,14 @@ def reference_validate_atoms(dec, fam):
 
 def reference_minimal(union, cfg):
     """The Brandt minimal search: indices of the members with no member
-    strictly below them."""
+    strictly below them, q below p when ||pq - q|| is within eq_tol of
+    zero, relative to the larger norm, and p is not below q."""
     def is_subprojection(small, big):
         scale = max(1.0, frobenius(small), frobenius(big))
-        return frobenius(big @ small - small) <= cfg.proj_tol * scale
+        return frobenius(big @ small - small) <= cfg.eq_tol * scale
 
     return [k for k, p in enumerate(union)
-            if not any(is_subprojection(q, p) and not approx_equal(q, p, cfg)
+            if not any(is_subprojection(q, p) and not is_subprojection(p, q)
                        for q in union)]
 
 
@@ -571,10 +572,21 @@ def test_a_report_forms_only_the_q_table(index, monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("tilt,want", [(1.5e-8, [1]), (2.5e-8, [0, 1])])
 def test_minimal_search_scale(tilt, want):
     # q onto (cos t, 0, 0, 0, sin t) lies below p = diag(1,1,1,1,0) up to
-    # ||pq - q|| = sin t, against proj_tol * max(1, ||q||, ||p||) = 2e-8
+    # ||pq - q|| = sin t, against eq_tol * max(1, ||q||, ||p||) = 2e-8
     v = np.array([np.sqrt(1.0 - tilt ** 2), 0.0, 0.0, 0.0, tilt])
     union = np.array([np.diag([1.0, 1.0, 1.0, 1.0, 0.0]), np.outer(v, v)], dtype=np.complex128)
     assert assert_same_minimal(union, DEFAULT_TOL) == want
+
+
+def test_minimal_search_has_no_two_cycle():
+    # lines at angle t lie below each other up to ||pq - q|| = sin t <= eq_tol,
+    # while ||p - q|| = sqrt(2) sin t > eq_tol: neither is strictly below
+    # the other, so both are minimal
+    t = 0.9e-8
+    u, v = np.array([1.0, 0.0]), np.array([np.cos(t), np.sin(t)])
+    union = np.array([np.outer(u, u), np.outer(v, v)], dtype=np.complex128)
+    assert not approx_equal(union[0], union[1])
+    assert assert_same_minimal(union, DEFAULT_TOL) == [0, 1]
 
 
 def test_split_checks_the_dimensions():

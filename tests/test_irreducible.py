@@ -7,6 +7,7 @@ numlin.spin grew every orbit."""
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pisomlab import numlin, sgroup
@@ -185,6 +186,15 @@ def test_norton_answers_as_span_growth(kind, n, count, seed, norton_seeds):
                                  n, gens.cfg)
     if kind != "random":
         assert not want.irreducible
+
+
+@pytest.mark.parametrize("factor,want", [(0.5, True), (5.0, False)])
+def test_invariance_is_decided_at_the_equality_scale(factor, want):
+    # g = I_2 plus a leak d from e1 to e2: range(e1) is invariant iff d
+    # vanishes against ||g||, eq_tol * max(1, ||g||), with no factor of its own
+    leak = factor * DEFAULT_TOL.eq_tol * np.sqrt(2.0)
+    g = np.array([[[1.0, 0.0], [leak, 1.0]]], dtype=complex)
+    assert _is_invariant(np.eye(2, 1, dtype=complex), g, 2, DEFAULT_TOL) == want
 
 
 def test_one_dimensional_space_is_irreducible():

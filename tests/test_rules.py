@@ -1,11 +1,16 @@
 """Each tolerance rule has one stacked home; the scalar predicates, the
 projection family, the product criterion and the power test must answer as
-that rule does on the same matrices."""
+that rule does on the same matrices, and no module outside numlin and the
+dedup store reads a tolerance itself."""
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pisomlab
 from pisomlab.numlin import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -14,6 +19,7 @@ from pisomlab.numlin import (
     equal_rule,
     is_projection,
     projection_rule,
+    vanishing_rule,
 )
 from pisomlab.pisom import (
     NotPartialIsometry,
@@ -116,3 +122,26 @@ def test_validated_members_are_read_only_views():
         assert np.array_equal(pi.matrix, v)
         v[0] = 0.0
         assert not np.array_equal(pi.matrix, v)
+
+
+@pytest.mark.parametrize("cfg", CFGS)
+def test_vanishing_rule_boundaries_over_a_stack(cfg):
+    # rows: ref 0, 1 and 10; columns: at, just below and just above
+    # eq_tol * max(1, ref)
+    refs = np.array([0.0, 1.0, 10.0])
+    bounds = cfg.eq_tol * np.maximum(1.0, refs)
+    norms = np.column_stack([bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf)])
+    mask = vanishing_rule(norms, refs[:, None], cfg)
+    assert mask.tolist() == [[True, True, False]] * 3
+
+
+def test_only_numlin_and_the_store_read_a_tolerance():
+    # every tolerance comparison goes through a numlin rule; the dedup
+    # store's grid in index.py is the one other reader of a tolerance field
+    fields = {"eq_tol", "proj_tol", "rank_tol"}
+    reads = [f"{path.name}:{node.lineno}: .{node.attr}"
+             for path in sorted(pathlib.Path(pisomlab.__file__).parent.glob("*.py"))
+             if path.name not in ("numlin.py", "index.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in fields]
+    assert reads == []
