@@ -3,8 +3,8 @@
 Every other module builds on the predicates and subspace primitives here.
 All matrices are numpy complex128 arrays.  Every tolerance comparison of
 the package is one of these rules, written once over stacks (only the
-dedup store's grid in index reads a tolerance besides):
-- equal_rule: approx_equal, the Brandt blocks, hw_decompose's restriction;
+dedup store in index reads a tolerance besides, for its grid and lookup):
+- equal_rule: approx_equal, atoms summing to I, Brandt blocks, hw_decompose;
 - vanishing_rule: zero blocks, residuals and compressions in the Brandt
   search, decompose_by_atoms, standard projections, a·S·b != 0 and the
   invariance checks of hw_decompose and of the reducibility witness;
