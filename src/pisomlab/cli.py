@@ -302,11 +302,11 @@ def cmd_report(s: Session) -> dict:
         if structure is not None:
             report["brandt"] = {"family_ranks": list(structure.family_ranks)}
 
-    report["certificate"] = cert = s.certificate(extended)
+    cert = s.certificate(extended)
     if error is not None and cert["verdict"] == "Extendable":
         # the atom algebra the criterion reads was never decided
-        report["certificate"] = {"verdict": "Inconclusive", "reason": error,
-                                 "provenance": cert["provenance"]}
+        cert = {"verdict": "Inconclusive", "reason": error, "provenance": cert["provenance"]}
+    report["certificate"] = cert
     return report
 
 

@@ -25,7 +25,6 @@ from .numlin import (
     as_matrix,
     commutator_norm,
     dominant_index,
-    equal_rule,
     frobenius,
     frozen,
     kernel_basis,
@@ -219,7 +218,7 @@ def hw_decompose(v: PartialIsometry,
     ub = unitary_sub.basis
     restriction = adjoint(ub) @ v.matrix @ ub
     gram = adjoint(restriction) @ restriction
-    if not equal_rule(gram[None], np.eye(unitary_sub.dim)[None], cfg)[0]:
+    if not approx_equal(gram, np.eye(unitary_sub.dim), cfg):
         raise NotPowerPartialIsometry("restriction to the stable range is not unitary")
     # the stable range must reduce v
     comp = np.eye(n) - unitary_sub.projection()

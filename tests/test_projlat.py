@@ -5,13 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from pisomlab.numlin import NonCommuting, approx_equal
+from pisomlab.numlin import NonCommuting, approx_equal, frame_blocks, frobenius
 from pisomlab.pisom import NotPartialIsometry, make_partial_isometry
 from pisomlab.projlat import (
     IndexOutOfRange,
     NotProjection,
     NotStandard,
     OffDiagonalResidual,
+    _as_atom_subset,
     boolean_atoms,
     decompose_by_atoms,
     induced_atom_map,
@@ -194,6 +195,45 @@ def test_membership_in_span_golden():
     assert not membership_in_span(PB, atoms)
     with pytest.raises(NotProjection):
         membership_in_span(B, atoms)
+
+
+def reference_atom_subset(p, atoms):
+    """The block loop: the blocks above the diagonal are zero, and each
+    diagonal block is zero or I, all within eq_tol * max(1, ||p||)."""
+    tol = atoms.cfg.eq_tol * max(1.0, frobenius(p))
+    x, offsets, norms = frame_blocks(p, atoms.bases)
+    if np.any(np.triu(norms, 1) > tol):
+        return None
+    chosen = []
+    for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        if norms[i, i] <= tol:
+            continue
+        if frobenius(x[a:b, a:b] - np.eye(b - a)) > tol:
+            return None
+        chosen.append(i)
+    return frozenset(chosen)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_atom_subsets_answer_as_the_block_loop(seed):
+    # sums of atoms, moved by hermitian noise at half and twice the equality
+    # scale, and a random line, which is not standard
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 5)
+    members = [u @ diagonal_indicator(5, s) @ u.conj().T for s in ([0, 1, 2], [1, 3])]
+    atoms = boolean_atoms(projection_family(members))
+    for subset in itertools.product((False, True), repeat=len(atoms)):
+        p = sum((a for a, keep in zip(atoms.atoms, subset) if keep), np.zeros((5, 5)))
+        for factor in (0.0, 0.5, 2.0):
+            e = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+            e += e.conj().T
+            q = p + e * (factor * atoms.cfg.eq_tol * max(1.0, frobenius(p)) / frobenius(e))
+            assert _as_atom_subset(q, atoms) == reference_atom_subset(q, atoms)
+        want = frozenset(i for i, keep in enumerate(subset) if keep)
+        assert _as_atom_subset(p, atoms) == want
+    line = random_unitary(rng, 5)[:, :1]
+    assert _as_atom_subset(line @ line.conj().T, atoms) is reference_atom_subset(
+        line @ line.conj().T, atoms) is None
 
 
 def test_induced_atom_map_identity():

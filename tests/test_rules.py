@@ -137,7 +137,7 @@ def test_vanishing_rule_boundaries_over_a_stack(cfg):
 
 def test_only_numlin_and_the_store_read_a_tolerance():
     # every tolerance comparison goes through a numlin rule; the dedup
-    # store's grid in index.py is the one other reader of a tolerance field
+    # store in index.py (its grid and its lookup) is the one other reader
     fields = {"eq_tol", "proj_tol", "rank_tol"}
     reads = [f"{path.name}:{node.lineno}: .{node.attr}"
              for path in sorted(pathlib.Path(pisomlab.__file__).parent.glob("*.py"))
