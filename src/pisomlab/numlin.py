@@ -6,13 +6,13 @@ the package is one of these rules, written once over stacks (only the
 dedup store in index reads a tolerance besides, for its grid and lookup):
 - equal_rule: approx_equal, atoms summing to I, Brandt blocks, hw_decompose;
 - vanishing_rule: zero blocks, residuals and compressions in the Brandt
-  search, decompose_by_atoms, standard projections, a·S·b != 0 and the
-  invariance checks of hw_decompose and of the reducibility witness;
+  search, decompose_by_atoms, standard projections, a·S·b != 0, the
+  invariance checks of hw_decompose and of the reducibility witness, and
+  orthogonality of atoms and Brandt family (first_overlap, frame blocks);
 - projection_rule, partial_isometry_rule: validation, closures, power test;
 - the split (split_cells, _split_error), lambda(1 - lambda) of a projection
   compressed to a cell: commutation and the halves, for ProjectionFamily;
   atom_sum_rule, the atoms' sums to each member on the split's scale;
-- first_overlap over pair_table: orthogonality of atoms and Brandt family;
 - the rank_tol cutoff: rank, range_basis, kernel_basis and spin.
 One routine, spin, grows the span of every orbit: Burnside's span of
 words, the spins of Norton's test (norton_test) and of the reducibility
@@ -439,17 +439,6 @@ def norton_test(mats: np.ndarray, cfg: ToleranceConfig, seed: int) -> Subspace |
     return None
 
 
-def pair_table(stack: np.ndarray) -> np.ndarray:
-    """The k x k table of ||P_i P_j|| over a k x n x n stack for i < j, zero
-    elsewhere; row-major order is the order in which a loop over i and then
-    j > i meets the pairs."""
-    k = len(stack)
-    products = np.zeros((k, k))
-    for i in range(k - 1):
-        products[i, i + 1:] = np.sqrt(_squared_norms(stack[i] @ stack[i + 1:]))
-    return products
-
-
 def worst_pair(table: np.ndarray) -> tuple[int, int] | None:
     """The first entry of a table of pair norms, in row-major order, within
     rel 1e-12 of the maximum (rounding splits exact ties); None if all are 0."""
@@ -458,12 +447,18 @@ def worst_pair(table: np.ndarray) -> tuple[int, int] | None:
     return (int(tied[0, 0]), int(tied[0, 1])) if len(tied) else None
 
 
-def first_overlap(stack: np.ndarray, cfg: ToleranceConfig) -> tuple[int, int] | None:
-    """The first pair i < j, in row-major order, of a k x n x n stack of
-    projections with ||P_i P_j|| > proj_tol * n, or None: the one place that
-    sets the scale of every orthogonality test."""
-    overlapping = np.argwhere(pair_table(stack) > cfg.proj_tol * stack.shape[-1])
-    return (int(overlapping[0, 0]), int(overlapping[0, 1])) if len(overlapping) else None
+def first_overlap(bases, cfg: ToleranceConfig) -> tuple[int, int] | None:
+    """The first pair i < j, in row-major order, of orthonormal bases whose
+    block B_i* B_j of U*U, U = [B_0 ... B_{F-1}], with the norm of P_i P_j,
+    does not vanish against ||I||_F = sqrt(n), or None: the Brandt pair
+    check's zero-block test on E_i·I·E_j.  A basis of width 0 meets none."""
+    wide = [i for i, b in enumerate(bases) if b.shape[1]]
+    if not wide:
+        return None
+    n = bases[0].shape[0]
+    _, _, norms = frame_blocks(np.eye(n), [bases[i] for i in wide])
+    overlapping = np.argwhere(np.triu(~vanishing_rule(norms, math.sqrt(n), cfg), 1))
+    return (wide[overlapping[0, 0]], wide[overlapping[0, 1]]) if len(overlapping) else None
 
 
 def frame_blocks(stack: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -181,12 +181,12 @@ def boolean_atoms(fam: ProjectionFamily) -> AtomDecomposition:
 
 
 def _validate_atoms(dec: AtomDecomposition, fam: ProjectionFamily) -> None:
-    """The atoms are orthogonal (numlin.first_overlap), sum to the identity
-    (equal_rule) and sum, by the masks, to each member (atom_sum_rule)."""
-    atoms = np.array(dec.atoms)
-    overlap = first_overlap(atoms, dec.cfg)
+    """The atoms' bases are orthogonal (first_overlap), the atoms sum to I
+    (equal_rule) and, by the masks, to each member (atom_sum_rule)."""
+    overlap = first_overlap(dec.bases, dec.cfg)
     if overlap is not None:
         raise InvariantViolation("atoms {} and {} are not orthogonal".format(*overlap))
+    atoms = np.array(dec.atoms)
     if not equal_rule(atoms.sum(axis=0)[None], np.eye(dec.dim)[None], dec.cfg)[0]:
         raise InvariantViolation("atoms do not sum to the identity")
     masks = np.array(dec.generator_masks, dtype=np.complex128).reshape(len(fam), len(dec))

@@ -600,7 +600,7 @@ def check_asb_nonzero(gens: GeneratorSet, a, b) -> bool:
 @dataclass(frozen=True)
 class BrandtFamilyMember:
     """A minimal projection E, the index of its loop element (P = Q = E) in
-    the closure and an orthonormal basis of its range."""
+    the closure and an orthonormal basis of its range, rank columns wide."""
 
     projection: np.ndarray
     rank: int
@@ -717,11 +717,11 @@ def brandt_structure(c: ClosureResult) -> BrandtStructure:
             raise NoMinimalWithLoop(
                 f"no element has initial = final = the minimal projection with "
                 f"dominant coordinate {dominant_index(proj)}")
-    members = [BrandtFamilyMember(frozen(proj), int(round(float(np.trace(proj).real))), loops[i],
-                                  range_basis(proj, cfg).basis)
-               for i, proj in enumerate(minimal)]
+    bases = [range_basis(proj, cfg).basis for proj in minimal]
+    members = [BrandtFamilyMember(frozen(proj), basis.shape[1], loops[i], basis)
+               for i, (proj, basis) in enumerate(zip(minimal, bases))]
 
-    overlap = first_overlap(_stack([m.projection for m in members], c.dim), cfg)
+    overlap = first_overlap(bases, cfg)
     if overlap is not None:
         raise CoverageGap("minimal projections {} and {} are not orthogonal".format(*overlap))
     total_rank = sum(m.rank for m in members)
@@ -729,7 +729,7 @@ def brandt_structure(c: ClosureResult) -> BrandtStructure:
         raise CoverageGap(
             f"family ranks sum to {total_rank}, not the dimension {c.dim}")
 
-    failure = _brandt_pair_failure(c.store.stack(), [m.basis for m in members], cfg)
+    failure = _brandt_pair_failure(c.store.stack(), bases, cfg)
     if failure is not None:
         k, reason = failure
         raise MembershipViolation(f"element {word_label(c.words[k])}: {reason}")
@@ -756,7 +756,8 @@ def check_intertwining_identity(c: ClosureResult, samples: int, seed: int = 0,
     """Sample the conjugation identity S (Q_R1 ... Q_Rm) S* = Q_SR1 ... Q_SRm.
 
     Tuples are drawn uniformly from the closure elements with m <= max_factors;
-    any residual above eq_tol raises IdentityViolation naming the tuple.
+    sides that fail approx_equal, eq_tol * max(1, ||lhs||, ||rhs||), raise
+    IdentityViolation naming the tuple.
     """
     _commuting_q(c)
     if not len(c):

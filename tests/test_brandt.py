@@ -201,3 +201,28 @@ def test_minimal_search_orders_at_the_equality_scale(monkeypatch):
     assert len(lines) == 2
     assert approx_equal(lines[0], np.diag([1.0, 0.0, 0.0]), cfg)
     assert approx_equal(lines[1], np.outer(v, v), cfg)
+
+
+def test_family_overlap_on_the_zero_block_scale():
+    # A = diag(1,1,1,0) and B onto (0,0,9e-9,1) under eq_tol 1e-9 below
+    # proj_tol 1e-6: the minimal projections of ranks 3 and 1 overlap by
+    # ||P_0 P_1|| = 9e-9, above eq_tol * sqrt(4), where the pair check counts
+    # the block E_0·I·E_1 as zero; the family is not orthogonal, and the
+    # identity is not blamed for the overlap
+    cfg = ToleranceConfig(eq_tol=1e-9, proj_tol=1e-6)
+    v = np.array([0.0, 0.0, 9e-9, 1.0]) / np.hypot(1.0, 9e-9)
+    gens = generator_set([("A", np.diag([1.0, 1.0, 1.0, 0.0])), ("B", np.outer(v, v))], cfg=cfg)
+    with pytest.raises(CoverageGap, match="^minimal projections 0 and 1 are not orthogonal$"):
+        brandt_structure(close(gens))
+
+
+@pytest.mark.parametrize("named,total", [
+    ([("A", np.diag([1e-3, 0.0]))], 0),
+    ([("A", np.diag([1.0, 0.0])), ("B", np.diag([0.0, 1e-3]))], 1)])
+def test_minimal_projection_of_rank_zero_leaves_a_coverage_gap(named, total):
+    # with rank_tol 1e-2 above eq_tol 1e-10, the projection diag(1e-6, 0)
+    # of a generator is nonzero but its basis has width 0: its rank counts
+    # 0 towards the coverage, and it overlaps no other member
+    cfg = ToleranceConfig(eq_tol=1e-10, proj_tol=1e-2, rank_tol=1e-2)
+    with pytest.raises(CoverageGap, match=f"^family ranks sum to {total}, not the dimension 2$"):
+        brandt_structure(close(generator_set(named, cfg=cfg)))

@@ -244,12 +244,26 @@ def test_worst_pair_is_the_first_within_rel_1e_12_of_the_maximum():
     assert worst_pair(np.zeros((0, 0))) is None
 
 
-def test_first_overlap_at_proj_tol_times_dim():
-    e = [np.diag(row).astype(complex) for row in np.eye(3)]
-    assert first_overlap(np.array(e), DEFAULT_TOL) is None
-    half = np.full((3, 3), 1 / 3, dtype=complex)
-    assert first_overlap(np.array([e[0], e[1], half, e[2]]), DEFAULT_TOL) == (0, 2)
-    # ||P_0 P_1|| = 2e-8 <= proj_tol * 3: orthogonal at this scale
-    v = np.array([1.0, 2e-8, 0.0]) / np.linalg.norm([1.0, 2e-8, 0.0])
-    near = np.outer(v, v).astype(complex)
-    assert first_overlap(np.array([near, e[1]]), DEFAULT_TOL) is None
+def test_first_overlap_at_eq_tol_times_sqrt_dim():
+    # bases e1 and c e1 + sqrt(1 - c^2) e2 meet in the block c of U*U, the
+    # norm of P_0 P_1: orthogonal up to eq_tol * max(1, sqrt(n)), whatever
+    # proj_tol is
+    for cfg in (ToleranceConfig(eq_tol=1e-9, proj_tol=1e-6),
+                ToleranceConfig(eq_tol=1e-6, proj_tol=1e-9)):
+        for n in (2, 5):
+            e = np.eye(n, dtype=complex)
+            bound = cfg.eq_tol * max(1.0, np.sqrt(n))
+            for c, want in ((bound, None), (np.nextafter(bound, 0.0), None),
+                            (np.nextafter(bound, np.inf), (0, 1))):
+                tilted = c * e[:, :1] + np.sqrt(1.0 - c ** 2) * e[:, 1:2]
+                assert first_overlap([e[:, :1], tilted], cfg) == want
+            assert first_overlap([], cfg) is None
+    # the first overlapping pair in row-major order, across bases of rank 2
+    e = np.eye(4, dtype=complex)
+    diagonal = np.full((4, 1), 0.5, dtype=complex)
+    bases = [e[:, :1], e[:, 1:3], diagonal, e[:, 3:]]
+    assert first_overlap(bases, DEFAULT_TOL) == (0, 2)
+    assert first_overlap([e[:, :1], e[:, 1:3], e[:, 3:]], DEFAULT_TOL) is None
+    # a basis of width 0 overlaps nothing, and the others keep their indices
+    assert first_overlap([e[:, :0], e[:, :1], e[:, :0], diagonal], DEFAULT_TOL) == (1, 3)
+    assert first_overlap([e[:, :0], e[:, :0]], DEFAULT_TOL) is None

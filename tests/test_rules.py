@@ -145,3 +145,29 @@ def test_only_numlin_and_the_store_read_a_tolerance():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr in fields]
     assert reads == []
+
+
+def test_each_numlin_rule_reads_its_own_tolerances():
+    # the top-level definitions of numlin.py that read eq_tol, proj_tol or
+    # rank_tol, and which they read: a new scale inside numlin fails here,
+    # as one outside it fails above; first_overlap reads none, it calls
+    # vanishing_rule
+    fields = {"eq_tol", "proj_tol", "rank_tol"}
+    tree = ast.parse((pathlib.Path(pisomlab.__file__).parent / "numlin.py").read_text())
+    reads = {}
+    for stmt in tree.body:
+        read = {node.attr for node in ast.walk(stmt)
+                if isinstance(node, ast.Attribute) and node.attr in fields}
+        if read:
+            reads[getattr(stmt, "name", f"line {stmt.lineno}")] = read
+    assert reads == {
+        "equal_rule": {"eq_tol"},
+        "vanishing_rule": {"eq_tol"},
+        "projection_rule": {"proj_tol"},
+        "partial_isometry_rule": {"proj_tol"},
+        "_rank_from_singular_values": {"rank_tol"},
+        "_split_error": {"proj_tol"},
+        "atom_sum_rule": {"proj_tol"},
+        "spin": {"eq_tol", "rank_tol"},
+        "norton_test": {"rank_tol"},
+    }

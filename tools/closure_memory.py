@@ -14,9 +14,10 @@ and 0.  For each n the script prints
 - the median over RUNS runs of the wall time of the base closure
   (`close`), of the selfadjoint closure (`selfadjoint_closure`, which
   `report` runs too; cyclic units are *-closed, so it finds nothing new),
-  and of `family_projections` and then `brandt_structure` (which reuses
-  the families) on the base closure, each run on a fresh closure, since a
-  closure keeps its families once built: where `report` spends its time;
+  and of `family_projections`, `boolean_atoms` of its Q family and then
+  `brandt_structure` (which reuses the families) on the base closure, each
+  run on a fresh closure, since a closure keeps its families once built:
+  where `report` spends its time;
 - the median over RUNS runs of the wall time of `is_irreducible` on cyclic
   units of size n/2 tensored with I_2, and its tracemalloc peak in one more
   run.  Every eigenvalue of a combination of these generators is double, so
@@ -56,6 +57,7 @@ import numpy as np
 from pisomlab.cli import main as cli_main
 from pisomlab.invsg import barnes_representation, symmetric_inverse_table
 from pisomlab.jsonio import matrix_to_json
+from pisomlab.projlat import boolean_atoms
 from pisomlab.sgroup import (Limits, brandt_structure, close, family_projections, generator_set,
                              is_irreducible, selfadjoint_closure)
 
@@ -102,14 +104,16 @@ def stage_times(n: int) -> str:
     gens = generator_set(cyclic_units(n), dim=n)
     limits = Limits(20000, n + 1)
     stages = {"close": [], "selfadjoint_closure": [], "family_projections": [],
-              "brandt_structure": []}
+              "boolean_atoms": [], "brandt_structure": []}
     for _ in range(RUNS):
         marks = [time.perf_counter()]
         result = close(gens, limits)
         marks.append(time.perf_counter())
         selfadjoint_closure(gens, limits)
         marks.append(time.perf_counter())
-        family_projections(result)
+        q_set = family_projections(result).q_set
+        marks.append(time.perf_counter())
+        boolean_atoms(q_set)
         marks.append(time.perf_counter())
         brandt_structure(result)
         marks.append(time.perf_counter())
