@@ -32,7 +32,10 @@ run `barnes`.  The fixtures and the near-threshold pairs also run with
 which covers the flag > file > default rule for the tolerance.  The unitary
 pairs run only with `--max-elements 301` and `2000`, limits that cut a BFS
 level and one of its chunks, so the truncation point is compared too.  The
-golden fixture also runs `report --seed -1`, an input error.
+golden fixture also runs `report --seed -1`, an input error, and `closure`,
+`extend` and `report` with `--max-elements 19`, `20` and `21`: its
+selfadjoint closure is cut at 19 elements, fails at C.B*.A, element 20 and
+the first past the limit, and fails there again inside the limit.
 
 Runs are in-process, through `pisomlab.cli.main`; an exception that escapes
 it (exit 1 and a traceback at the command line) is recorded as exit 1 with
@@ -302,6 +305,9 @@ def commands(label: str) -> tuple[str, ...]:
 
 
 SEED_RUN = ("fixture-example-1-3", "report", "__seed-1", ["--seed", "-1"])
+# limits just below, at and above the golden fixture's failing element
+LIMIT_RUNS = [("fixture-example-1-3", command, f"__max{n}", ["--max-elements", str(n)])
+              for command in ("closure", "extend", "report") for n in (19, 20, 21)]
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -328,7 +334,7 @@ def write_outputs(outdir: pathlib.Path) -> int:
     runs = [(label, command, suffix, flags) for label in gens for command in commands(label)
             for suffix, flags in flag_sets(label)]
     runs += [(label, "barnes", "", []) for label in tables]
-    runs.append(SEED_RUN)
+    runs += [SEED_RUN, *LIMIT_RUNS]
     for label, command, suffix, flags in runs:
         for fmt in FORMATS:
             code, out, err = run_cli([command, f"inputs/{label}.json", "--format", fmt, *flags])
