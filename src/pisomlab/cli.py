@@ -35,7 +35,6 @@ from .sgroup import (
     DEFAULT_LIMITS,
     GeneratorSet,
     Limits,
-    _ElementStore,
     brandt_structure,
     close,
     family_projections,
@@ -253,14 +252,13 @@ def cmd_barnes(request: AnalysisRequest) -> dict:
            "violations": [str(v) for v in violations[:20]]}
     if violations:
         return out
-    distinct = _ElementStore(table.n, cfg)
-    distinct.add_batch([pi.matrix for pi in images])
     # built directly: barnes_representation validated every image
     gens = GeneratorSet(table.n, tuple((f"s{i}", pi.matrix) for i, pi in enumerate(images)),
                         include_identity=True, include_zero=False, cfg=cfg)
     closure = selfadjoint_closure(gens, request.limits or DEFAULT_LIMITS)
     out.update({
-        "injective": distinct.count == table.n,
+        # the images are 0/1 matrices, compared exactly as barnes_representation checks them
+        "injective": len({pi.matrix.tobytes() for pi in images}) == table.n,
         "all_partial_isometries": True,
         "closure_status": closure.status,
         "closure_elements": len(closure),

@@ -171,10 +171,12 @@ class ClosureResult:
     """Outcome of a closure run.
 
     status is CLOSED, TRUNCATED (limit_hit says which limit fired) or FAILURE
-    (witness_word evaluates to a matrix failing validation by
-    witness_deviation in operator norm).  The elements are held as columns:
-    element k is the store's member k with the shortest witnessing word
-    words[k]; on FAILURE they are the elements retained before the abort.
+    (witness_word evaluates to a matrix V that fails partial_isometry_rule).
+    witness_deviation is partial_isometry_defect(V), ||(V*V)^2 - V*V||_2, not
+    the rule's ||VP - V||: a spurious singular value s of V gives about s^2
+    against the rule's s, so the deviation can lie below proj_tol.  Element
+    k is the store's member k with the shortest witnessing word words[k]; on
+    FAILURE the elements are those retained before the abort.
     Every element is a partial isometry: close validated each but I.
     """
 
@@ -224,15 +226,16 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
     then each BFS level in chunks of consecutive parents, whose products take
     one GEMM per letter.  Each stack is looked up in order against every
     element kept before it and merged by approx_equal (one add_batch), and
-    its new members join the elements at once.  The elements added since
-    the last check are validated together (partial_isometry_rule, in stacks
-    of _step(dim, _HELD)) before a level's parents are multiplied and once
-    more at the end, so every element but the identity passed the rule
-    before it became a parent or the closure returned.  The first that
-    fails, in element order, aborts with a FAILURE status carrying a
-    minimal-length witness word and its partial_isometry_defect; the
-    elements from it on are dropped.
-    Hitting a limit yields TRUNCATED; limits are results, not errors.
+    its new members join the elements at once; the first past max_elements
+    joins too and ends the growth.  The elements added since the last check
+    are validated together (partial_isometry_rule, in stacks of
+    _step(dim, _HELD)) before a level's parents are multiplied, so none
+    becomes a parent unchecked, and once more at the end.  The first that
+    fails, in element order, ends the closure with a FAILURE status carrying
+    a minimal-length witness word and its partial_isometry_defect, and the
+    elements from it on are dropped; else those past max_elements are, and
+    the closure is TRUNCATED, as it is at any limit: limits are results, not
+    errors.
     """
     dim, cfg = gens.dim, gens.cfg
     name_map = dict(gens.named_generators)
@@ -249,74 +252,70 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
     gen_stack = _stack(list(name_map.values()), dim)
     letters = len(names)
     checked = len(words)    # the elements before it passed the rule, but I
-    bad: int | None = None  # the first element that failed it
 
-    def passed() -> bool:
-        """The rule over the elements from checked on: checked moves past
-        them if every one passes, else bad is set to the first that fails."""
-        nonlocal checked, bad
+    def first_failure() -> int | None:
+        """The rule over the elements from checked on -> the first that
+        fails, where checked stops (a level's failure is read again after
+        the loop), or None, and checked moves past them."""
+        nonlocal checked
         unchecked = store.stack()[checked:]
         for part in _chunks(len(unchecked), dim, _HELD):
             valid = partial_isometry_rule(unchecked[part], cfg)[0]
             if not valid.all():
-                bad = checked + part.start + int(valid.argmin())
-                return False
+                checked += part.start + int(valid.argmin())
+                return checked
         checked = store.count
-        return True
+        return None
 
     def stacks():
-        """(stack, words_of) for the generators and then every parent chunk;
-        words_of(ps) is the list of words of the stack's members ps."""
+        """(stack, parents) for the generators, with parents None, and then
+        every parent chunk, whose product p is element parents[p // letters]
+        times letter p % letters."""
         nonlocal limit_hit
-        yield gen_stack, lambda ps: [(names[p],) for p in ps]
+        yield gen_stack, None
         # the elements of a level are consecutive, with words of
         # nondecreasing length, and the store's member k is element k
         level = range(len(words))
-        while level and passed():
+        while level and first_failure() is None:
             parents = [k for k in level if len(words[k]) < limits.max_word_length]
             start = len(words)
             for part in _chunks(len(parents), dim, _HELD * letters):
                 chunk = parents[part]
                 # one GEMM per letter over the chunk's stacked rows, laid out
-                # parent-major: product p is parent chunk[p // letters] times
-                # letter p % letters
+                # parent-major
                 prods = store.stack()[chunk].reshape(-1, dim) @ gen_stack
                 prods = prods.reshape(letters, len(chunk), dim, dim).transpose(1, 0, 2, 3)
-                yield (prods.reshape(-1, dim, dim),
-                       lambda ps, chunk=chunk: [words[chunk[p // letters]] + (names[p % letters],)
-                                                for p in ps])
+                yield prods.reshape(-1, dim, dim), chunk
             if len(parents) < len(level):
                 limit_hit = limit_hit or "max_word_length"
             level = range(start, len(words))
 
-    overflow = None     # (word, matrix) of the first new member without room
-    for mats, words_of in stacks():
+    for mats, parents in stacks():
         # each member is looked up in order and a new one joins the store at
-        # once, while fewer than max_elements are held
+        # once, while fewer than max_elements are held; the results end at
+        # the first new one without room, which joins the store here
         new = [p for p, match in enumerate(store.add_batch(mats, limits.max_elements))
                if match is None]
-        kept = store.count - len(words)
-        words += words_of(new[:kept])
-        if kept < len(new):
-            overflow = words_of([new[kept]])[0], mats[new[kept]]
+        if len(new) > store.count - len(words):
+            store.append(mats[new[-1]])
+        words += [(words[parents[p // letters]] if parents else ()) + (names[p % letters],)
+                  for p in new]
+        if len(words) > limits.max_elements:
             break
 
-    if bad is None:
-        passed()        # the elements added since the last level's check
-    failed = None       # (word, matrix) of the first element that fails the rule
+    # a failure witness outranks the limit: the member past max_elements
+    # passes the rule before it is dropped
+    bad = first_failure()
     if bad is not None:
-        failed = words[bad], store.stack()[bad]
+        witness, deviation = words[bad], partial_isometry_defect(store.stack()[bad])
         del words[bad:]
         store.truncate(bad)
-    elif overflow and not partial_isometry_rule(overflow[1][None], cfg)[0][0]:
-        # a failure witness outranks the limit, so the member that found no
-        # room is validated once every kept one passed
-        failed = overflow
-    elif overflow:
+        return ClosureResult(dim, gens, name_map, words, store, FAILURE, witness_word=witness,
+                             witness_deviation=deviation)
+    if len(words) > limits.max_elements:
+        del words[limits.max_elements:]
+        store.truncate(limits.max_elements)
         limit_hit = "max_elements"
-    if failed:
-        return ClosureResult(dim, gens, name_map, words, store, FAILURE, witness_word=failed[0],
-                             witness_deviation=partial_isometry_defect(failed[1]))
     status = TRUNCATED if limit_hit else CLOSED
     return ClosureResult(dim, gens, name_map, words, store, status, limit_hit=limit_hit)
 

@@ -763,6 +763,35 @@ def test_failure_cases_fail_where_they_are_meant_to():
     assert index._step(4, index._HELD) < before < 3 ** 6 - 1
 
 
+@pytest.mark.parametrize("max_elements", (19, 20))
+def test_cut_back_closure_keeps_no_trace_of_the_member_past_the_limit(max_elements,
+                                                                       monkeypatch):
+    # golden-8 keeps 20 elements and fails at element 20: at a limit of 19
+    # the member past it is element 19, which passes; at 20 it is element 20
+    gens, _ = chunk_cases()["golden-8"]
+    free = close(gens, Limits(5000))
+    validated = []
+    rule = sgroup.partial_isometry_rule
+    monkeypatch.setattr(sgroup, "partial_isometry_rule",
+                        lambda ms, cfg: validated.extend(np.array(ms)) or rule(ms, cfg))
+    c = close(gens, Limits(max_elements))
+    if max_elements == 19:
+        assert (c.status, c.limit_hit) == (TRUNCATED, "max_elements")
+        cut = free.matrices()[19]
+        assert free.find(cut) == 19
+    else:
+        assert (c.status, c.witness_word) == (FAILURE, free.witness_word)
+        cut = c.evaluate(c.witness_word)
+    assert len(c) == max_elements
+    assert c.store.count == len(c.words)
+    assert c.store.lookup_batch(c.matrices()) == list(range(len(c)))
+    assert c.find(cut) is None
+    # each kept element but I, then the member past the limit, once
+    assert len(validated) == len(c)
+    assert np.array_equal(validated[:-1], c.matrices()[1:])
+    assert approx_equal(validated[-1], cut, CFG)
+
+
 def test_close_validates_each_level_once(monkeypatch):
     # every level of cyclic units at n = 8 fits one validation stack
     gens, limits, _ = exact_closure_cases()["units-8"]
