@@ -23,7 +23,10 @@ are infinite, cyclic matrix units at n = 16 and 20, plain and conjugated by
 a seeded signed permutation, with the benchmark's limits, and a late
 failure at n = 24: the cyclic shift, E_11 and the projection onto
 (e_9 + e_17)/sqrt(2), whose closures fail at P.S^8.Q after their stores
-have grown past the elements they keep.
+have grown past the elements they keep, and near-unitary letters whose
+proven word length (numlin.proven_word_length) ends inside the word limit,
+so that the partial-isometry rule runs again from there (run by
+`closure`, `extend` and `report` only).
 Each input is written to OUTDIR/inputs/ and every run reads it from there
 by a relative path, so no output depends on where OUTDIR is.
 Generator files run every generator command in json and text format, tables
@@ -65,6 +68,7 @@ LARGE_UNITS = (16, 20)
 # dimensions that are not multiples of 4
 ODD_UNITARY_DIMS = (3, 5)
 TINY_TOL = "tiny-eq-tol-"
+ALMOST_UNITARY = "almost-unitary-"
 # file tolerances that separate the equality scale from the projection scale
 MIXED_TOLS = ({"eq_tol": 1e-6, "proj_tol": 1e-9}, {"eq_tol": 1e-9, "proj_tol": 1e-6})
 NESTED_DEPTH = 100_000
@@ -253,6 +257,27 @@ def late_failure_input(bench) -> dict[str, dict]:
     return {"late-failure-24": bench.generator_file(n, named)}
 
 
+def almost_unitary_inputs(bench) -> dict[str, dict]:
+    """A = (1 + 1.96e-10) U at n = 2, whose powers pass the rule up to A^25
+    and fail at A^26 (word limit 40), proven up to 12 letters; R = (1 +
+    1e-9) W diag(w, w^2) W* with w = exp(2 pi i / 5), whose closure closes
+    with 5 elements, 4 letters long, proven up to 2; and a seeded unitary
+    pair at n = 3, each moved by a random matrix of norm 1e-9, proven up to
+    3 letters and cut at 2000 elements."""
+    rng = np.random.default_rng([1, 2])
+    u, w = bench.random_unitary(rng, 2), bench.random_unitary(rng, 2)
+    order5 = w @ np.diag(np.exp(2j * np.pi * np.array([1, 2]) / 5)) @ w.conj().T
+    rng = np.random.default_rng([1, 3])
+    moved = []
+    for name in "AB":
+        e = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        moved.append((name, bench.random_unitary(rng, 3) + 1e-9 * e / np.linalg.norm(e)))
+    return {f"{ALMOST_UNITARY}scaled-2": bench.generator_file(2, [("A", (1.0 + 1.96e-10) * u)],
+                                                              (20000, 40)),
+            f"{ALMOST_UNITARY}order-5-2": bench.generator_file(2, [("R", (1.0 + 1e-9) * order5)]),
+            f"{ALMOST_UNITARY}moved-pair-3": bench.generator_file(3, moved, (2000, 16))}
+
+
 def collect_inputs() -> tuple[dict[str, dict | bytes], dict[str, dict | bytes]]:
     """-> (generator files, table files), each label -> JSON document, or
     the file's bytes where they are no JSON text."""
@@ -271,6 +296,7 @@ def collect_inputs() -> tuple[dict[str, dict | bytes], dict[str, dict | bytes]]:
     gens.update(odd_unitary_inputs(bench))
     gens.update(large_units_inputs(bench))
     gens.update(late_failure_input(bench))
+    gens.update(almost_unitary_inputs(bench))
     gens.update(near_threshold_inputs())
     gens.update(later_cell_inputs())
     gens.update(mixed_tolerance_inputs(gens))
@@ -301,7 +327,11 @@ def flag_sets(label: str) -> list[tuple[str, list[str]]]:
 
 def commands(label: str) -> tuple[str, ...]:
     """The commands that run an input."""
-    return ("closure", "report") if label.startswith(TINY_TOL) else GENERATOR_COMMANDS
+    if label.startswith(TINY_TOL):
+        return ("closure", "report")
+    if label.startswith(ALMOST_UNITARY):
+        return ("closure", "extend", "report")
+    return GENERATOR_COMMANDS
 
 
 SEED_RUN = ("fixture-example-1-3", "report", "__seed-1", ["--seed", "-1"])
