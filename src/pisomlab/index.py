@@ -5,6 +5,8 @@ a time, behind closures, projection families and adjunction.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .numlin import ShapeMismatch, ToleranceConfig, as_matrix
@@ -56,6 +58,19 @@ def _chunks(count: int, dim: int, per_item: int = 1, floor: int = 1) -> list[sli
 def _norms(flat: np.ndarray) -> np.ndarray:
     """np.linalg.norm(flat, axis=1) by its own formula, without its dispatch."""
     return np.sqrt(np.add.reduce((flat.conj() * flat).real, axis=1))
+
+
+@cache
+def _directions(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sketch direction g of a dimension, a unit vector from its own
+    seeded generator, and its conjugate: built once, read-only."""
+    rng = np.random.default_rng([0x5EED, dim])
+    g = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+    g /= np.linalg.norm(g)
+    g_conj = g.conj()
+    g.setflags(write=False)
+    g_conj.setflags(write=False)
+    return g, g_conj
 
 
 def _grown(a: np.ndarray, size: int, keep: int) -> np.ndarray:
@@ -124,11 +139,7 @@ class _ElementStore:
         self._norms = np.zeros(64)
         self.count = 0
         self._max_norm = 0.0
-        # the sketch direction g: fixed per dimension, from its own generator
-        rng = np.random.default_rng([0x5EED, dim])
-        g = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
-        self._direction = g / np.linalg.norm(g)
-        self._direction_conj = self._direction.conj()
+        self._direction, self._direction_conj = _directions(dim)
         self._width = 2.0 * cfg.eq_tol * max(1.0, np.sqrt(dim)) * _CELL_SLACK
         # the match radius per unit of scale, padded for the rounding of the
         # sketches, norms and distances

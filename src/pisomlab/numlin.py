@@ -10,6 +10,8 @@ dedup store in index reads a tolerance besides, for its grid and lookup):
   invariance checks of hw_decompose and of the reducibility witness, and
   orthogonality of atoms and Brandt family (first_overlap, frame blocks);
 - projection_rule, partial_isometry_rule: validation, closures, power test;
+  proven_word_length, the word length up to which products of unitary
+  letters provably pass partial_isometry_rule: closures;
 - the split (split_cells, _split_error), lambda(1 - lambda) of a projection
   compressed to a cell: commutation and the halves, for ProjectionFamily;
   atom_sum_rule, the atoms' sums to each member on the split's scale;
@@ -160,6 +162,108 @@ def partial_isometry_rule(ms: np.ndarray,
     d -= ms
     ok &= _squared_norms(d) <= cfg.proj_tol ** 2 * np.maximum(1.0, _squared_norms(ms))
     return ok, p
+
+
+_U = 2.0 ** -53     # the unit roundoff of float64
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u)."""
+    return m * _U / (1.0 - m * _U)
+
+
+def _product_rounding(n: int) -> float:
+    """c: every entry of a computed product of n x n complex matrices is
+    within c (|A||B|)_ij of the exact one, so ||fl(AB) - AB||_F <=
+    c ||A||_F ||B||_F.  A complex inner product of length n carries
+    gamma_(n+2) (Higham 2002, section 3.6), and sqrt(2) more when BLAS sums
+    the real and imaginary parts of the terms apart."""
+    return math.sqrt(2.0) * _gamma(n + 2)
+
+
+def _slack(n: int) -> float:
+    """The factor 1 / (1 - gamma_(2n^2+48)), which covers, together, the
+    relative rounding of a squared norm of 2n^2 reals, of one subtraction,
+    of fl(proj_tol^2) * max(1, .) and of the forty-odd roundings of the
+    positive terms in _letter_defect and _word_defect_bound."""
+    return 1.0 / (1.0 - _gamma(2 * n * n + 48))
+
+
+def _letter_defect(letters: np.ndarray) -> float:
+    """delta >= ||g*g - I||_2 for every letter g of the k x n x n stack: the
+    computed ||fl(g*g) - I||_F plus the rounding c ||g||_F^2 of the product,
+    times _slack.  For a square g, gg* - I has the same singular values."""
+    n = letters.shape[-1]
+    d = letters.conj().transpose(0, 2, 1) @ letters
+    d -= np.eye(n)
+    per_letter = np.sqrt(_squared_norms(d)) + _product_rounding(n) * _squared_norms(letters)
+    return float(per_letter.max(initial=0.0)) * _slack(n)
+
+
+def _word_defect_bound(k: int, n: int, delta: float) -> float:
+    """A bound on sqrt of every squared norm that partial_isometry_rule
+    compares for a stored product of k letters (proven_word_length)."""
+    c, rn = _product_rounding(n), math.sqrt(n)
+    kappa = 2.0 * c * n + (c * n) ** 2
+    log_a = k * math.log1p(delta + kappa + delta * kappa)
+    if log_a > 1.0:     # e > 1.7, beyond every proj_tol
+        return math.inf
+    e = math.expm1(log_a)
+    f1 = c * n * (1.0 + e)
+    eta2, eta_f = e + f1, rn * e + f1
+    p_f = rn + eta_f
+    worst = max(2.0 * f1,
+                eta_f * (1.0 + eta2) + c * p_f ** 2,
+                math.sqrt(1.0 + e) * eta_f + c * rn * math.sqrt(1.0 + e) * p_f)
+    return worst * _slack(n)
+
+
+def proven_word_length(letters: np.ndarray, cfg: ToleranceConfig,
+                       max_word_length: int) -> int:
+    """The largest L <= max_word_length such that every product of at most
+    L letters of the k x n x n stack, formed as a closure stores it (a
+    letter, or a stored product of one letter fewer times a letter, one
+    computed GEMM), provably passes partial_isometry_rule; 0 unless every
+    letter is unitary within delta.
+
+    A letter with | ||g||_F^2 - n | > n proj_tol has ||g*g - I||_2 >
+    proj_tol, and the bound below exceeds it at one letter; such a letter
+    (a rank-deficient partial isometry, the adjoined 0) gives 0 before
+    anything of the letters' size is formed.  Else delta >= ||g*g - I||_2
+    (_letter_defect).
+
+    The bound (_word_defect_bound) takes c = _product_rounding(n) and
+    e_k >= ||V*V - I||_2 for every stored V of k letters.  A letter has
+    e_1 = delta.  A product V' = fl(Vg) = Vg + F has ||F||_2 <= c ||V||_F
+    ||g||_F <= c n a, a = ||V||_2 ||g||_2, a^2 <= (1 + e_k)(1 + delta), and
+        V'*V' - I = g*(V*V - I)g + (g*g - I) + (Vg)*F + F*(Vg) + F*F,
+    so 1 + e_(k+1) <= A (1 + e_k) with A = (1 + delta)(1 + kappa), kappa =
+    2cn + (cn)^2: e_k = A^k - 1 by induction from the exact identity.  The
+    rule forms P^ = fl(V*V) = V*V + F1, ||F1||_F <= c ||V||_F^2 <= cn(1 + e)
+    = f1, and with D = P^ - I, ||D||_2 <= e + f1 = eta2 and ||D||_F <=
+    sqrt(n) e + f1 = eta_f, ||P^||_F <= sqrt(n) + eta_f = p_f:
+    - hermiticity, conj(P^) - P^T, the conjugate of F1 - F1*: 2 f1;
+    - idempotency, fl(P^P^) - P^ = D + D^2 + F2, ||F2||_F <= c ||P^||_F^2:
+      eta_f (1 + eta2) + c p_f^2;
+    - ||fl(VP^) - V||_F = ||VD + F3||_F, ||F3||_F <= c ||V||_F ||P^||_F:
+      sqrt(1 + e) eta_f + c sqrt(n (1 + e)) p_f.
+    The largest, times _slack(n), bounds the square root of each computed
+    squared norm, and the rule's thresholds proj_tol * max(1, .) are never
+    below proj_tol: words of k letters pass where it is <= proj_tol.  The
+    bound grows with k, so L is found by bisection.
+    """
+    n = letters.shape[-1]
+    if not (np.abs(_squared_norms(letters) - n) <= n * cfg.proj_tol).all():
+        return 0
+    delta = _letter_defect(letters)
+    lo, hi = 0, max_word_length
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _word_defect_bound(mid, n, delta) <= cfg.proj_tol:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def approx_equal(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -452,13 +556,12 @@ def first_overlap(bases, cfg: ToleranceConfig) -> tuple[int, int] | None:
     block B_i* B_j of U*U, U = [B_0 ... B_{F-1}], with the norm of P_i P_j,
     does not vanish against ||I||_F = sqrt(n), or None: the Brandt pair
     check's zero-block test on E_i·I·E_j.  A basis of width 0 meets none."""
-    wide = [i for i, b in enumerate(bases) if b.shape[1]]
-    if not wide:
+    if not bases:
         return None
     n = bases[0].shape[0]
-    _, _, norms = frame_blocks(np.eye(n), [bases[i] for i in wide])
+    _, _, norms = frame_blocks(np.eye(n), bases)
     overlapping = np.argwhere(np.triu(~vanishing_rule(norms, math.sqrt(n), cfg), 1))
-    return (wide[overlapping[0, 0]], wide[overlapping[0, 1]]) if len(overlapping) else None
+    return (int(overlapping[0, 0]), int(overlapping[0, 1])) if len(overlapping) else None
 
 
 def frame_blocks(stack: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -469,14 +572,24 @@ def frame_blocks(stack: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray, np.n
     the (i, j) blocks X[o_i:o_(i+1), o_j:o_(j+1)], F x F per matrix).  When
     the bases are mutually orthogonal and span C^n, U is unitary and block
     (i, j) is B_i* M B_j: the compression of M from range(B_j) to range(B_i),
-    with the same norms as E_i M E_j for E_i = B_i B_i*.
+    with the same norms as E_i M E_j for E_i = B_i B_i*.  A block of a basis
+    of width 0 is empty, with norm 0.
     """
     u = np.hstack(bases)
     offsets = np.cumsum([0] + [b.shape[1] for b in bases])
     x = adjoint(u) @ stack @ u
-    starts = offsets[:-1]
+    # np.add.reduceat cannot sum an empty block: it sums the blocks of the
+    # wide bases, each of which runs up to the next wide one's offset, and
+    # only a family with a basis of width 0 pays for a table of zeros
+    wide = np.flatnonzero(np.diff(offsets))
+    starts = offsets[wide]
     sq = np.add.reduceat(x.real ** 2 + x.imag ** 2, starts, axis=-2)
-    return x, offsets, np.sqrt(np.add.reduceat(sq, starts, axis=-1))
+    norms = np.sqrt(np.add.reduceat(sq, starts, axis=-1))
+    if wide.size < len(bases):
+        full = np.zeros(x.shape[:-2] + (len(bases), len(bases)))
+        full[..., wide[:, None], wide] = norms
+        norms = full
+    return x, offsets, norms
 
 
 def dominant_index(a: np.ndarray) -> int:

@@ -8,6 +8,7 @@ never silently promoted to Closed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Callable
 from itertools import chain
 from dataclasses import dataclass, field, replace
@@ -35,6 +36,7 @@ from .numlin import (
     invariant_subspaces,
     norton_test,
     partial_isometry_rule,
+    proven_word_length,
     range_basis,
     spin,
     vanishing_rule,
@@ -177,7 +179,8 @@ class ClosureResult:
     against the rule's s, so the deviation can lie below proj_tol.  Element
     k is the store's member k with the shortest witnessing word words[k]; on
     FAILURE the elements are those retained before the abort.
-    Every element is a partial isometry: close validated each but I.
+    Every element is a partial isometry: close validated each but I, or
+    proved that it passes (numlin.proven_word_length).
     """
 
     dim: int
@@ -230,7 +233,9 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
     joins too and ends the growth.  The elements added since the last check
     are validated together (partial_isometry_rule, in stacks of
     _step(dim, _HELD)) before a level's parents are multiplied, so none
-    becomes a parent unchecked, and once more at the end.  The first that
+    becomes a parent unchecked, and once more at the end; those of at most
+    numlin.proven_word_length letters provably pass it and are skipped,
+    which leaves every result as it is.  The first that
     fails, in element order, ends the closure with a FAILURE status carrying
     a minimal-length witness word and its partial_isometry_defect, and the
     elements from it on are dropped; else those past max_elements are, and
@@ -251,13 +256,18 @@ def close(gens: GeneratorSet, limits: Limits = DEFAULT_LIMITS) -> ClosureResult:
         words.append(())
     gen_stack = _stack(list(name_map.values()), dim)
     letters = len(names)
+    # every element of at most proven letters passes the rule
+    proven = proven_word_length(gen_stack, cfg, limits.max_word_length)
     checked = len(words)    # the elements before it passed the rule, but I
 
     def first_failure() -> int | None:
-        """The rule over the elements from checked on -> the first that
-        fails, where checked stops (a level's failure is read again after
-        the loop), or None, and checked moves past them."""
+        """The rule over the elements from checked on, past those of at
+        most proven letters -> the first that fails, where checked stops (a
+        level's failure is read again after the loop), or None, and checked
+        moves past them."""
         nonlocal checked
+        # word lengths never decrease in element order
+        checked = bisect_right(words, proven, checked, key=len)
         unchecked = store.stack()[checked:]
         for part in _chunks(len(unchecked), dim, _HELD):
             valid = partial_isometry_rule(unchecked[part], cfg)[0]

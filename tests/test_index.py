@@ -812,3 +812,21 @@ def test_default_chunk_splits_a_level():
     assert len(index._chunks(324, 4, index._HELD * len(gens.names))) > 1
     words = [e.word for e in close(gens, limits).elements]
     assert sum(len(w) == 5 for w in words) == 324
+
+
+@pytest.mark.parametrize("dim", (1, 3, 8))
+def test_each_dimension_builds_its_sketch_direction_once(dim):
+    # every store of a dimension reads one read-only direction, whatever
+    # its tolerance: the unit vector of the seeded generator, as each store
+    # once drew for itself, and its conjugate
+    rng = np.random.default_rng([0x5EED, dim])
+    g = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+    g = g / np.linalg.norm(g)
+    stores = [_ElementStore(dim, cfg) for cfg in (CFG, *OTHER_CFGS)]
+    for store in stores:
+        assert store._direction is stores[0]._direction
+        assert store._direction_conj is stores[0]._direction_conj
+    assert np.array_equal(stores[0]._direction, g)
+    assert np.array_equal(stores[0]._direction_conj, g.conj())
+    for array in (stores[0]._direction, stores[0]._direction_conj):
+        assert not array.flags.writeable

@@ -16,6 +16,7 @@ from pisomlab.numlin import (
     approx_equal,
     commutator_norm,
     first_overlap,
+    frame_blocks,
     full_subspace,
     is_projection,
     kernel_basis,
@@ -267,3 +268,19 @@ def test_first_overlap_at_eq_tol_times_sqrt_dim():
     # a basis of width 0 overlaps nothing, and the others keep their indices
     assert first_overlap([e[:, :0], e[:, :1], e[:, :0], diagonal], DEFAULT_TOL) == (1, 3)
     assert first_overlap([e[:, :0], e[:, :0]], DEFAULT_TOL) is None
+
+
+@pytest.mark.parametrize("widths", [(0, 1, 2), (1, 0, 2), (1, 2, 0), (0, 0, 3), (0, 3, 0)])
+def test_frame_blocks_give_a_basis_of_width_0_norm_0(widths):
+    # coordinate bases: U = I, so block (i, j) is M's block; an empty one
+    # at any position has norm 0 and leaves the others' norms as they are
+    m = np.arange(9.0).reshape(3, 3) + 1j
+    offsets = np.cumsum((0,) + widths)
+    cut = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+    bases = [np.eye(3, dtype=complex)[:, s] for s in cut]
+    want = np.array([[np.linalg.norm(m[r, c]) for c in cut] for r in cut])
+    for stack, norms in ((m, want), (np.array([m, 2 * m]), np.array([want, 2 * want]))):
+        x, got_offsets, got = frame_blocks(stack, bases)
+        assert np.array_equal(x, stack) and got_offsets.tolist() == offsets.tolist()
+        assert np.allclose(got, norms, rtol=1e-15, atol=0.0)
+    assert want[np.array(widths) == 0].max() == 0.0

@@ -165,6 +165,7 @@ def test_each_numlin_rule_reads_its_own_tolerances():
         "vanishing_rule": {"eq_tol"},
         "projection_rule": {"proj_tol"},
         "partial_isometry_rule": {"proj_tol"},
+        "proven_word_length": {"proj_tol"},
         "_rank_from_singular_values": {"rank_tol"},
         "_split_error": {"proj_tol"},
         "atom_sum_rule": {"proj_tol"},

@@ -25,8 +25,11 @@ and 0.  For each n the script prints
   grown; it has dimension (n/2)^2.  The witness is not read;
 - at n = 2 and 4, the median over RUNS runs of the wall time per element of
   the default-limit selfadjoint closure of a seeded pair of generic
-  unitaries, each run a fresh closure.  The semigroup is infinite, so every
-  closure stops at the 20000-element limit;
+  unitaries, each run a fresh closure, and how many elements its
+  partial-isometry rule pass tested (those of more letters than
+  numlin.proven_word_length proves, counted in one more run).  The
+  semigroup is infinite, so every closure stops at the 20000-element
+  limit;
 - the median over RUNS runs of the wall time of `barnes_representation` on
   the symmetric inverse semigroup I_3 (n = 34), and then of the `barnes`
   command on fixtures/tables/i3.json, which adds the injectivity check and
@@ -58,6 +61,7 @@ from pisomlab.cli import main as cli_main
 from pisomlab.invsg import barnes_representation, symmetric_inverse_table
 from pisomlab.jsonio import matrix_to_json
 from pisomlab.projlat import boolean_atoms
+from pisomlab import sgroup
 from pisomlab.sgroup import (Limits, brandt_structure, close, family_projections, generator_set,
                              is_irreducible, selfadjoint_closure)
 
@@ -157,9 +161,22 @@ def unitary_closure_runs(n: int) -> str:
         start = time.perf_counter()
         result = selfadjoint_closure(gens)
         per_element.append((time.perf_counter() - start) / len(result))
+    tested = 0
+    rule = sgroup.partial_isometry_rule
+
+    def counted(ms, cfg):
+        nonlocal tested
+        tested += len(ms)
+        return rule(ms, cfg)
+
+    sgroup.partial_isometry_rule = counted
+    try:
+        selfadjoint_closure(gens)
+    finally:
+        sgroup.partial_isometry_rule = rule
     return (f"n={n}: selfadjoint closure of two generic unitaries, {len(result)} elements "
             f"({result.status}): {statistics.median(per_element) * 1e6:.1f} µs per element "
-            f"(median of {RUNS})")
+            f"(median of {RUNS}), {tested} tested by the rule")
 
 
 def barnes_runs() -> str:
