@@ -164,12 +164,10 @@ def partial_isometry_rule(ms: np.ndarray,
     return ok, p
 
 
-_U = 2.0 ** -53     # the unit roundoff of float64
-
-
 def _gamma(m: int) -> float:
-    """Higham's gamma_m = m u / (1 - m u)."""
-    return m * _U / (1.0 - m * _U)
+    """Higham's gamma_m = m u / (1 - m u), u = 2^-53 the unit roundoff."""
+    mu = m * 2.0 ** -53
+    return mu / (1.0 - mu)
 
 
 def _product_rounding(n: int) -> float:
@@ -214,7 +212,7 @@ def _word_defect_bound(k: int, n: int, delta: float) -> float:
     p_f = rn + eta_f
     worst = max(2.0 * f1,
                 eta_f * (1.0 + eta2) + c * p_f ** 2,
-                math.sqrt(1.0 + e) * eta_f + c * rn * math.sqrt(1.0 + e) * p_f)
+                math.sqrt(1.0 + e) * (eta_f + c * rn * p_f))
     return worst * _slack(n)
 
 

@@ -99,6 +99,10 @@ def test_letters_that_are_not_unitary_prove_nothing():
         assert proven_word_length(np.array([u, other]), DEFAULT_TOL, 16) == 0
     # no letters: no word to prove wrong
     assert proven_word_length(np.zeros((0, 3, 3), dtype=complex), DEFAULT_TOL, 16) == 16
+    # a word limit far past the proof: the bound grows past every proj_tol
+    # without overflowing
+    wide = ToleranceConfig(proj_tol=1e-2)
+    assert 0 < proven_word_length(np.array([(1.0 + 1e-4) * u]), wide, 10 ** 9) < 100
 
 
 def chain_gens() -> sgroup.GeneratorSet:
